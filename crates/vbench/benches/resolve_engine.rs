@@ -127,12 +127,12 @@ fn bench_descriptor_codec(c: &mut Criterion) {
     );
 }
 
-/// The prefix-table resolve hot path at 10⁶ names: the write-side
-/// `SyncTable` (an ordered map, walked per lookup) against the published
-/// sharded snapshot (one FNV probe into an immutable per-shard hash map,
-/// batched shard-by-shard the way the server's `ResolveBatch` burst runs).
-/// Both variants run the identical 4096-probe workload per iteration, so
-/// the reported means divide directly into a throughput ratio.
+/// The prefix-table resolve hot path at 10⁶ names. Table and snapshot are
+/// the same shards now, so both series probe the same bytes: `unsharded`
+/// (the name BENCH_10 recorded the old ordered map under) is the writer's
+/// `SyncTable::lookup`, one name at a time; `sharded` is the published
+/// snapshot, batched shard-by-shard the way the server's `ResolveBatch`
+/// burst runs. Both run the identical 4096-probe workload per iteration.
 fn bench_resolve_table(c: &mut Criterion) {
     const N: u32 = 1_000_000;
     const PROBES: usize = 4096;
@@ -190,43 +190,6 @@ fn bench_resolve_table(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // Pin the tentpole: the published snapshot must beat the write-side
-    // ordered map by at least 10× on the same workload. Best-of-N to shed
-    // scheduler noise.
-    let best_ns = |f: &mut dyn FnMut()| {
-        (0..5)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                for _ in 0..4 {
-                    f();
-                }
-                start.elapsed().as_nanos() / 4
-            })
-            .min()
-            .expect("five rounds")
-    };
-    let unsharded_ns = best_ns(&mut || {
-        let mut hits = 0usize;
-        for p in &refs {
-            if sharded.table().lookup(p).is_some() {
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, PROBES);
-    });
-    let sharded_ns = best_ns(&mut || {
-        let mut hits = 0usize;
-        for chunk in refs.chunks(BATCH) {
-            hits += snap.resolve_batch(chunk).iter().flatten().count();
-        }
-        assert_eq!(hits, PROBES);
-    });
-    assert!(
-        sharded_ns * 10 <= unsharded_ns,
-        "sharded snapshot resolve is not 10x the ordered-map path: \
-         {sharded_ns} ns vs {unsharded_ns} ns per {PROBES}-probe sweep"
-    );
 }
 
 fn bench_glob(c: &mut Criterion) {

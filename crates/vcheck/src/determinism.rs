@@ -12,11 +12,12 @@
 //! * an FNV hash of the full report (labels, values, notes) for a sample of
 //!   the `vsim` experiments.
 
-use crate::{fnv1a, Violation};
+use crate::Violation;
 use bytes::Bytes;
 use std::time::Duration;
 use vkernel::SimDomain;
 use vnet::{FaultConfig, Params1984, Partition};
+use vproto::fnv1a;
 use vproto::{Message, RequestCode};
 use vsim::ExpReport;
 
@@ -107,7 +108,7 @@ pub fn report_hash(report: &ExpReport) -> u64 {
         text.push_str(note);
         text.push('\n');
     }
-    fnv1a(text.into_bytes())
+    fnv1a(text.as_bytes())
 }
 
 /// Runs the canned scenario again, but under a seeded fault plane with a

@@ -116,13 +116,3 @@ impl fmt::Display for Violation {
         }
     }
 }
-
-/// FNV-1a, the workspace's standard seed/stream hash.
-pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}

@@ -35,7 +35,7 @@ use vnet::{
     Exhausted, FaultConfig, FaultPlane, FaultStats, NetModel, Params1984, Partition, SimTime,
     Transmit,
 };
-use vproto::{LogicalHost, Message, Pid, Scope, ServiceId};
+use vproto::{Fnv1a, LogicalHost, Message, Pid, Scope, ServiceId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -87,7 +87,7 @@ struct SimState {
     /// suppressed duplicates, scheduled crashes, timeouts,
     /// partition-severed attempts). Two runs of the same workload must
     /// produce the same hash — the determinism gate `vcheck` enforces this.
-    event_hash: u64,
+    event_hash: Fnv1a,
     /// The seeded fault plane; `None` (the default) is a perfectly
     /// reliable network, bit-identical to the pre-fault-plane kernel.
     faults: Option<FaultPlane>,
@@ -96,10 +96,6 @@ struct SimState {
     crashes: BinaryHeap<Reverse<(u64, u64, u32)>>,
     shutdown: bool,
 }
-
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl SimState {
     fn seq(&mut self) -> u64 {
@@ -110,10 +106,7 @@ impl SimState {
     /// Folds one scheduler event into the domain's event-stream hash.
     fn note_event(&mut self, tag: u64, a: u64, b: u64, c: u64) {
         for word in [tag, a, b, c] {
-            for byte in word.to_le_bytes() {
-                self.event_hash ^= u64::from(byte);
-                self.event_hash = self.event_hash.wrapping_mul(FNV_PRIME);
-            }
+            self.event_hash.write(&word.to_le_bytes());
         }
     }
 
@@ -450,7 +443,7 @@ impl SimDomain {
                 next_seq: 0,
                 next_txn: 0,
                 clock_max: 0,
-                event_hash: FNV_OFFSET,
+                event_hash: Fnv1a::new(),
                 faults,
                 crashes: BinaryHeap::new(),
                 shutdown: false,
@@ -759,7 +752,7 @@ impl SimDomain {
     /// hashes; `vcheck`'s determinism gate runs workloads twice and fails
     /// on divergence.
     pub fn event_hash(&self) -> u64 {
-        self.core.state.lock().event_hash
+        self.core.state.lock().event_hash.finish()
     }
 
     /// Returns the domain's service registry (for inspection in tests).

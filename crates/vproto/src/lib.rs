@@ -17,6 +17,7 @@
 //!   human-readable ASCII (paper §5.1).
 //! * [`ObjectDescriptor`] — typed object description records returned by the
 //!   query operation and context directories (paper §5.5, Figure 3).
+//! * [`fnv`] — the one FNV-1a every cross-process hash in the workspace uses.
 //!
 //! # Examples
 //!
@@ -40,6 +41,7 @@ mod batch;
 mod codes;
 mod csname;
 mod descriptor;
+pub mod fnv;
 mod message;
 mod pid;
 mod service;
@@ -56,6 +58,7 @@ pub use descriptor::{
     ContextPair, DecodeError, DescriptorExt, DescriptorTag, InstanceId, ObjectDescriptor, ObjectId,
     Permissions,
 };
+pub use fnv::{fnv1a, Fnv1a};
 pub use message::{fields, ContextId, Message, OpenMode, MSG_WORDS};
 pub use pid::{LogicalHost, Pid};
 pub use service::{Scope, ServiceId};

@@ -74,6 +74,20 @@ impl PrefixTarget {
         }
     }
 
+    /// Where requests through this entry go right now. A logical entry is
+    /// re-resolved via `GetPid` on every use (paper §6) — the binding names
+    /// a service, not a pid, which is what lets it survive server
+    /// restarts; `None` when no server currently offers the service.
+    fn locate(self, ctx: &dyn Ipc) -> Option<ContextPair> {
+        match self {
+            PrefixTarget::Direct(pair) => Some(pair),
+            PrefixTarget::Logical { service, context } => Some(ContextPair::new(
+                ctx.get_pid(service, Scope::Both)?,
+                context,
+            )),
+        }
+    }
+
     /// The resolvable form of a wire binding.
     fn from_binding(b: &SyncBinding) -> Self {
         if b.logical {
@@ -90,36 +104,29 @@ impl PrefixTarget {
     }
 }
 
-/// Cumulative anti-entropy bookkeeping, reported via `SyncStatus`.
-#[derive(Debug, Clone, Copy, Default)]
-struct SyncCounters {
-    /// Completed sync rounds (replica side).
-    rounds: u32,
-    /// Delta entries adopted.
-    adopted: u32,
-    /// Live entries dropped by adopted tombstones.
-    dropped: u32,
-    /// Entries promoted unverified → verified.
-    promoted: u32,
-    /// Suspicion entries expired by the TTL sweep.
-    suspects_expired: u32,
-    /// Bare-prefix `QueryName` binding queries received.
-    binding_queries: u32,
-    /// Completed replica↔replica gossip rounds.
-    gossip_rounds: u32,
-    /// Entries adopted from gossip peers (held Suspect).
-    gossip_adopted: u32,
-    /// Tombstones dropped by horizon GC.
-    gc_dropped: u32,
-    /// Merkle subtree probes initiated as a round puller.
-    probe_rounds: u32,
-}
-
 /// The advisory entry-count message word for sync payloads: saturates at
 /// `u16::MAX` instead of silently truncating tables past 65 535 entries —
 /// the 32-bit count inside the payload is authoritative.
 fn count_word(n: usize) -> u16 {
     u16::try_from(n).unwrap_or(u16::MAX)
+}
+
+/// The reply to a `SyncPull`/`SyncGossip` whose round completed. The three
+/// counts are advisory message words and saturate like every other sync
+/// count ([`count_word`]) — a cold replica adopting 70 000 entries reports
+/// 65 535, not 4 464; the exact cumulative figures are the u32 fields of
+/// `SyncStatusRec`.
+fn round_reply(out: ApplyOutcome, table: &SyncTable, via_gossip: bool) -> Message {
+    let mut m = Message::ok();
+    m.set_word(fields::W_SYNC_ADOPTED, count_word(out.adopted as usize))
+        .set_word(
+            fields::W_SYNC_DROPPED,
+            count_word(out.dropped_live as usize),
+        )
+        .set_word(fields::W_SYNC_PROMOTED, count_word(out.promoted as usize))
+        .set_word32(fields::W_SYNC_EPOCH_LO, table.max_epoch() as u32)
+        .set_word(fields::W_SYNC_GOSSIP, u16::from(via_gossip));
+    m
 }
 
 /// Degraded-mode resolution settings for a [`prefix_server`].
@@ -199,7 +206,9 @@ impl Default for PrefixConfig {
 /// 2.6 kilobytes of data" (§6), reported by EXP-5.
 pub fn prefix_footprint_bytes(n_entries: usize, total_name_bytes: usize) -> usize {
     use std::mem::size_of;
-    // Key Vec header + bytes, value, and an estimated B-tree per-entry share.
+    // Per entry: a name handle (the size of a `Vec` header), the binding,
+    // and 16 bytes for the stored hash and epoch; plus the name bytes. An
+    // estimate of the useful payload, not of the slot array's slack.
     n_entries * (size_of::<Vec<u8>>() + size_of::<ContextPair>() + size_of::<u32>() * 2 + 16)
         + total_name_bytes
 }
@@ -218,35 +227,36 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
     let authoritative = config.degraded.is_none_or(|d| d.authoritative);
     let boot_ns = ctx.now().as_nanos() as u64;
     let mut table = SyncTable::new();
-    for (name, pair) in &config.preload_direct {
-        let b = PrefixTarget::Direct(*pair).to_binding();
+    let direct = config
+        .preload_direct
+        .iter()
+        .map(|(name, pair)| (name, PrefixTarget::Direct(*pair)));
+    let logical = config
+        .preload_logical
+        .iter()
+        .map(|(name, service, context)| {
+            let (service, context) = (*service, *context);
+            (name, PrefixTarget::Logical { service, context })
+        });
+    for (name, target) in direct.chain(logical) {
+        let (name, b) = (name.as_bytes().to_vec(), target.to_binding());
         if authoritative {
-            table.define(name.as_bytes().to_vec(), b, boot_ns);
+            table.define(name, b, boot_ns);
         } else {
-            table.preload(name.as_bytes().to_vec(), b);
+            table.preload(name, b);
         }
     }
-    for (name, service, context) in &config.preload_logical {
-        let b = PrefixTarget::Logical {
-            service: *service,
-            context: *context,
-        }
-        .to_binding();
-        if authoritative {
-            table.define(name.as_bytes().to_vec(), b, boot_ns);
-        } else {
-            table.preload(name.as_bytes().to_vec(), b);
-        }
-    }
-    // The write-side table wraps into a sharded, snapshot-published view:
-    // definitions and sync rounds mutate the `SyncTable` inside, and the
-    // loop publishes a fresh read-only snapshot before serving the next
-    // request — resolutions never read the write side.
+    // The table's shards double as the published view: definitions and
+    // sync rounds mutate copies of the shards a snapshot still shares, and
+    // the loop publishes the table's current shards before serving the
+    // next request — resolutions never see a half-applied batch.
     let mut sharded = ShardedTable::from_table(table);
     let mut instances: InstanceTable<Vec<u8>> = InstanceTable::new();
     // Suspect prefixes, indexed by name and by TTL expiry.
     let mut suspects = SuspectSet::default();
-    let mut counters = SyncCounters::default();
+    // Cumulative anti-entropy bookkeeping, kept in the record `SyncStatus`
+    // reports it in; the table-derived fields are filled in at reply time.
+    let mut counters = SyncStatusRec::default();
     // Requests drained by a resolution burst that turned out not to be
     // resolutions themselves; served in order before blocking again.
     let mut queued: VecDeque<Received> = VecDeque::new();
@@ -393,55 +403,27 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 // and a replica group is configured, fall back to one
                 // gossip round against a peer replica — adopted entries
                 // stay Suspect and the watermark does not move.
-                let Some(d) = config.degraded.filter(|d| d.sync_peer.is_some()) else {
+                let Some((d, peer)) = config.degraded.and_then(|d| Some((d, d.sync_peer?))) else {
                     reply_code(ctx, rx, ReplyCode::NoServer);
                     continue;
                 };
-                let mut via_gossip = false;
-                let mut applied: Option<ApplyOutcome> = None;
-                if let Some(peer) = d.sync_peer {
-                    let out = if d.flat_sync {
-                        authority_round(
-                            ctx,
-                            sharded.table_mut(),
-                            peer,
-                            &mut counters,
-                            &mut suspects,
-                        )
-                    } else {
-                        merkle_authority_round(
-                            ctx,
-                            sharded.table_mut(),
-                            peer,
-                            &mut counters,
-                            &mut suspects,
-                        )
-                    };
-                    if let Some(out) = out {
-                        applied = Some(out);
-                    }
-                }
-                if applied.is_none() {
-                    if let Some(group) = d.replica_group {
-                        let out = if d.flat_sync {
-                            gossip_round(ctx, sharded.table_mut(), group, &mut counters)
-                        } else {
-                            merkle_gossip_round(ctx, sharded.table_mut(), group, &mut counters)
-                        };
-                        if let Some(out) = out {
-                            via_gossip = true;
-                            applied = Some(out);
-                        }
-                    }
-                }
+                let table = sharded.table_mut();
+                let applied =
+                    authority_round(ctx, table, peer, d.flat_sync, &mut counters, &mut suspects)
+                        .map(|out| (out, false))
+                        .or_else(|| {
+                            let out = gossip_round(
+                                ctx,
+                                table,
+                                d.replica_group?,
+                                d.flat_sync,
+                                &mut counters,
+                            )?;
+                            Some((out, true))
+                        });
                 match applied {
-                    Some(out) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_ADOPTED, out.adopted as u16)
-                            .set_word(fields::W_SYNC_DROPPED, out.dropped_live as u16)
-                            .set_word(fields::W_SYNC_PROMOTED, out.promoted as u16)
-                            .set_word32(fields::W_SYNC_EPOCH_LO, sharded.table().max_epoch() as u32)
-                            .set_word(fields::W_SYNC_GOSSIP, u16::from(via_gossip));
+                    Some((out, via_gossip)) => {
+                        let m = round_reply(out, sharded.table(), via_gossip);
                         reply_data(ctx, rx, m, Vec::new());
                     }
                     // Nothing was applied: the round is atomic, the peer
@@ -463,24 +445,14 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                     continue;
                 }
                 // Trigger (unicast): run one gossip round now.
-                let Some(group) = config.degraded.and_then(|d| d.replica_group) else {
+                let Some((d, group)) = config.degraded.and_then(|d| Some((d, d.replica_group?)))
+                else {
                     reply_code(ctx, rx, ReplyCode::NoServer);
                     continue;
                 };
-                let flat = config.degraded.is_some_and(|d| d.flat_sync);
-                let out = if flat {
-                    gossip_round(ctx, sharded.table_mut(), group, &mut counters)
-                } else {
-                    merkle_gossip_round(ctx, sharded.table_mut(), group, &mut counters)
-                };
-                match out {
+                match gossip_round(ctx, sharded.table_mut(), group, d.flat_sync, &mut counters) {
                     Some(out) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_ADOPTED, out.adopted as u16)
-                            .set_word(fields::W_SYNC_DROPPED, out.dropped_live as u16)
-                            .set_word(fields::W_SYNC_PROMOTED, out.promoted as u16)
-                            .set_word32(fields::W_SYNC_EPOCH_LO, sharded.table().max_epoch() as u32)
-                            .set_word(fields::W_SYNC_GOSSIP, 1);
+                        let m = round_reply(out, sharded.table(), true);
                         reply_data(ctx, rx, m, Vec::new());
                     }
                     // Transient: no peer answered this round's probe.
@@ -494,32 +466,17 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 };
                 match SyncDigestMsg::decode(&payload) {
                     Ok(digest) => {
+                        // The flat-digest oracle's responder: the digest
+                        // doubles as the sender's watermark ack, exactly
+                        // as a probe does on the Merkle path.
                         let now_ns = ctx.now().as_nanos() as u64;
-                        let table = sharded.table_mut();
-                        if authoritative {
-                            // The digest doubles as the sender's watermark
-                            // ack: record it, recompute the GC horizon
-                            // (min watermark across known replicas), and
-                            // collect what every replica has provably
-                            // adopted — before computing the delta, so the
-                            // fresh horizon governs the round.
-                            table.record_watermark(rx.from.raw(), digest.watermark);
-                            let horizon = table.horizon();
-                            counters.gc_dropped += table.gc_below(horizon);
-                        }
-                        let delta = SyncDeltaMsg {
-                            epoch: 0, // filled below, after stamping
-                            horizon: if authoritative { table.gc_horizon() } else { 0 },
-                            entries: table.delta_for(&digest.entries, authoritative, now_ns),
-                        };
-                        // The epoch header is stamped after `delta_for` so
-                        // it covers any tombstones freshly minted for the
-                        // digest's unknown prefixes: a replica that applies
-                        // this whole delta really has synced through it.
-                        let delta = SyncDeltaMsg {
-                            epoch: table.max_epoch(),
-                            ..delta
-                        };
+                        let (delta, gc_dropped) = sharded.table_mut().answer_digest(
+                            &digest,
+                            authoritative,
+                            Some(rx.from.raw()),
+                            now_ns,
+                        );
+                        counters.gc_dropped += gc_dropped;
                         let mut m = Message::ok();
                         m.set_word(fields::W_SYNC_COUNT, count_word(delta.entries.len()));
                         reply_data(ctx, rx, m, delta.encode());
@@ -566,18 +523,9 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                     tombstones: table.tombstone_len() as u32,
                     suspects: suspects.len() as u32,
                     table_hash: table.table_hash(),
-                    rounds: counters.rounds,
-                    adopted: counters.adopted,
-                    dropped: counters.dropped,
-                    promoted: counters.promoted,
-                    suspects_expired: counters.suspects_expired,
-                    binding_queries: counters.binding_queries,
                     watermark: table.watermark(),
                     gc_horizon: table.gc_horizon(),
-                    gossip_rounds: counters.gossip_rounds,
-                    gossip_adopted: counters.gossip_adopted,
-                    gc_dropped: counters.gc_dropped,
-                    probe_rounds: counters.probe_rounds,
+                    ..counters
                 };
                 reply_data(ctx, rx, Message::ok(), rec.encode());
             }
@@ -599,7 +547,7 @@ fn serve_resolve_batch(
     snap: &Arc<Snapshot>,
     suspects: &SuspectSet,
     now_ns: u64,
-    counters: &mut SyncCounters,
+    counters: &mut SyncStatusRec,
 ) {
     let payload = match ctx.move_from(&rx) {
         Ok(p) => p,
@@ -615,41 +563,20 @@ fn serve_resolve_batch(
         .resolve_batch(&refs)
         .into_iter()
         .zip(&batch.names)
-        .map(|(hit, name)| match hit {
-            None => ResolveAnswer {
-                status: RESOLVE_NOT_FOUND,
-                pid: 0,
-                context: 0,
-                staleness: 0,
-            },
-            Some(entry) => {
-                let staleness = u16::from(!entry.verified || suspects.is_armed(name, now_ns));
-                match PrefixTarget::from_binding(&entry.binding) {
-                    PrefixTarget::Direct(pair) => ResolveAnswer {
-                        status: RESOLVE_OK,
-                        pid: pair.server.raw(),
-                        context: pair.context.raw(),
-                        staleness,
-                    },
-                    // Logical entries re-resolve via `GetPid` on each use
-                    // (paper §6) — the binding names a service, not a pid.
-                    PrefixTarget::Logical { service, context } => {
-                        match ctx.get_pid(service, Scope::Both) {
-                            Some(pid) => ResolveAnswer {
-                                status: RESOLVE_OK,
-                                pid: pid.raw(),
-                                context: context.raw(),
-                                staleness,
-                            },
-                            None => ResolveAnswer {
-                                status: RESOLVE_NO_SERVER,
-                                pid: 0,
-                                context: 0,
-                                staleness,
-                            },
-                        }
-                    }
-                }
+        .map(|(hit, name)| {
+            let answer = |status, pid, context, staleness| ResolveAnswer {
+                status,
+                pid,
+                context,
+                staleness,
+            };
+            let Some(entry) = hit else {
+                return answer(RESOLVE_NOT_FOUND, 0, 0, 0);
+            };
+            let staleness = u16::from(!entry.verified || suspects.is_armed(name, now_ns));
+            match PrefixTarget::from_binding(&entry.binding).locate(ctx) {
+                Some(to) => answer(RESOLVE_OK, to.server.raw(), to.context.raw(), staleness),
+                None => answer(RESOLVE_NO_SERVER, 0, 0, staleness),
             }
         })
         .collect();
@@ -659,37 +586,25 @@ fn serve_resolve_batch(
     reply_data(ctx, rx, m, reply.encode());
 }
 
-/// One digest → delta → apply round against the configured authority.
+/// One pull round against the configured authority: fetch the delta, then
+/// adopt it as vouched.
 ///
 /// On success the authority has vouched for the whole table: everything
 /// becomes verified, armed suspicions clear, the synced watermark advances
 /// to the authority's epoch header, and tombstones at or below the
 /// advertised GC horizon are collected. On any failure (unreachable peer,
-/// error reply, undecodable delta) nothing changes — the round is atomic.
+/// error reply, undecodable payload) nothing changes — the round is atomic.
 fn authority_round(
     ctx: &dyn Ipc,
     table: &mut SyncTable,
     peer: Pid,
-    counters: &mut SyncCounters,
+    flat_sync: bool,
+    counters: &mut SyncStatusRec,
     suspects: &mut SuspectSet,
 ) -> Option<ApplyOutcome> {
-    let digest = SyncDigestMsg {
-        watermark: table.watermark(),
-        entries: table.digest(),
-    };
-    let mut req = Message::request(RequestCode::SyncDigest);
-    req.set_word(fields::W_SYNC_COUNT, count_word(digest.entries.len()));
-    let reply = ctx
-        .send(peer, req, Bytes::from(digest.encode()), 65536)
-        .ok()?;
-    if !reply.msg.reply_code().is_ok() {
-        return None;
-    }
-    let delta = SyncDeltaMsg::decode(&reply.data).ok()?;
-    let mut out = table.apply(&delta.entries, true);
-    table.note_synced(delta.epoch);
-    counters.gc_dropped += table.gc_below(delta.horizon);
-    out.promoted += table.mark_all_verified();
+    let (delta, epoch, horizon) = fetch_delta(ctx, table, peer, flat_sync, counters)?;
+    let (out, gc_dropped) = table.adopt(&delta, epoch, horizon, true);
+    counters.gc_dropped += gc_dropped;
     counters.rounds += 1;
     counters.adopted += out.adopted;
     counters.dropped += out.dropped_live;
@@ -700,32 +615,21 @@ fn authority_round(
 
 /// One replica↔replica gossip round (Grapevine-style: peers reconcile
 /// without a live authority). Multicasts a phase-1 probe on the replica
-/// group, then runs a unicast digest → delta round against the first peer
-/// that answers. Adopted entries stay unverified — *Suspect*, served with
-/// the staleness flag — until an authority round vouches for them, and
-/// the synced watermark does not move: gossip spreads data, only the
-/// authority spreads certainty.
+/// group, then fetches the delta unicast from the first peer that answers.
+/// Adopted entries stay unverified — *Suspect*, served with the staleness
+/// flag — until an authority round vouches for them, and the synced
+/// watermark does not move: gossip spreads data, only the authority
+/// spreads certainty.
 fn gossip_round(
     ctx: &dyn Ipc,
     table: &mut SyncTable,
     group: GroupId,
-    counters: &mut SyncCounters,
+    flat_sync: bool,
+    counters: &mut SyncStatusRec,
 ) -> Option<ApplyOutcome> {
     let peer = gossip_peer(ctx, group)?;
-    let digest = SyncDigestMsg {
-        watermark: table.watermark(),
-        entries: table.digest(),
-    };
-    let mut req = Message::request(RequestCode::SyncDigest);
-    req.set_word(fields::W_SYNC_COUNT, count_word(digest.entries.len()));
-    let reply = ctx
-        .send(peer, req, Bytes::from(digest.encode()), 65536)
-        .ok()?;
-    if !reply.msg.reply_code().is_ok() {
-        return None;
-    }
-    let delta = SyncDeltaMsg::decode(&reply.data).ok()?;
-    let out = table.apply(&delta.entries, false);
+    let (delta, epoch, horizon) = fetch_delta(ctx, table, peer, flat_sync, counters)?;
+    let (out, _) = table.adopt(&delta, epoch, horizon, false);
     counters.gossip_rounds += 1;
     counters.gossip_adopted += out.adopted;
     Some(out)
@@ -748,17 +652,49 @@ fn gossip_peer(ctx: &dyn Ipc, group: GroupId) -> Option<Pid> {
     Some(peer)
 }
 
-/// Drives one Merkle walk over IPC against `peer`: sends `SyncProbe`
-/// requests until the diverging frontier drains, and returns the
-/// accumulated delta plus the final reply's epoch/horizon header. Any
-/// unreachable peer, error reply, or undecodable payload kills the whole
-/// round — the caller applies nothing (atomicity matches the flat round).
-fn merkle_walk_ipc(
+/// The most reply bytes a puller accepts in one exchange of a sync round:
+/// room for a delta of some 10⁵ entries (a level of child hashes at 10⁶
+/// names is 8.6 MB). A peer that answers with more fails the round — it
+/// is retried, nothing is applied — rather than growing the puller without
+/// bound.
+const SYNC_RECV_CAP: usize = 1 << 24;
+
+/// One request/reply exchange of a sync round: the reply payload, or
+/// `None` for an unreachable peer or an error reply.
+fn sync_call(ctx: &dyn Ipc, peer: Pid, req: Message, payload: Vec<u8>) -> Option<Bytes> {
+    let reply = ctx
+        .send(peer, req, Bytes::from(payload), SYNC_RECV_CAP)
+        .ok()?;
+    reply.msg.reply_code().is_ok().then_some(reply.data)
+}
+
+/// Fetches from `peer` the delta that brings `table` up to date, with the
+/// responder's epoch/horizon header — the one step in which a round on the
+/// Merkle path differs from one on the flat-digest oracle. The table is
+/// only read; any unreachable peer, error reply, or undecodable payload
+/// kills the whole round and the caller applies nothing.
+///
+/// The Merkle path sends `SyncProbe` requests until the walk's diverging
+/// frontier drains, so its cost is proportional to divergence (an in-sync
+/// round is a single root-hash probe). The oracle (`flat_sync`, test-only)
+/// ships the whole-table digest in one `SyncDigest`.
+fn fetch_delta(
     ctx: &dyn Ipc,
     table: &mut SyncTable,
     peer: Pid,
-    counters: &mut SyncCounters,
+    flat_sync: bool,
+    counters: &mut SyncStatusRec,
 ) -> Option<(Vec<SyncEntry>, u64, u64)> {
+    if flat_sync {
+        let digest = SyncDigestMsg {
+            watermark: table.watermark(),
+            entries: table.digest(),
+        };
+        let mut req = Message::request(RequestCode::SyncDigest);
+        req.set_word(fields::W_SYNC_COUNT, count_word(digest.entries.len()));
+        let delta = SyncDeltaMsg::decode(&sync_call(ctx, peer, req, digest.encode())?).ok()?;
+        return Some((delta.entries, delta.epoch, delta.horizon));
+    }
     let mut walk = MerkleWalk::start();
     while let Some(probe) = walk.next_probe(table) {
         let mut req = Message::request(RequestCode::SyncProbe);
@@ -766,59 +702,11 @@ fn merkle_walk_ipc(
             fields::W_SYNC_NODES,
             count_word(probe.nodes.len() + probe.leaves.len()),
         );
-        let reply = ctx
-            .send(peer, req, Bytes::from(probe.encode()), 65536)
-            .ok()?;
-        if !reply.msg.reply_code().is_ok() {
-            return None;
-        }
-        let reply = SyncProbeReply::decode(&reply.data).ok()?;
+        let reply = SyncProbeReply::decode(&sync_call(ctx, peer, req, probe.encode())?).ok()?;
         counters.probe_rounds += 1;
         walk.absorb(table, &reply);
     }
-    let (delta, epoch, horizon, _probes) = walk.finish();
-    Some((delta, epoch, horizon))
-}
-
-/// The Merkle-walk counterpart of [`authority_round`]: identical contract
-/// (atomic; on success the authority has vouched for the whole table),
-/// but the wire cost is proportional to divergence — an in-sync round is
-/// a single root-hash probe.
-fn merkle_authority_round(
-    ctx: &dyn Ipc,
-    table: &mut SyncTable,
-    peer: Pid,
-    counters: &mut SyncCounters,
-    suspects: &mut SuspectSet,
-) -> Option<ApplyOutcome> {
-    let (delta, epoch, horizon) = merkle_walk_ipc(ctx, table, peer, counters)?;
-    let mut out = table.apply(&delta, true);
-    table.note_synced(epoch);
-    counters.gc_dropped += table.gc_below(horizon);
-    out.promoted += table.mark_all_verified();
-    counters.rounds += 1;
-    counters.adopted += out.adopted;
-    counters.dropped += out.dropped_live;
-    counters.promoted += out.promoted;
-    suspects.clear();
-    Some(out)
-}
-
-/// The Merkle-walk counterpart of [`gossip_round`]: same peer discovery,
-/// same hearsay rules (adopted entries stay Suspect, the watermark and
-/// horizon never move), with the digest exchange replaced by a walk.
-fn merkle_gossip_round(
-    ctx: &dyn Ipc,
-    table: &mut SyncTable,
-    group: GroupId,
-    counters: &mut SyncCounters,
-) -> Option<ApplyOutcome> {
-    let peer = gossip_peer(ctx, group)?;
-    let (delta, _epoch, _horizon) = merkle_walk_ipc(ctx, table, peer, counters)?;
-    let out = table.apply(&delta, false);
-    counters.gossip_rounds += 1;
-    counters.gossip_adopted += out.adopted;
-    Some(out)
+    Some(walk.finish())
 }
 
 fn strip_brackets(name: &[u8]) -> &[u8] {
@@ -838,7 +726,7 @@ fn handle_csname(
     req: CsRequest,
     degraded: Option<DegradedPrefixConfig>,
     suspects: &mut SuspectSet,
-    counters: &mut SyncCounters,
+    counters: &mut SyncStatusRec,
 ) {
     let msg = rx.msg;
     // Add/delete with a bracketed name and a nonempty remainder are meant
@@ -917,12 +805,10 @@ fn handle_csname(
         ctx.charge(net.params().t_prefix_processing);
     }
 
-    // The hot path reads the published snapshot — a hash probe against
-    // an immutable shard, no tree walk, no write-side coupling. The
-    // snapshot holds only live entries, so a tombstone is a plain miss.
-    let entry = match sharded.snapshot().lookup(&prefix) {
-        Some(e) => *e,
-        None => return reply_code(ctx, rx, ReplyCode::NotFound),
+    // The hot path reads the published snapshot — one hashed probe of an
+    // immutable shard. A tombstone answers like a miss.
+    let Some(entry) = sharded.snapshot().lookup(&prefix) else {
+        return reply_code(ctx, rx, ReplyCode::NotFound);
     };
     let target = PrefixTarget::from_binding(&entry.binding);
 
@@ -961,19 +847,11 @@ fn handle_csname(
         }
     }
 
-    let (server, target_ctx) = match target {
-        PrefixTarget::Direct(pair) => (pair.server, pair.context),
-        PrefixTarget::Logical { service, context } => {
-            // Re-resolved on every use (paper §6) — this is what makes the
-            // entry survive server restarts.
-            match ctx.get_pid(service, Scope::Both) {
-                Some(pid) => (pid, context),
-                None => return reply_code(ctx, rx, ReplyCode::NoServer),
-            }
-        }
+    let Some(to) = target.locate(ctx) else {
+        return reply_code(ctx, rx, ReplyCode::NoServer);
     };
     let absolute_index = req.index + rest_index;
-    match forward_csname(ctx, rx, server, target_ctx, absolute_index) {
+    match forward_csname(ctx, rx, to.server, to.context, absolute_index) {
         Err(vkernel::IpcError::NoProcess) => {
             // The bound server is permanently gone (not a transient loss
             // timeout): a direct entry is now a stale binding, so

@@ -19,6 +19,18 @@
 //! never-verified replica entries, so any authoritative entry wins over a
 //! preload.
 //!
+//! # One copy of the bindings
+//!
+//! The table owns [`SHARD_COUNT`] `Arc<Shard>`s (see [`crate::shard`]) and
+//! nothing else holds a binding: a shard is the unit of storage, one
+//! root-child Merkle subtree, and the unit of publication at once. Every
+//! content mutation is one `put` or one `remove` here, each one
+//! `Shard::insert`/`Shard::remove` through `Arc::make_mut`. The only side
+//! indexes are `tombs` and `unverified`, written in those two functions
+//! and holding the shard's own name handles; the Merkle tree keeps hashes
+//! of *interior* nodes only — a leaf's hash is folded on demand from the
+//! contiguous run of records that is its bucket.
+//!
 //! # Bounded tombstones: watermarks and the GC horizon
 //!
 //! Tombstones exist only to propagate deletes; once **every** replica has
@@ -47,20 +59,19 @@
 //!
 //! A flat digest ships the whole `(prefix, epoch)` list every round, so a
 //! steady-state round costs O(table) even when nothing diverged — a dead
-//! end at millions of names. The table therefore maintains a **Merkle
-//! tree** over its contents:
+//! end at millions of names. The table is therefore also a **Merkle
+//! tree**:
 //!
 //! * every entry hashes into one of [`MERKLE_LEAVES`] leaf buckets by the
 //!   top bits of the FNV-1a hash of its prefix ([`SyncTable::bucket_of`])
 //!   — a *deterministic* child ordering both sides compute independently;
-//! * a leaf's hash folds its bucket's entries exactly as the old flat
-//!   `table_hash` folded the whole table; an interior node's hash folds
-//!   its [`MERKLE_FANOUT`] child hashes. Empty subtrees hash to 0 at
-//!   every level, so a table that shrinks to nothing hashes like one that
-//!   was never touched;
+//! * a leaf's hash folds its bucket's entries in name order; an interior
+//!   node's hash folds its [`MERKLE_FANOUT`] child hashes. Empty subtrees
+//!   hash to 0 at every level, so a table that shrinks to nothing hashes
+//!   like one that was never touched;
 //! * node ids are **stable** (packed `level << 24 | index`,
 //!   [`merkle_node_id`]) and dirtiness propagates upward lazily: editing
-//!   one entry invalidates its leaf and that leaf's ancestors only —
+//!   one entry invalidates its leaf's ancestors only —
 //!   [`SyncTable::table_hash`] *is* the Merkle root.
 //!
 //! A reconciliation round is then a **walk** ([`MerkleWalk`]): starting at
@@ -74,17 +85,13 @@
 //! differential-testing oracle: a Merkle round and a flat round must leave
 //! byte-identical tables (see `tests/anti_entropy_props.rs`).
 
-use vproto::{
-    SyncBinding, SyncDigestEntry, SyncDigestMsg, SyncEntry, SyncLeafDigest, SyncNodeRec,
-    SyncProbeMsg, SyncProbeReply,
-};
-
+use crate::shard::{bucket_of_hash, shard_of_hash, Record, Shard};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// FNV-1a offset basis / prime (64-bit) — the same constants the
-/// virtual-time kernel uses for its event hash.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use std::sync::Arc;
+use vproto::{
+    fnv1a, Fnv1a, SyncBinding, SyncDeltaMsg, SyncDigestEntry, SyncDigestMsg, SyncEntry,
+    SyncLeafDigest, SyncNodeRec, SyncProbeMsg, SyncProbeReply,
+};
 
 /// How far beyond virtual-now a digest epoch may claim to be before the
 /// authority rejects it as corrupt or hostile (60 virtual seconds).
@@ -114,9 +121,9 @@ pub const MERKLE_ROOT: u32 = 0;
 
 /// Number of table shards. Equal to [`MERKLE_FANOUT`] on purpose: shard
 /// `s` covers exactly the leaf buckets under the root's child `s`, so a
-/// shard boundary *is* a Merkle subtree boundary — the per-shard snapshot
-/// a publish rebuilds and the subtree a sync walk descends never straddle
-/// each other.
+/// shard boundary *is* a Merkle subtree boundary — the shard a publish
+/// hands over and the subtree a sync walk descends never straddle each
+/// other.
 pub const SHARD_COUNT: usize = MERKLE_FANOUT as usize;
 
 /// Bits to drop from a leaf-bucket index to get its shard: every level
@@ -205,31 +212,12 @@ pub struct ApplyOutcome {
     pub promoted: u32,
 }
 
-/// The incrementally maintained Merkle tree over a [`SyncTable`].
-///
-/// Only nonzero hashes are stored: an absent leaf or interior node *is*
-/// the empty-subtree hash 0, which keeps an emptied table bit-identical
-/// to a never-touched one. Mutations mark the touched leaf dirty; hashes
-/// are recomputed lazily, ancestors-of-dirty-leaves only, on the next
-/// read ([`SyncTable::merkle_flush`] via `table_hash`/`merkle_children`).
-#[derive(Debug, Clone, Default)]
-struct MerkleIndex {
-    /// Leaf bucket → the prefixes currently hashing into it (live and
-    /// tombstoned alike). Sets are pruned when their last member is
-    /// removed, so iteration cost tracks table content.
-    members: BTreeMap<u32, BTreeSet<Vec<u8>>>,
-    /// Leaf bucket → its current hash (nonzero entries only).
-    leaf: BTreeMap<u32, u64>,
-    /// Packed interior node id → its current hash (nonzero entries only).
-    node: BTreeMap<u32, u64>,
-    /// Leaf buckets whose entries changed since the last flush.
-    dirty: BTreeSet<u32>,
-}
-
 /// A versioned, tombstone-retaining prefix table.
 #[derive(Debug, Clone, Default)]
 pub struct SyncTable {
-    entries: BTreeMap<Vec<u8>, VersionedEntry>,
+    /// The records. Shared with published snapshots (and clones of this
+    /// table) until a mutation copies the shard it touches.
+    shards: [Arc<Shard>; SHARD_COUNT],
     next_epoch: u64,
     /// Replica side: the highest authority epoch fully reconciled through.
     synced: u64,
@@ -238,45 +226,42 @@ pub struct SyncTable {
     /// Authority side: per-replica synced watermarks, keyed by the
     /// replica's raw pid, learned from the digests replicas send.
     watermarks: BTreeMap<u32, u64>,
-    /// The Merkle tree over `entries`, maintained on every mutation.
-    merkle: MerkleIndex,
-    /// Tombstone epoch → the names dead at that epoch. Keeps
-    /// [`SyncTable::gc_below`] proportional to what it collects — the
-    /// Merkle walk GCs on every probe, so an O(table) scan there would
-    /// silently re-introduce the table-bound cost the walk exists to
-    /// avoid.
-    tombs: BTreeMap<u64, BTreeSet<Vec<u8>>>,
+    /// The cached interior of the Merkle tree over `shards`: packed node id
+    /// → hash. Only nonzero hashes are stored — an absent node *is* the
+    /// empty-subtree hash 0, which keeps an emptied table bit-identical to
+    /// a never-touched one (and an empty table allocation-free). Leaf
+    /// hashes are not stored at all: they are folded from the shard's
+    /// records when a parent is recomputed or a walk asks for them.
+    nodes: BTreeMap<u32, u64>,
+    /// Indices of the level-(`MERKLE_LEVELS`−1) nodes with a leaf bucket
+    /// whose entries changed since the last flush. Hashes are recomputed
+    /// lazily, ancestors-of-dirty-leaves only, on the next read
+    /// ([`SyncTable::merkle_flush`] via `table_hash`/`merkle_children`).
+    dirty: BTreeSet<u32>,
+    /// The tombstones, by epoch. Keeps [`SyncTable::gc_below`]
+    /// proportional to what it collects — the Merkle walk GCs on every
+    /// probe, so an O(table) scan there would silently re-introduce the
+    /// table-bound cost the walk exists to avoid.
+    tombs: BTreeSet<(u64, Arc<[u8]>)>,
     /// Names whose entry is currently unverified, so a vouching round
     /// promotes in O(promoted) instead of rescanning the table.
-    unverified: BTreeSet<Vec<u8>>,
-    /// Bitmask of shards whose *published view* is out of date: set by
-    /// every content mutation and by verified-bit promotions (which the
-    /// Merkle dirty set deliberately ignores — `verified` is not hashed,
-    /// but a resolver snapshot serves it as the staleness flag). Drained
-    /// by [`SyncTable::take_dirty_shards`] at publish time.
-    shard_dirty: u16,
+    unverified: BTreeSet<Arc<[u8]>>,
 }
 
 /// Folds one table entry into an FNV-1a accumulator — the per-entry
 /// encoding both the Merkle leaf hashes and (transitively) the table root
 /// commit to: name length + name + epoch + tombstone/binding fields. The
 /// `verified` bit is local bookkeeping and excluded.
-fn fold_entry(h: &mut u64, name: &[u8], e: &VersionedEntry) {
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    fold(&(name.len() as u64).to_le_bytes());
-    fold(name);
-    fold(&e.epoch.to_le_bytes());
+fn fold_entry(h: &mut Fnv1a, name: &[u8], e: &VersionedEntry) {
+    h.write(&(name.len() as u64).to_le_bytes());
+    h.write(name);
+    h.write(&e.epoch.to_le_bytes());
     match &e.binding {
-        None => fold(&[1]),
+        None => h.write(&[1]),
         Some(b) => {
-            fold(&[0, u8::from(b.logical)]);
-            fold(&b.target.to_le_bytes());
-            fold(&b.context.to_le_bytes());
+            h.write(&[0, u8::from(b.logical)]);
+            h.write(&b.target.to_le_bytes());
+            h.write(&b.context.to_le_bytes());
         }
     }
 }
@@ -289,14 +274,19 @@ fn combine_children(children: &[u64; MERKLE_FANOUT as usize]) -> u64 {
     if children.iter().all(|&c| c == 0) {
         return 0;
     }
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     for c in children {
-        for b in c.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h.write(&c.to_le_bytes());
     }
-    h
+    h.finish()
+}
+
+fn digest_entry(rec: &Record) -> SyncDigestEntry {
+    SyncDigestEntry {
+        prefix: rec.name.to_vec(),
+        epoch: rec.entry.epoch,
+        tombstone: rec.entry.binding.is_none(),
+    }
 }
 
 impl SyncTable {
@@ -315,48 +305,20 @@ impl SyncTable {
 
     /// The leaf bucket a prefix hashes into: the top bits of its FNV-1a
     /// hash, so both sides of a sync round bucket identically with no
-    /// negotiation, and buckets stay balanced under any naming scheme.
+    /// negotiation.
     pub fn bucket_of(prefix: &[u8]) -> u32 {
-        let mut h = FNV_OFFSET;
-        for &b in prefix {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        // 16^MERKLE_LEVELS buckets ⇒ 4·MERKLE_LEVELS index bits.
-        (h >> (64 - 4 * MERKLE_LEVELS)) as u32
+        bucket_of_hash(fnv1a(prefix))
     }
 
     /// The shard a prefix belongs to: the top four bits of its leaf
     /// bucket, i.e. the Merkle root-child subtree it hashes under.
     pub fn shard_of(prefix: &[u8]) -> usize {
-        shard_of_bucket(Self::bucket_of(prefix))
+        shard_of_hash(fnv1a(prefix))
     }
 
-    /// Returns and clears the dirty-shard bitmask (bit `s` ⇒ shard `s`
-    /// changed since the last call). The publish path uses this to rebuild
-    /// only the shards a batch of mutations actually touched.
-    pub fn take_dirty_shards(&mut self) -> u16 {
-        std::mem::take(&mut self.shard_dirty)
-    }
-
-    /// Live `(prefix, binding, verified)` entries of one shard, in name
-    /// order within each leaf bucket. Walks the Merkle member index over
-    /// the shard's bucket range, so the cost tracks the shard's content
-    /// rather than the whole table.
-    pub fn shard_live_iter(
-        &self,
-        shard: usize,
-    ) -> impl Iterator<Item = (&[u8], &SyncBinding, bool)> {
-        let lo = (shard as u32) << SHARD_SHIFT;
-        let hi = ((shard as u32) + 1) << SHARD_SHIFT;
-        self.merkle
-            .members
-            .range(lo..hi)
-            .flat_map(|(_, names)| names.iter())
-            .filter_map(|name| {
-                let e = self.entries.get(name)?;
-                e.binding.as_ref().map(|b| (name.as_slice(), b, e.verified))
-            })
+    /// The shards, for publication: a snapshot is a clone of this array.
+    pub(crate) fn shards(&self) -> &[Arc<Shard>; SHARD_COUNT] {
+        &self.shards
     }
 
     /// The sixteen root-child hashes — one per shard, since shard and
@@ -367,52 +329,67 @@ impl SyncTable {
         self.children_of(0, 0)
     }
 
-    /// Inserts (or overwrites) an entry, keeping the Merkle member index
-    /// coherent and marking the touched leaf dirty. *Every* content
-    /// mutation funnels through here (or the removal path in
-    /// [`SyncTable::gc_below`]) — that discipline is what makes a
-    /// single-entry edit invalidate its leaf's ancestors only.
-    fn put(&mut self, prefix: Vec<u8>, entry: VersionedEntry) {
-        let bucket = Self::bucket_of(&prefix);
-        self.merkle.dirty.insert(bucket);
-        self.shard_dirty |= 1 << shard_of_bucket(bucket);
-        self.merkle
-            .members
-            .entry(bucket)
-            .or_default()
-            .insert(prefix.clone());
+    /// The record under `prefix`, tombstones included.
+    fn get(&self, prefix: &[u8]) -> Option<&Record> {
+        let hash = fnv1a(prefix);
+        self.shards[shard_of_hash(hash)].get(hash, prefix)
+    }
+
+    /// Every record (live and tombstoned) in name order.
+    fn sorted_records(&self) -> Vec<&Record> {
+        let mut all: Vec<&Record> = self.shards.iter().flat_map(|s| s.records()).collect();
+        all.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        all
+    }
+
+    /// The records of one leaf bucket (a range scan of its shard).
+    fn bucket(&self, bucket: u32) -> impl Iterator<Item = &Record> {
+        self.shards[shard_of_bucket(bucket)].under(bucket, 1)
+    }
+
+    /// Inserts (or overwrites) an entry. *Every* content mutation funnels
+    /// through here or through [`SyncTable::remove`]: the shard is copied
+    /// if a snapshot still shares it, the side indexes follow, and the
+    /// touched leaf's ancestors are invalidated — unless only the
+    /// `verified` bit changed, which the tree does not hash.
+    fn put(&mut self, prefix: &[u8], entry: VersionedEntry) {
+        let hash = fnv1a(prefix);
+        let shard = Arc::make_mut(&mut self.shards[shard_of_hash(hash)]);
+        let (name, old) = shard.insert(hash, prefix, entry);
+        if let Some(dead) = old.filter(|o| o.binding.is_none()) {
+            self.tombs.remove(&(dead.epoch, name.clone()));
+        }
+        if entry.binding.is_none() {
+            self.tombs.insert((entry.epoch, name.clone()));
+        }
         if entry.verified {
-            self.unverified.remove(&prefix);
+            self.unverified.remove(name);
         } else {
-            self.unverified.insert(prefix.clone());
+            self.unverified.insert(name.clone());
         }
-        let (dead, epoch) = (entry.binding.is_none(), entry.epoch);
-        if let Some(old) = self.entries.insert(prefix.clone(), entry) {
-            if old.binding.is_none() {
-                Self::untomb(&mut self.tombs, old.epoch, &prefix);
-            }
-        }
-        if dead {
-            self.tombs.entry(epoch).or_default().insert(prefix);
+        if old.map(|o| (o.epoch, o.binding)) != Some((entry.epoch, entry.binding)) {
+            self.dirty.insert(bucket_of_hash(hash) / MERKLE_FANOUT);
         }
     }
 
-    /// Drops `name` from the tombstone index slot at `epoch`, pruning the
-    /// slot when it empties.
-    fn untomb(tombs: &mut BTreeMap<u64, BTreeSet<Vec<u8>>>, epoch: u64, name: &[u8]) {
-        if let Some(set) = tombs.get_mut(&epoch) {
-            set.remove(name);
-            if set.is_empty() {
-                tombs.remove(&epoch);
-            }
-        }
+    /// Removes an entry outright (tombstone GC) — the counterpart of
+    /// [`SyncTable::put`].
+    fn remove(&mut self, prefix: &[u8]) {
+        let hash = fnv1a(prefix);
+        let shard = Arc::make_mut(&mut self.shards[shard_of_hash(hash)]);
+        let Some(rec) = shard.remove(hash, prefix) else {
+            return;
+        };
+        self.unverified.remove(&rec.name);
+        self.tombs.remove(&(rec.entry.epoch, rec.name));
+        self.dirty.insert(bucket_of_hash(hash) / MERKLE_FANOUT);
     }
 
     /// Defines (or redefines) a prefix first-hand: stamped and verified.
     pub fn define(&mut self, prefix: Vec<u8>, binding: SyncBinding, now_ns: u64) {
         let epoch = self.stamp(now_ns);
         self.put(
-            prefix,
+            &prefix,
             VersionedEntry {
                 binding: Some(binding),
                 epoch,
@@ -425,7 +402,7 @@ impl SyncTable {
     /// copy, out-ranked by any authoritative stamp.
     pub fn preload(&mut self, prefix: Vec<u8>, binding: SyncBinding) {
         self.put(
-            prefix,
+            &prefix,
             VersionedEntry {
                 binding: Some(binding),
                 epoch: 0,
@@ -442,14 +419,14 @@ impl SyncTable {
     /// or already dead) are (re-)stamped so the delete out-ranks every
     /// replica's copy.
     pub fn tombstone(&mut self, prefix: &[u8], now_ns: u64) -> TombstoneOutcome {
-        let outcome = match self.entries.get(prefix) {
+        let outcome = match self.get(prefix) {
             None => return TombstoneOutcome::Unknown,
-            Some(e) if e.binding.is_some() => TombstoneOutcome::DroppedLive,
+            Some(rec) if rec.entry.binding.is_some() => TombstoneOutcome::DroppedLive,
             Some(_) => TombstoneOutcome::AlreadyDead,
         };
         let epoch = self.stamp(now_ns);
         self.put(
-            prefix.to_vec(),
+            prefix,
             VersionedEntry {
                 binding: None,
                 epoch,
@@ -461,44 +438,48 @@ impl SyncTable {
 
     /// Looks up a live binding (tombstones answer `None`).
     pub fn lookup(&self, prefix: &[u8]) -> Option<&VersionedEntry> {
-        self.entries.get(prefix).filter(|e| e.binding.is_some())
+        let entry = &self.get(prefix)?.entry;
+        entry.binding.is_some().then_some(entry)
     }
 
     /// Iterates live `(prefix, binding, verified)` entries in name order.
     pub fn live_iter(&self) -> impl Iterator<Item = (&[u8], &SyncBinding, bool)> {
-        self.entries
-            .iter()
-            .filter_map(|(name, e)| e.binding.as_ref().map(|b| (name.as_slice(), b, e.verified)))
+        self.sorted_records().into_iter().filter_map(|rec| {
+            let binding = rec.entry.binding.as_ref()?;
+            Some((&*rec.name, binding, rec.entry.verified))
+        })
     }
 
     /// Marks every entry verified — used when the authority has just
     /// vouched for the whole table (a successful sync round). Walks the
     /// unverified index, not the table, so a steady-state round (nothing
-    /// to promote) costs nothing.
+    /// to promote) costs nothing. Not a content change (the tree excludes
+    /// the verified bit), but snapshots serve it as the staleness flag —
+    /// the `put` copies any shard a snapshot shares, so it re-publishes.
     pub fn mark_all_verified(&mut self) -> u32 {
-        let names = std::mem::take(&mut self.unverified);
         let mut promoted = 0;
-        for name in names {
-            if let Some(e) = self.entries.get_mut(&name) {
-                e.verified = true;
-                promoted += 1;
-                // Not a content change (the Merkle tree excludes the
-                // verified bit), but published snapshots serve it as the
-                // staleness flag, so the shard must re-publish.
-                self.shard_dirty |= 1 << Self::shard_of(&name);
-            }
+        while let Some(rec) = self.unverified.first().and_then(|name| self.get(name)) {
+            let (name, entry) = (rec.name.clone(), rec.entry);
+            self.put(
+                &name,
+                VersionedEntry {
+                    verified: true,
+                    ..entry
+                },
+            );
+            promoted += 1;
         }
         promoted
     }
 
     /// The number of live entries.
     pub fn live_len(&self) -> usize {
-        self.entries.len() - self.tombstone_len()
+        self.shards.iter().map(|s| s.live_len()).sum()
     }
 
     /// The number of retained tombstones.
     pub fn tombstone_len(&self) -> usize {
-        self.tombs.values().map(BTreeSet::len).sum()
+        self.tombs.len()
     }
 
     /// The highest epoch stamped or adopted so far. O(1): every write
@@ -548,47 +529,28 @@ impl SyncTable {
     /// many were collected. Safe exactly when `horizon` is a true GC
     /// horizon (every replica's watermark has passed it): the delete is
     /// already adopted everywhere, so nothing can resurrect it. A horizon
-    /// of 0 (or one below a previous GC) collects nothing.
+    /// of 0 (or one below a previous GC) collects nothing — every
+    /// tombstone carries a stamp, and stamps start at 1.
     pub fn gc_below(&mut self, horizon: u64) -> u32 {
         self.gc_horizon = self.gc_horizon.max(horizon);
-        if horizon == 0 {
-            return 0;
-        }
-        // The tombstone index hands over exactly the doomed epochs —
+        // The tombstone index hands over exactly the doomed names —
         // O(collected), not O(table), which matters because the Merkle
-        // walk runs this on every probe. Epoch 0 (preloads) never enters
-        // the range.
-        let doomed: Vec<u64> = self.tombs.range(1..=horizon).map(|(&e, _)| e).collect();
-        let mut dropped = 0u32;
-        for epoch in doomed {
-            for name in self.tombs.remove(&epoch).unwrap_or_default() {
-                self.entries.remove(&name);
-                self.unverified.remove(&name);
-                let bucket = Self::bucket_of(&name);
-                self.merkle.dirty.insert(bucket);
-                self.shard_dirty |= 1 << shard_of_bucket(bucket);
-                if let Some(set) = self.merkle.members.get_mut(&bucket) {
-                    set.remove(&name);
-                    if set.is_empty() {
-                        self.merkle.members.remove(&bucket);
-                    }
-                }
-                dropped += 1;
-            }
+        // walk runs this on every probe.
+        let mut dropped = 0;
+        while let Some((_, name)) = self.tombs.first().filter(|(e, _)| *e <= horizon) {
+            let name = name.clone();
+            self.remove(&name);
+            dropped += 1;
         }
         dropped
     }
 
-    /// The `(prefix, epoch, tombstone?)` digest of the whole table — the
-    /// `SyncDigest` request payload.
+    /// The `(prefix, epoch, tombstone?)` digest of the whole table, in
+    /// prefix order — the `SyncDigest` request payload.
     pub fn digest(&self) -> Vec<SyncDigestEntry> {
-        self.entries
-            .iter()
-            .map(|(name, e)| SyncDigestEntry {
-                prefix: name.clone(),
-                epoch: e.epoch,
-                tombstone: e.binding.is_none(),
-            })
+        self.sorted_records()
+            .into_iter()
+            .map(digest_entry)
             .collect()
     }
 
@@ -650,8 +612,8 @@ impl SyncTable {
 
     /// Shared core of the flat and Merkle delta paths. `scope` restricts
     /// both sides to the given leaf buckets (`None` = whole table): local
-    /// candidates come from the Merkle member index instead of a full
-    /// table scan, and digest entries outside the scope are disregarded.
+    /// candidates come from bucket range scans instead of a full table
+    /// scan, and digest entries outside the scope are disregarded.
     /// Filter, tombstone-minting, GC-horizon and epoch-skew rules are
     /// identical in both modes; minting processes unknown prefixes in
     /// prefix order so the two paths stamp identical epochs.
@@ -669,64 +631,53 @@ impl SyncTable {
             .filter(|d| in_scope(&d.prefix))
             .map(|d| (d.prefix.as_slice(), d.epoch))
             .collect();
-        let newer = |name: &[u8], e: &VersionedEntry| {
-            (authoritative || e.epoch > 0)
-                && match remote.get(name) {
-                    Some(&remote_epoch) => e.epoch > remote_epoch,
-                    None => true,
-                }
+        let newer = |rec: &&Record| {
+            (authoritative || rec.entry.epoch > 0)
+                && remote
+                    .get(&*rec.name)
+                    .is_none_or(|&remote_epoch| rec.entry.epoch > remote_epoch)
         };
-        let to_entry = |name: &[u8], e: &VersionedEntry| SyncEntry {
-            prefix: name.to_vec(),
-            epoch: e.epoch,
-            binding: e.binding,
+        let to_entry = |rec: &Record| SyncEntry {
+            prefix: rec.name.to_vec(),
+            epoch: rec.entry.epoch,
+            binding: rec.entry.binding,
         };
         let mut out: Vec<SyncEntry> = match scope {
             None => self
-                .entries
+                .shards
                 .iter()
-                .filter(|(name, e)| newer(name.as_slice(), e))
-                .map(|(name, e)| to_entry(name.as_slice(), e))
+                .flat_map(|s| s.records())
+                .filter(newer)
+                .map(to_entry)
                 .collect(),
-            Some(buckets) => {
-                let mut v = Vec::new();
-                for bucket in buckets {
-                    let Some(members) = self.merkle.members.get(bucket) else {
-                        continue;
-                    };
-                    for name in members {
-                        let Some(e) = self.entries.get(name) else {
-                            continue;
-                        };
-                        if newer(name.as_slice(), e) {
-                            v.push(to_entry(name.as_slice(), e));
-                        }
-                    }
-                }
-                v
-            }
+            Some(buckets) => buckets
+                .iter()
+                .flat_map(|&b| self.bucket(b))
+                .filter(newer)
+                .map(to_entry)
+                .collect(),
         };
         if authoritative {
             let max_credible = now_ns.saturating_add(MAX_EPOCH_SKEW_NS);
-            let mut unknown: Vec<(Vec<u8>, u64)> = digest
+            let mut unknown: Vec<(&[u8], u64)> = digest
                 .iter()
                 .filter(|d| {
                     in_scope(&d.prefix)
-                        && !self.entries.contains_key(&d.prefix)
+                        && self.get(&d.prefix).is_none()
                         && d.epoch <= max_credible
                         && !(d.tombstone && d.epoch <= self.gc_horizon)
                 })
-                .map(|d| (d.prefix.clone(), d.epoch))
+                .map(|d| (d.prefix.as_slice(), d.epoch))
                 .collect();
             // Prefix order, so the flat path (sorted whole-table digest)
             // and the Merkle path (bucket-ordered leaf digests) stamp the
             // same epochs for the same unknowns.
-            unknown.sort_by(|a, b| a.0.cmp(&b.0));
+            unknown.sort_by(|a, b| a.0.cmp(b.0));
             for (prefix, remote_epoch) in unknown {
                 let epoch = self.stamp(now_ns).max(remote_epoch.saturating_add(1));
                 self.next_epoch = epoch;
                 self.put(
-                    prefix.clone(),
+                    prefix,
                     VersionedEntry {
                         binding: None,
                         epoch,
@@ -734,7 +685,7 @@ impl SyncTable {
                     },
                 );
                 out.push(SyncEntry {
-                    prefix,
+                    prefix: prefix.to_vec(),
                     epoch,
                     binding: None,
                 });
@@ -765,21 +716,18 @@ impl SyncTable {
             if d.epoch == 0 || (!verified && d.epoch <= self.gc_horizon) {
                 continue;
             }
-            let local = self.entries.get(&d.prefix);
-            let local_epoch = local.map(|e| e.epoch);
-            if local_epoch.is_some_and(|le| le >= d.epoch) {
+            let local = self.get(&d.prefix).map(|rec| rec.entry);
+            if local.is_some_and(|e| e.epoch >= d.epoch) {
                 continue;
             }
-            let was_unverified = local.is_some_and(|e| !e.verified);
-            let was_live = local.is_some_and(|e| e.binding.is_some());
-            if was_live && d.binding.is_none() {
+            if local.is_some_and(|e| e.binding.is_some()) && d.binding.is_none() {
                 outcome.dropped_live += 1;
             }
-            if was_unverified && verified {
+            if local.is_some_and(|e| !e.verified) && verified {
                 outcome.promoted += 1;
             }
             self.put(
-                d.prefix.clone(),
+                &d.prefix,
                 VersionedEntry {
                     binding: d.binding,
                     epoch: d.epoch,
@@ -792,90 +740,86 @@ impl SyncTable {
         outcome
     }
 
+    /// The puller's end of every round, once the whole delta has arrived:
+    /// apply it, and — when the configured authority `vouched` for it —
+    /// move the synced watermark to the responder's `epoch` header, collect
+    /// behind its advertised `horizon`, and promote everything left
+    /// unverified (the authority has just vouched for the whole table).
+    /// Gossip only applies: adopted entries stay Suspect and neither the
+    /// watermark nor the horizon moves. Returns the outcome and the number
+    /// of tombstones collected.
+    pub fn adopt(
+        &mut self,
+        delta: &[SyncEntry],
+        epoch: u64,
+        horizon: u64,
+        vouched: bool,
+    ) -> (ApplyOutcome, u32) {
+        let mut out = self.apply(delta, vouched);
+        if !vouched {
+            return (out, 0);
+        }
+        self.note_synced(epoch);
+        let collected = self.gc_below(horizon);
+        out.promoted += self.mark_all_verified();
+        (out, collected)
+    }
+
     /// A content-complete hash of the table: prefixes, epochs, tombstone
     /// flags, and binding fields (the `verified` bit is local bookkeeping
     /// and excluded). Two tables hash equal iff their reconcilable
     /// contents are identical — the witness EXP-13 and EXP-14 use for
-    /// "bytewise identical within one round". Since the Merkle rebuild
-    /// this *is* the tree root ([`SyncTable::merkle_root`]); `&mut self`
-    /// because dirty leaves flush lazily on read.
+    /// "bytewise identical within one round". This *is* the Merkle root
+    /// ([`SyncTable::merkle_root`]); `&mut self` because dirty nodes flush
+    /// lazily on read.
     pub fn table_hash(&mut self) -> u64 {
         self.merkle_root()
     }
 
-    /// Recomputes the hashes of dirty leaves and exactly their ancestors,
-    /// level by level up to the root. A single-entry edit re-hashes one
-    /// leaf and [`MERKLE_LEVELS`] interior nodes; untouched subtrees are
-    /// never revisited.
+    /// Recomputes the hashes of exactly the ancestors of changed leaves,
+    /// level by level up to the root. A single-entry edit re-folds its
+    /// sixteen sibling leaves and re-hashes [`MERKLE_LEVELS`] interior
+    /// nodes; untouched subtrees are never revisited.
     fn merkle_flush(&mut self) {
-        if self.merkle.dirty.is_empty() {
-            return;
-        }
-        let dirty = std::mem::take(&mut self.merkle.dirty);
-        let mut parents = BTreeSet::new();
-        for bucket in dirty {
-            let h = match self.merkle.members.get(&bucket) {
-                None => 0,
-                Some(members) => {
-                    let mut h = FNV_OFFSET;
-                    let mut any = false;
-                    for name in members {
-                        if let Some(e) = self.entries.get(name) {
-                            fold_entry(&mut h, name, e);
-                            any = true;
-                        }
-                    }
-                    if any {
-                        h
-                    } else {
-                        0
-                    }
-                }
-            };
-            if h == 0 {
-                self.merkle.leaf.remove(&bucket);
-            } else {
-                self.merkle.leaf.insert(bucket, h);
-            }
-            parents.insert(bucket / MERKLE_FANOUT);
-        }
-        // Walk the dirty ancestors upward: level MERKLE_LEVELS-1 … 0.
+        let mut dirty = std::mem::take(&mut self.dirty);
         for level in (0..MERKLE_LEVELS).rev() {
-            let mut next = BTreeSet::new();
-            for index in parents {
-                let children = self.children_of(level, index);
+            let mut parents = BTreeSet::new();
+            for index in dirty {
                 let id = merkle_node_id(level, index);
-                match combine_children(&children) {
-                    0 => {
-                        self.merkle.node.remove(&id);
-                    }
-                    h => {
-                        self.merkle.node.insert(id, h);
-                    }
-                }
-                if level > 0 {
-                    next.insert(index / MERKLE_FANOUT);
-                }
+                match combine_children(&self.children_of(level, index)) {
+                    0 => self.nodes.remove(&id),
+                    h => self.nodes.insert(id, h),
+                };
+                parents.insert(index / MERKLE_FANOUT);
             }
-            parents = next;
+            dirty = parents;
         }
     }
 
-    /// The child hashes of interior node `(level, index)`, read from the
-    /// flushed caches (0 = empty subtree).
+    /// The child hashes of interior node `(level, index)` (0 = empty
+    /// subtree): cached for interior children, folded from the records for
+    /// leaf children — one range scan over the sixteen sibling buckets,
+    /// each folded in name order.
     fn children_of(&self, level: u32, index: u32) -> [u64; MERKLE_FANOUT as usize] {
+        let first = index * MERKLE_FANOUT;
         let mut children = [0u64; MERKLE_FANOUT as usize];
-        for (k, slot) in children.iter_mut().enumerate() {
-            let child_index = index * MERKLE_FANOUT + k as u32;
-            *slot = if level + 1 == MERKLE_LEVELS {
-                self.merkle.leaf.get(&child_index).copied().unwrap_or(0)
-            } else {
-                self.merkle
-                    .node
-                    .get(&merkle_node_id(level + 1, child_index))
-                    .copied()
-                    .unwrap_or(0)
-            };
+        if level + 1 < MERKLE_LEVELS {
+            for (k, slot) in (first..).zip(&mut children) {
+                let child = merkle_node_id(level + 1, k);
+                *slot = self.nodes.get(&child).copied().unwrap_or(0);
+            }
+            return children;
+        }
+        let mut siblings: Vec<&Record> = self.shards[shard_of_bucket(first)]
+            .under(first, MERKLE_FANOUT)
+            .collect();
+        siblings.sort_unstable_by_key(|rec| (bucket_of_hash(rec.hash), &rec.name));
+        for leaf in siblings.chunk_by(|a, b| bucket_of_hash(a.hash) == bucket_of_hash(b.hash)) {
+            let mut h = Fnv1a::new();
+            for rec in leaf {
+                fold_entry(&mut h, &rec.name, &rec.entry);
+            }
+            children[(bucket_of_hash(leaf[0].hash) - first) as usize] = h.finish();
         }
         children
     }
@@ -883,7 +827,7 @@ impl SyncTable {
     /// The Merkle root over the whole table (0 for an empty table).
     pub fn merkle_root(&mut self) -> u64 {
         self.merkle_flush();
-        self.merkle.node.get(&MERKLE_ROOT).copied().unwrap_or(0)
+        self.nodes.get(&MERKLE_ROOT).copied().unwrap_or(0)
     }
 
     /// The child hashes of an interior node, or `None` if the id is not a
@@ -903,30 +847,55 @@ impl SyncTable {
         if !merkle_node_valid(node) || !merkle_is_leaf(node) {
             return Vec::new();
         }
-        let Some(members) = self.merkle.members.get(&merkle_index(node)) else {
-            return Vec::new();
-        };
-        members
-            .iter()
-            .filter_map(|name| {
-                self.entries.get(name).map(|e| SyncDigestEntry {
-                    prefix: name.clone(),
-                    epoch: e.epoch,
-                    tombstone: e.binding.is_none(),
-                })
-            })
-            .collect()
+        let mut entries: Vec<SyncDigestEntry> =
+            self.bucket(merkle_index(node)).map(digest_entry).collect();
+        entries.sort_unstable_by(|a, b| a.prefix.cmp(&b.prefix));
+        entries
     }
 
-    /// Answers one Merkle probe — the responder half of a walk step.
-    ///
-    /// When `authoritative`, the responder first records the puller's
-    /// watermark (if `from_replica` identifies it) and collects tombstones
-    /// behind the resulting horizon, exactly as the flat `SyncDigest`
-    /// handler does. Both operations are monotone and idempotent, so
-    /// repeating them on every probe of a multi-probe round leaves the
-    /// same state one flat round would. The reply's returned alongside the
-    /// number of tombstones GC'd (for the server's counters).
+    /// The responder's first step in any round. An authority records the
+    /// puller's watermark (if `from_replica` identifies it) and collects
+    /// tombstones behind the resulting horizon — before computing any
+    /// delta, so the fresh horizon governs the round. Both operations are
+    /// monotone and idempotent, so repeating them on every probe of a
+    /// multi-probe walk leaves the same state one flat digest would.
+    /// Returns the number of tombstones collected.
+    fn hear_puller(&mut self, authoritative: bool, from_replica: Option<u32>, mark: u64) -> u32 {
+        if !authoritative {
+            return 0;
+        }
+        if let Some(replica) = from_replica {
+            self.record_watermark(replica, mark);
+        }
+        self.gc_below(self.horizon())
+    }
+
+    /// Answers one flat digest — the responder half of the oracle round.
+    /// The reply's epoch header is read after the delta is computed, so it
+    /// covers any tombstones freshly minted for the digest's unknown
+    /// prefixes: a replica that applies this whole delta really has synced
+    /// through it. Returned alongside the number of tombstones GC'd.
+    pub fn answer_digest(
+        &mut self,
+        digest: &SyncDigestMsg,
+        authoritative: bool,
+        from_replica: Option<u32>,
+        now_ns: u64,
+    ) -> (SyncDeltaMsg, u32) {
+        let gc_dropped = self.hear_puller(authoritative, from_replica, digest.watermark);
+        let entries = self.delta_for(&digest.entries, authoritative, now_ns);
+        let reply = SyncDeltaMsg {
+            epoch: self.max_epoch(),
+            horizon: if authoritative { self.gc_horizon() } else { 0 },
+            entries,
+        };
+        (reply, gc_dropped)
+    }
+
+    /// Answers one Merkle probe — the responder half of a walk step: child
+    /// hashes for the probed interior nodes, and the delta for the probed
+    /// leaf buckets. Returned alongside the number of tombstones GC'd (for
+    /// the server's counters).
     pub fn answer_probe(
         &mut self,
         probe: &SyncProbeMsg,
@@ -934,14 +903,7 @@ impl SyncTable {
         from_replica: Option<u32>,
         now_ns: u64,
     ) -> (SyncProbeReply, u32) {
-        let mut gc_dropped = 0;
-        if authoritative {
-            if let Some(replica) = from_replica {
-                self.record_watermark(replica, probe.watermark);
-            }
-            let horizon = self.horizon();
-            gc_dropped = self.gc_below(horizon);
-        }
+        let gc_dropped = self.hear_puller(authoritative, from_replica, probe.watermark);
         let entries = if probe.leaves.is_empty() {
             Vec::new()
         } else {
@@ -988,8 +950,6 @@ pub struct MerkleWalk {
     /// tombstone minting (the flat path's post-mint `delta.epoch`).
     epoch: u64,
     horizon: u64,
-    /// Probes absorbed so far.
-    probes: u32,
 }
 
 impl MerkleWalk {
@@ -1033,7 +993,6 @@ impl MerkleWalk {
     /// keep the walk alive forever: honoured records descend one level per
     /// probe, so a walk is bounded by the tree depth).
     pub fn absorb(&mut self, table: &mut SyncTable, reply: &SyncProbeReply) {
-        self.probes += 1;
         self.epoch = reply.epoch;
         self.horizon = reply.horizon;
         let mut next = Vec::new();
@@ -1054,15 +1013,10 @@ impl MerkleWalk {
         self.frontier = next;
     }
 
-    /// `true` once the frontier is exhausted (every divergence resolved).
-    pub fn is_done(&self) -> bool {
-        self.frontier.is_empty()
-    }
-
     /// Consumes the walk: the accumulated delta plus the epoch/horizon
-    /// header of the final reply, and the probe count.
-    pub fn finish(self) -> (Vec<SyncEntry>, u64, u64, u32) {
-        (self.delta, self.epoch, self.horizon, self.probes)
+    /// header of the final reply.
+    pub fn finish(self) -> (Vec<SyncEntry>, u64, u64) {
+        (self.delta, self.epoch, self.horizon)
     }
 }
 
@@ -1134,6 +1088,17 @@ impl RoundStats {
     }
 }
 
+impl RoundKind {
+    /// The replica id an authority responder tracks the puller under;
+    /// `None` for gossip, whose responders track nobody.
+    fn replica(self) -> Option<u32> {
+        match self {
+            RoundKind::Authority { replica_id } => Some(replica_id),
+            RoundKind::Gossip => None,
+        }
+    }
+}
+
 /// Runs one complete Merkle reconciliation round between two in-memory
 /// tables, encoding every payload through the real wire records so the
 /// stats mean what they would on the network. Returns `None` (puller
@@ -1145,16 +1110,11 @@ pub fn merkle_round(
     now_ns: u64,
     fate: RoundFate,
 ) -> (Option<ApplyOutcome>, RoundStats) {
-    let authoritative = matches!(kind, RoundKind::Authority { .. });
-    let from_replica = match kind {
-        RoundKind::Authority { replica_id } => Some(replica_id),
-        RoundKind::Gossip => None,
-    };
+    let authoritative = kind.replica().is_some();
     let mut walk = MerkleWalk::start();
     let mut stats = RoundStats::default();
-    let mut in_flight = 0u32;
     while let Some(probe) = walk.next_probe(puller) {
-        if fate.drop_request_at == Some(in_flight) {
+        if fate.drop_request_at == Some(stats.probes) {
             return (None, stats);
         }
         stats.request_bytes += probe.encode().len() as u64;
@@ -1163,7 +1123,7 @@ pub fn merkle_round(
             .iter()
             .map(|leaf| leaf.entries.len() as u64)
             .sum::<u64>();
-        let (reply, _gc) = responder.answer_probe(&probe, authoritative, from_replica, now_ns);
+        let (reply, _gc) = responder.answer_probe(&probe, authoritative, kind.replica(), now_ns);
         stats.reply_bytes += reply.encode().len() as u64;
         stats.node_hashes += reply
             .nodes
@@ -1173,22 +1133,12 @@ pub fn merkle_round(
         stats.delta_entries += reply.entries.len() as u64;
         stats.probes += 1;
         walk.absorb(puller, &reply);
-        in_flight += 1;
     }
     if fate.lose_final_reply {
         return (None, stats);
     }
-    let (delta, epoch, horizon, _probes) = walk.finish();
-    let outcome = match kind {
-        RoundKind::Authority { .. } => {
-            let mut out = puller.apply(&delta, true);
-            puller.note_synced(epoch);
-            puller.gc_below(horizon);
-            out.promoted += puller.mark_all_verified();
-            out
-        }
-        RoundKind::Gossip => puller.apply(&delta, false),
-    };
+    let (delta, epoch, horizon) = walk.finish();
+    let (outcome, _gc) = puller.adopt(&delta, epoch, horizon, authoritative);
     (Some(outcome), stats)
 }
 
@@ -1206,50 +1156,27 @@ pub fn flat_round(
     now_ns: u64,
     fate: RoundFate,
 ) -> (Option<ApplyOutcome>, RoundStats) {
-    let authoritative = matches!(kind, RoundKind::Authority { .. });
-    let mut stats = RoundStats {
-        probes: 1,
-        ..RoundStats::default()
-    };
+    let authoritative = kind.replica().is_some();
     let digest = SyncDigestMsg {
         watermark: puller.watermark(),
         entries: puller.digest(),
     };
-    stats.request_bytes += digest.encode().len() as u64;
-    stats.digest_entries += digest.entries.len() as u64;
+    let mut stats = RoundStats {
+        probes: 1,
+        request_bytes: digest.encode().len() as u64,
+        digest_entries: digest.entries.len() as u64,
+        ..RoundStats::default()
+    };
     if fate.drop_request_at.is_some() {
         return (None, stats);
     }
-    if let RoundKind::Authority { replica_id } = kind {
-        responder.record_watermark(replica_id, digest.watermark);
-        let horizon = responder.horizon();
-        responder.gc_below(horizon);
-    }
-    let entries = responder.delta_for(&digest.entries, authoritative, now_ns);
-    let delta = vproto::SyncDeltaMsg {
-        epoch: responder.max_epoch(),
-        horizon: if authoritative {
-            responder.gc_horizon()
-        } else {
-            0
-        },
-        entries,
-    };
+    let (delta, _gc) = responder.answer_digest(&digest, authoritative, kind.replica(), now_ns);
     stats.reply_bytes += delta.encode().len() as u64;
     stats.delta_entries += delta.entries.len() as u64;
     if fate.lose_final_reply {
         return (None, stats);
     }
-    let outcome = match kind {
-        RoundKind::Authority { .. } => {
-            let mut out = puller.apply(&delta.entries, true);
-            puller.note_synced(delta.epoch);
-            puller.gc_below(delta.horizon);
-            out.promoted += puller.mark_all_verified();
-            out
-        }
-        RoundKind::Gossip => puller.apply(&delta.entries, false),
-    };
+    let (outcome, _gc) = puller.adopt(&delta.entries, delta.epoch, delta.horizon, authoritative);
     (Some(outcome), stats)
 }
 
@@ -1441,35 +1368,27 @@ mod tests {
     #[test]
     fn epoch_clock_and_side_indexes_mirror_the_table() {
         let check = |t: &SyncTable, who: &str| {
-            let scan_max = t.entries.values().map(|e| e.epoch).max().unwrap_or(0);
+            let records = t.sorted_records();
+            let scan_max = records.iter().map(|r| r.entry.epoch).max().unwrap_or(0);
             assert!(t.next_epoch >= scan_max, "{who}: clock behind an entry");
-            let dead: BTreeSet<(u64, Vec<u8>)> = t
-                .entries
+            let dead: BTreeSet<(u64, Arc<[u8]>)> = records
                 .iter()
-                .filter(|(_, e)| e.binding.is_none())
-                .map(|(n, e)| (e.epoch, n.clone()))
+                .filter(|r| r.entry.binding.is_none())
+                .map(|r| (r.entry.epoch, r.name.clone()))
                 .collect();
-            let indexed: BTreeSet<(u64, Vec<u8>)> = t
-                .tombs
+            assert_eq!(t.tombs, dead, "{who}: tombstone index diverged");
+            let unverified: BTreeSet<Arc<[u8]>> = records
                 .iter()
-                .flat_map(|(&ep, names)| names.iter().map(move |n| (ep, n.clone())))
-                .collect();
-            assert_eq!(indexed, dead, "{who}: tombstone index diverged");
-            let unverified: BTreeSet<Vec<u8>> = t
-                .entries
-                .iter()
-                .filter(|(_, e)| !e.verified)
-                .map(|(n, _)| n.clone())
+                .filter(|r| !r.entry.verified)
+                .map(|r| r.name.clone())
                 .collect();
             assert_eq!(t.unverified, unverified, "{who}: unverified index diverged");
-            // Every pending Merkle-dirty bucket's shard must be flagged in
-            // the shard-dirty mask (content changes must re-publish). Only
-            // this direction is checkable: promotions flag shards without
-            // dirtying the tree, so the mask can legitimately be a superset.
-            for &bucket in &t.merkle.dirty {
+            // The indexes hold the shard's own name handles, not copies.
+            for (_, name) in &t.tombs {
+                let stored = &t.get(name).expect("indexed name is stored").name;
                 assert!(
-                    t.shard_dirty & (1 << shard_of_bucket(bucket)) != 0,
-                    "{who}: dirty bucket {bucket} in a clean shard"
+                    Arc::ptr_eq(name, stored),
+                    "{who}: tombstone name was copied"
                 );
             }
         };
@@ -1603,25 +1522,28 @@ mod tests {
             t.define(format!("p{i}").into_bytes(), bind(i), 100 + u64::from(i));
         }
         t.merkle_flush();
-        let before_leaves = t.merkle.leaf.clone();
-        let before_nodes = t.merkle.node.clone();
+        let leaves = |t: &SyncTable| -> Vec<u64> {
+            (0..MERKLE_LEAVES / MERKLE_FANOUT)
+                .flat_map(|parent| t.children_of(MERKLE_LEVELS - 1, parent))
+                .collect()
+        };
+        let before_leaves = leaves(&t);
+        let before_nodes = t.nodes.clone();
         t.define(b"p11".to_vec(), bind(1234), 9_000);
         assert_eq!(
-            t.merkle.dirty.len(),
+            t.dirty.len(),
             1,
-            "one edit dirties exactly one leaf bucket"
+            "one edit dirties exactly one leaf's parent"
         );
         t.merkle_flush();
-        let changed_leaves = t
-            .merkle
-            .leaf
+        let changed_leaves = leaves(&t)
             .iter()
-            .filter(|(b, h)| before_leaves.get(b) != Some(h))
+            .zip(&before_leaves)
+            .filter(|(now, before)| now != before)
             .count();
         assert_eq!(changed_leaves, 1, "one leaf hash changed");
         let changed_nodes = t
-            .merkle
-            .node
+            .nodes
             .iter()
             .filter(|(id, h)| before_nodes.get(id) != Some(h))
             .count();
@@ -1659,14 +1581,7 @@ mod tests {
         }
         t.tombstone(b"n3", 500);
         let mut from_leaves: Vec<SyncDigestEntry> = (0..MERKLE_LEAVES)
-            .filter_map(|b| {
-                let node = merkle_node_id(MERKLE_LEVELS, b);
-                t.merkle
-                    .members
-                    .contains_key(&b)
-                    .then(|| t.leaf_digest(node))
-            })
-            .flatten()
+            .flat_map(|b| t.leaf_digest(merkle_node_id(MERKLE_LEVELS, b)))
             .collect();
         from_leaves.sort_by(|a, b| a.prefix.cmp(&b.prefix));
         assert_eq!(from_leaves, t.digest());
@@ -1806,6 +1721,125 @@ mod tests {
         assert_eq!(out.map(|o| o.adopted), Some(1));
         assert!(cold.lookup(b"real").is_some_and(|e| !e.verified));
         assert_eq!(cold.watermark(), 0, "gossip never moves the watermark");
+    }
+
+    /// Mixed-version safety: the values two replicas compare on the wire
+    /// (`table_hash`, the per-shard roots) for a fixed 1 000-op
+    /// define/tombstone/apply/gossip/GC schedule, recorded before the
+    /// storage under this table was swapped. A storage change that moved
+    /// any of them would make an upgraded replica disagree with an
+    /// old one about identical contents.
+    #[test]
+    fn golden_hashes_of_a_fixed_schedule() {
+        let mut rng = 0x1984_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) as u32
+        };
+        let mut auth = SyncTable::new();
+        let mut rep = SyncTable::new();
+        let mut peer = SyncTable::new();
+        for i in 0..40u32 {
+            rep.preload(format!("name-{i}").into_bytes(), bind(i));
+        }
+        let mut now = 1_000u64;
+        for _ in 0..1_000 {
+            now += 17;
+            // Two name families: `name-N` clusters into a few shards and
+            // shares leaf buckets (exercising the in-bucket name order);
+            // the multiplied-hex family spreads over all sixteen.
+            let k = next() % 300;
+            let name = if k % 2 == 0 {
+                format!("name-{k}").into_bytes()
+            } else {
+                format!("{:08x}", k.wrapping_mul(0x9E37_79B1)).into_bytes()
+            };
+            match next() % 10 {
+                0..=4 => auth.define(name, bind(next()), now),
+                5..=6 => {
+                    auth.tombstone(&name, now);
+                }
+                7 => {
+                    let delta = auth.delta_for(&rep.digest(), true, now);
+                    rep.apply(&delta, true);
+                    rep.note_synced(auth.max_epoch());
+                    rep.mark_all_verified();
+                }
+                8 => {
+                    let delta = rep.delta_for(&peer.digest(), false, now);
+                    peer.apply(&delta, false);
+                }
+                _ => {
+                    auth.record_watermark(7, rep.watermark());
+                    let horizon = auth.horizon();
+                    auth.gc_below(horizon);
+                    rep.gc_below(horizon);
+                    peer.gc_below(horizon);
+                }
+            }
+        }
+        assert_eq!(auth.table_hash(), 0x3fde_4315_d6a4_14fa);
+        assert_eq!(rep.table_hash(), 0xbd4e_ea6a_5596_d0a5);
+        assert_eq!(peer.table_hash(), 0xf936_d815_56c9_770c);
+        assert_eq!(
+            auth.shard_roots(),
+            [
+                0xbff5_02df_d9e2_d7e7,
+                0x943c_0d52_8ab0_3d4d,
+                0x4694_43d8_d36e_433e,
+                0x2803_42ab_65b2_77a7,
+                0x3e4a_a113_56e6_ea65,
+                0x62ec_8cf3_07b8_6552,
+                0xbd20_0788_caf2_10d2,
+                0xb542_2af7_ccc0_080a,
+                0xa1cc_0203_d51e_7db1,
+                0x768c_1134_40c3_9008,
+                0x99b5_a96b_a044_67f3,
+                0x526c_65b8_0896_cd28,
+                0xf110_7afc_740e_4adc,
+                0x0f69_72dc_ed24_1134,
+                0xc0b8_2002_cf86_6afe,
+                0x868f_4b13_c5e9_afff,
+            ]
+        );
+        assert_eq!((auth.live_len(), auth.tombstone_len()), (184, 3));
+        assert_eq!((rep.live_len(), peer.live_len()), (186, 152));
+    }
+
+    /// The records live in hash order, but everything that leaves the
+    /// table as a list is in name order: directory listings and
+    /// `GetContextName`'s first match read `live_iter`, and the flat
+    /// oracle's digest must sort the way the old ordered map did.
+    #[test]
+    fn listings_and_digests_iterate_in_name_order() {
+        let mut t = SyncTable::new();
+        for i in (0..500u32).rev() {
+            let name = format!("{:x}", i.wrapping_mul(0x9E37_79B1)).into_bytes();
+            t.define(name, bind(i % 7), 100 + u64::from(i));
+        }
+        for i in (0..500u32).step_by(5) {
+            let name = format!("{:x}", i.wrapping_mul(0x9E37_79B1)).into_bytes();
+            assert_eq!(t.tombstone(&name, 9_000), TombstoneOutcome::DroppedLive);
+        }
+        let live: Vec<&[u8]> = t.live_iter().map(|(name, _, _)| name).collect();
+        assert_eq!(live.len(), t.live_len());
+        assert!(
+            live.windows(2).all(|w| w[0] < w[1]),
+            "live_iter out of order"
+        );
+        let first_of_target_3 = t.live_iter().find(|(_, b, _)| b.target == 3);
+        let smallest = live
+            .iter()
+            .find(|name| t.lookup(name).and_then(|e| e.binding).map(|b| b.target) == Some(3));
+        assert_eq!(
+            first_of_target_3.map(|(name, _, _)| name),
+            smallest.copied()
+        );
+        let digest = t.digest();
+        assert_eq!(digest.len(), t.live_len() + t.tombstone_len());
+        assert!(digest.windows(2).all(|w| w[0].prefix < w[1].prefix));
     }
 
     #[test]

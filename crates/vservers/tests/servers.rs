@@ -11,7 +11,8 @@ use vproto::{
 use vruntime::NameClient;
 use vservers::{
     file_server, mail_server, prefix_server, printer_server, program_manager, terminal_server,
-    FileServerConfig, MailConfig, PrefixConfig, PrinterConfig, ProgramConfig, TerminalConfig,
+    DegradedPrefixConfig, FileServerConfig, MailConfig, PrefixConfig, PrinterConfig, ProgramConfig,
+    TerminalConfig,
 };
 
 /// Boots a one-workstation V installation: a prefix server and a file
@@ -629,5 +630,62 @@ fn resolve_batch_answers_many_prefixes_from_one_snapshot() {
 
         // An empty batch is legal and answers nothing.
         assert_eq!(client.resolve_batch(&[]).unwrap(), vec![]);
+    });
+}
+
+/// Regression (ISSUE 12): the `SyncPull` reply carries its counts in 16-bit
+/// message words, and used to write them with `as u16` — a cold replica
+/// adopting 70 000 entries reported 4 464. They saturate now, like every
+/// other advisory sync count; the exact figure is `SyncStatusRec.adopted`.
+#[test]
+fn sync_pull_summary_saturates_past_u16() {
+    const NAMES: u32 = 70_000;
+    let domain = Domain::new();
+    let (host_a, host_r) = (domain.add_host(), domain.add_host());
+    let authority = domain.spawn(host_a, "authority", |ctx| {
+        let target = |i| ContextPair::new(Pid::from_raw(0x0001_0001), ContextId::new(i));
+        prefix_server(
+            ctx,
+            PrefixConfig {
+                preload_direct: (0..NAMES)
+                    .map(|i| (format!("n{i:05}"), target(i)))
+                    .collect(),
+                degraded: Some(DegradedPrefixConfig::default()),
+                ..PrefixConfig::default()
+            },
+        )
+    });
+    wait_for(&domain, host_a, ServiceId::CONTEXT_PREFIX);
+    let replica = domain.spawn(host_r, "replica", move |ctx| {
+        prefix_server(
+            ctx,
+            PrefixConfig {
+                degraded: Some(DegradedPrefixConfig {
+                    authoritative: false,
+                    sync_peer: Some(authority),
+                    ..DegradedPrefixConfig::default()
+                }),
+                ..PrefixConfig::default()
+            },
+        )
+    });
+    wait_for(&domain, host_r, ServiceId::CONTEXT_PREFIX);
+    domain.client(host_r, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(replica, ContextId::DEFAULT));
+        let summary = client
+            .sync_pull(replica)
+            .expect("one round converges a cold replica");
+        assert_eq!(summary.adopted, 65_535, "saturated, not truncated");
+        assert_eq!((summary.dropped, summary.promoted), (0, 0));
+        let status = client.sync_status(replica).expect("status");
+        assert_eq!(
+            status.adopted, NAMES,
+            "the exact count is in the status record"
+        );
+        assert_eq!(status.live_entries, NAMES);
+        assert_eq!(
+            Some(status.table_hash),
+            client.sync_status(authority).map(|s| s.table_hash)
+        );
     });
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local verification gate, in the order CI runs it.
+# The full verification gate. CI's `check` job runs exactly this script, so
+# a step added here is gated there.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,30 +17,25 @@ cargo run -p vcheck -- --json vcheck-report.json
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> fault-plane seed matrix (two distinct seeds)"
-VSIM_FAULT_SEED=0x1984 cargo test -q -p vsim --test fault_plane
-VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test fault_plane
-
-echo "==> partition-plane seed matrix (two distinct seeds)"
-VSIM_FAULT_SEED=0x1984 cargo test -q -p vsim --test partition_plane
-VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test partition_plane
-
-echo "==> anti-entropy seed matrix (two distinct seeds)"
-VSIM_FAULT_SEED=0x1984 cargo test -q -p vsim --test anti_entropy_plane
-VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test anti_entropy_plane
-
-echo "==> gossip / tombstone-GC seed matrix (two distinct seeds)"
-VSIM_FAULT_SEED=0x1984 cargo test -q -p vsim --test gossip_plane
-VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test gossip_plane
-
-echo "==> merkle-walk seed matrix (two distinct seeds)"
-VSIM_FAULT_SEED=0x1984 cargo test -q -p vsim --test merkle_plane
-VSIM_FAULT_SEED=271828 cargo test -q -p vsim --test merkle_plane
+# The plane properties must hold for any fault schedule, not just the
+# default one: each seed-parameterised suite runs under every seed. CI
+# calls this script, so the matrix is defined here and nowhere else.
+SEED_SUITES=(fault_plane partition_plane anti_entropy_plane gossip_plane merkle_plane)
+SEEDS=(0x1984 271828)
+for suite in "${SEED_SUITES[@]}"; do
+    for seed in "${SEEDS[@]}"; do
+        echo "==> seed matrix: $suite under VSIM_FAULT_SEED=$seed"
+        VSIM_FAULT_SEED=$seed cargo test -q -p vsim --test "$suite"
+    done
+done
 
 # `cargo test -q` above already ran these, but an explicit invocation keeps
 # the pinned schedules in proptest-regressions/ visibly load-bearing: every
 # property replays each `cc` seed before generating novel cases.
 echo "==> anti-entropy proptests (pinned regression seeds + novel cases)"
 cargo test -q -p vservers --test anti_entropy_props
+
+echo "==> cargo build --release"
+cargo build --release
 
 echo "==> all checks passed"
