@@ -38,6 +38,14 @@
 //!         ctx.reply(rx, reply, Bytes::new()).ok();
 //!     }
 //! });
+//! // Processes start asynchronously: wait for the registration to land.
+//! while domain
+//!     .registry()
+//!     .lookup(ServiceId::TIME_SERVER, Scope::Both, host)
+//!     .is_none()
+//! {
+//!     std::thread::yield_now();
+//! }
 //! let seconds = domain.client(host, |ctx| {
 //!     let server = ctx.get_pid(ServiceId::TIME_SERVER, Scope::Both)?;
 //!     let reply = ctx
@@ -56,6 +64,7 @@ mod error;
 mod group;
 pub mod invariants;
 mod registry;
+mod rendezvous;
 mod sim;
 mod thread;
 

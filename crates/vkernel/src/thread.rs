@@ -1,5 +1,6 @@
 //! The real-thread kernel: every V process is an OS thread, IPC is a
-//! blocking rendezvous over channels.
+//! blocking rendezvous through [`crate::rendezvous`] — a mailbox per
+//! process and one reusable reply cell per sender.
 //!
 //! This kernel gives real parallelism and wall-clock performance (used by
 //! the Criterion benches and stress tests). Virtual-time experiments use
@@ -11,8 +12,8 @@ use crate::error::IpcError;
 use crate::group::GroupTable;
 use crate::invariants::{InvariantLedger, TxnKind};
 use crate::registry::Registry;
+use crate::rendezvous::{Closed, Mailbox, ReplyCell, ReplyHandle};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,25 +22,29 @@ use std::time::{Duration, Instant};
 use vnet::NetModel;
 use vproto::{LogicalHost, Message, Pid, Scope, ServiceId};
 
-enum MailItem {
-    Env(Envelope),
-    Poison,
-}
-
 struct Envelope {
     from: Pid,
     msg: Message,
     payload: Bytes,
-    reply_tx: Sender<Result<Reply, IpcError>>,
+    /// Carries the transaction id, unique for the domain's lifetime.
+    reply: ReplyHandle,
     cap: usize,
     prebuf: Vec<u8>,
-    /// Transaction id, unique for the domain's lifetime (invariant checks).
-    txn: u64,
 }
 
-#[derive(Clone)]
-struct ProcEntry {
-    tx: Sender<MailItem>,
+impl Envelope {
+    fn into_received(self) -> Received {
+        Received {
+            from: self.from,
+            msg: self.msg,
+            payload: self.payload,
+            path: PathInner::Thread(ThreadPath {
+                reply: self.reply,
+                cap: self.cap,
+                buf: self.prebuf,
+            }),
+        }
+    }
 }
 
 struct JoinEntry {
@@ -48,7 +53,7 @@ struct JoinEntry {
 }
 
 struct DomainCore {
-    processes: RwLock<HashMap<Pid, ProcEntry>>,
+    processes: RwLock<HashMap<Pid, Arc<Mailbox<Envelope>>>>,
     registry: Registry,
     groups: GroupTable,
     alloc: Mutex<Alloc>,
@@ -65,10 +70,18 @@ struct DomainCore {
 }
 
 impl DomainCore {
+    fn mailbox_of(&self, pid: Pid) -> Result<Arc<Mailbox<Envelope>>, IpcError> {
+        self.processes
+            .read()
+            .get(&pid)
+            .cloned()
+            .ok_or(IpcError::NoProcess)
+    }
+
     fn poison_all(&self) {
-        let entries: Vec<ProcEntry> = self.processes.write().drain().map(|(_, e)| e).collect();
-        for e in entries {
-            let _ = e.tx.send(MailItem::Poison);
+        let mailboxes: Vec<_> = self.processes.write().drain().map(|(_, m)| m).collect();
+        for mailbox in mailboxes {
+            mailbox.close();
         }
     }
 
@@ -98,10 +111,9 @@ struct Alloc {
 }
 
 pub(crate) struct ThreadPath {
-    reply_tx: Option<Sender<Result<Reply, IpcError>>>,
+    reply: ReplyHandle,
     cap: usize,
     buf: Vec<u8>,
-    txn: u64,
 }
 
 /// A V domain running on real OS threads.
@@ -177,20 +189,27 @@ impl Domain {
         F: FnOnce(&dyn Ipc) + Send + 'static,
     {
         let pid = self.alloc_pid(host);
-        let (tx, rx) = unbounded();
-        self.core.processes.write().insert(pid, ProcEntry { tx });
+        let mailbox = Arc::new(Mailbox::new());
+        self.core
+            .processes
+            .write()
+            .insert(pid, Arc::clone(&mailbox));
         let weak = Arc::downgrade(&self.core);
         let ledger = Arc::clone(&self.core.ledger);
+        let emulate = self.core.emulate.clone();
         let thread_name = format!("v-{name}-{pid}");
         let handle = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
+                mailbox.bind_owner();
                 let ctx = ProcessCtx {
                     core: weak.clone(),
                     pid,
                     host,
-                    mailbox: rx,
+                    mailbox,
+                    cell: ReplyCell::for_current_thread(),
                     ledger,
+                    emulate,
                 };
                 f(&ctx);
                 if let Some(core) = weak.upgrade() {
@@ -219,7 +238,7 @@ impl Domain {
         T: Send + 'static,
         F: FnOnce(&dyn Ipc) -> T + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = crossbeam::channel::bounded(1);
         self.spawn(host, "client", move |ctx| {
             let _ = tx.send(f(ctx));
         });
@@ -231,7 +250,7 @@ impl Domain {
     /// server-crash faults (paper §2.2's consistency discussion, §4.2's
     /// rebinding).
     pub fn kill(&self, pid: Pid) {
-        let entry = self.core.processes.write().remove(&pid);
+        let mailbox = self.core.processes.write().remove(&pid);
         self.core.registry.unregister_pid(pid);
         self.core.groups.remove_everywhere(pid);
         self.core.ledger.on_process_exit(
@@ -239,8 +258,8 @@ impl Domain {
             self.core.registry.registered_anywhere(pid),
             self.core.groups.member_anywhere(pid),
         );
-        if let Some(entry) = entry {
-            let _ = entry.tx.send(MailItem::Poison);
+        if let Some(mailbox) = mailbox {
+            mailbox.close();
         }
     }
 
@@ -269,10 +288,14 @@ struct ProcessCtx {
     core: Weak<DomainCore>,
     pid: Pid,
     host: LogicalHost,
-    mailbox: Receiver<MailItem>,
+    mailbox: Arc<Mailbox<Envelope>>,
+    /// Where this process blocks for the answer to its own `Send`s.
+    cell: Arc<ReplyCell>,
     /// Strong handle so invariant resolutions recorded while the domain is
     /// tearing down (core no longer upgradable) are not lost.
     ledger: Arc<InvariantLedger>,
+    /// The domain's 1984 cost model, when it emulates one.
+    emulate: Option<NetModel>,
 }
 
 impl ProcessCtx {
@@ -280,12 +303,22 @@ impl ProcessCtx {
         self.core.upgrade().ok_or(IpcError::Shutdown)
     }
 
-    fn entry_for(core: &DomainCore, to: Pid) -> Result<ProcEntry, IpcError> {
-        core.processes
-            .read()
-            .get(&to)
-            .cloned()
-            .ok_or(IpcError::NoProcess)
+    fn thread_path(rx: Received) -> Result<(Pid, Bytes, ThreadPath), IpcError> {
+        match rx.path {
+            PathInner::Thread(path) => Ok((rx.from, rx.payload, path)),
+            PathInner::Sim(_) => Err(IpcError::BadOperation("sim token on thread kernel")),
+        }
+    }
+}
+
+impl Drop for ProcessCtx {
+    /// The process is gone, however it left: refuse new envelopes and drop
+    /// the ones nobody will receive, so their senders see `ProcessDied`.
+    fn drop(&mut self) {
+        self.mailbox.close();
+        while let Ok(Some(orphan)) = self.mailbox.try_pop() {
+            drop(orphan);
+        }
     }
 }
 
@@ -306,34 +339,34 @@ impl Ipc for ProcessCtx {
         recv_cap: usize,
     ) -> Result<Reply, IpcError> {
         let core = self.core()?;
-        let entry = Self::entry_for(&core, to)?;
+        let mailbox = core.mailbox_of(to)?;
         let txn = core.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-        self.ledger.on_send_open(txn, TxnKind::Single);
-        let (reply_tx, reply_rx) = bounded(1);
-        let env = Envelope {
-            from: self.pid,
-            msg,
-            payload,
-            reply_tx,
-            cap: recv_cap,
-            prebuf: Vec::new(),
-            txn,
-        };
-        if let Some(net) = &core.emulate {
-            let local = to.is_on(self.host);
-            std::thread::sleep(net.hop_cost(local, env.payload.len()));
-        }
-        if entry.tx.send(MailItem::Env(env)).is_err() {
-            self.ledger.on_sender_resolved(txn);
-            return Err(IpcError::NoProcess);
-        }
         drop(core);
-        let result = match reply_rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(IpcError::ProcessDied),
-        };
+        self.ledger.on_send_open(txn, TxnKind::Single);
+        if let Some(net) = &self.emulate {
+            let local = to.is_on(self.host);
+            std::thread::sleep(net.hop_cost(local, payload.len()));
+        }
+        // A refused envelope is dropped on the spot, which abandons the
+        // cell: the wait below returns at once either way.
+        let delivered = mailbox
+            .push(Envelope {
+                from: self.pid,
+                msg,
+                payload,
+                reply: self.cell.arm(txn, IpcError::ProcessDied),
+                cap: recv_cap,
+                prebuf: Vec::new(),
+            })
+            .is_ok();
+        drop(mailbox);
+        let result = self.cell.wait();
         self.ledger.on_sender_resolved(txn);
-        result
+        if delivered {
+            result
+        } else {
+            Err(IpcError::NoProcess)
+        }
     }
 
     fn send_group(&self, group: GroupId, msg: Message, payload: Bytes) -> Result<Reply, IpcError> {
@@ -343,179 +376,107 @@ impl Ipc for ProcessCtx {
         if members.is_empty() {
             return Err(IpcError::NoReply);
         }
-        let (reply_tx, reply_rx) = bounded(1);
         let txn = core.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
         self.ledger.on_send_open(txn, TxnKind::Group);
-        let mut delivered = 0usize;
+        // One handle per member reached; the first answer wins, and when
+        // the last handle goes unanswered the cell reports `NoReply`.
+        let first = self.cell.arm(txn, IpcError::NoReply);
         for member in members {
-            if let Ok(entry) = Self::entry_for(&core, member) {
-                let env = Envelope {
+            if let Ok(mailbox) = core.mailbox_of(member) {
+                let _ = mailbox.push(Envelope {
                     from: self.pid,
                     msg,
                     payload: payload.clone(),
-                    reply_tx: reply_tx.clone(),
+                    reply: first.fan_out(),
                     cap: 0,
                     prebuf: Vec::new(),
-                    txn,
-                };
-                if entry.tx.send(MailItem::Env(env)).is_ok() {
-                    delivered += 1;
-                }
+                });
             }
         }
-        drop(reply_tx);
+        drop(first);
         drop(core);
-        let result = if delivered == 0 {
-            Err(IpcError::NoReply)
-        } else {
-            match reply_rx.recv() {
-                Ok(result) => result,
-                Err(_) => Err(IpcError::NoReply),
-            }
-        };
+        let result = self.cell.wait();
         self.ledger.on_sender_resolved(txn);
         result
     }
 
     fn receive(&self) -> Result<Received, IpcError> {
-        match self.mailbox.recv() {
-            Ok(MailItem::Env(env)) => Ok(Received {
-                from: env.from,
-                msg: env.msg,
-                payload: env.payload,
-                path: PathInner::Thread(ThreadPath {
-                    reply_tx: Some(env.reply_tx),
-                    cap: env.cap,
-                    buf: env.prebuf,
-                    txn: env.txn,
-                }),
-            }),
-            Ok(MailItem::Poison) => Err(IpcError::Killed),
-            Err(_) => Err(IpcError::Shutdown),
-        }
+        self.mailbox
+            .pop()
+            .map(Envelope::into_received)
+            .ok_or(IpcError::Killed)
     }
 
     fn try_receive(&self) -> Result<Option<Received>, IpcError> {
-        use crossbeam::channel::TryRecvError;
-        match self.mailbox.try_recv() {
-            Ok(MailItem::Env(env)) => Ok(Some(Received {
-                from: env.from,
-                msg: env.msg,
-                payload: env.payload,
-                path: PathInner::Thread(ThreadPath {
-                    reply_tx: Some(env.reply_tx),
-                    cap: env.cap,
-                    buf: env.prebuf,
-                    txn: env.txn,
-                }),
-            })),
-            Ok(MailItem::Poison) => Err(IpcError::Killed),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(IpcError::Shutdown),
+        match self.mailbox.try_pop() {
+            Ok(env) => Ok(env.map(Envelope::into_received)),
+            Err(Closed) => Err(IpcError::Killed),
         }
     }
 
     fn reply(&self, rx: Received, msg: Message, data: Bytes) -> Result<(), IpcError> {
-        if let Ok(core) = self.core() {
-            if let Some(net) = &core.emulate {
-                let local = rx.from.is_on(self.host);
-                let total = match &rx.path {
-                    PathInner::Thread(p) => p.buf.len() + data.len(),
-                    PathInner::Sim(_) => data.len(),
-                };
-                std::thread::sleep(net.hop_cost(local, total));
-            }
-        }
-        let mut path = match rx.path {
-            PathInner::Thread(p) => p,
-            PathInner::Sim(_) => return Err(IpcError::BadOperation("sim token on thread kernel")),
-        };
-        let tx = path
-            .reply_tx
-            .take()
-            .ok_or(IpcError::BadOperation("transaction already completed"))?;
+        let (from, _, path) = Self::thread_path(rx)?;
         let total = path.buf.len() + data.len();
-        let result = if total > path.cap {
+        if let Some(net) = &self.emulate {
+            std::thread::sleep(net.hop_cost(from.is_on(self.host), total));
+        }
+        let outcome = if total > path.cap {
             Err(IpcError::BufferOverflow)
         } else {
-            let mut buf = std::mem::take(&mut path.buf);
-            buf.extend_from_slice(&data);
-            Ok(Reply {
-                msg,
-                data: Bytes::from(buf),
-            })
+            Ok(())
         };
-        let failed = result.is_err();
-        self.ledger.on_reply(path.txn);
-        // A full or disconnected channel means a group transaction already
-        // answered, or the sender died — the reply is simply discarded, as
-        // in the real kernel.
-        match tx.try_send(result) {
-            Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                if failed {
-                    Err(IpcError::BufferOverflow)
-                } else {
-                    Ok(())
-                }
-            }
-        }
+        let result = outcome.map(|()| {
+            // With no `move_to` segment ahead of it, `data` is the reply
+            // buffer as it stands: hand it through instead of copying it.
+            let data = if path.buf.is_empty() {
+                data
+            } else {
+                let mut buf = path.buf;
+                buf.extend_from_slice(&data);
+                Bytes::from(buf)
+            };
+            Reply { msg, data }
+        });
+        self.ledger.on_reply(path.reply.txn());
+        // If a group transaction was already answered, or the sender is
+        // gone, the reply is simply discarded, as in the real kernel.
+        path.reply.complete(result);
+        outcome
     }
 
     fn forward(&self, rx: Received, to: Pid, msg: Message) -> Result<(), IpcError> {
-        if let Ok(core) = self.core() {
-            if let Some(net) = &core.emulate {
-                let local = to.is_on(self.host);
-                std::thread::sleep(net.hop_cost(local, rx.payload.len()));
-            }
+        // Every early return below drops the reply handle, which resumes
+        // the blocked sender with `ProcessDied`.
+        let (from, payload, path) = Self::thread_path(rx)?;
+        if let Some(net) = &self.emulate {
+            std::thread::sleep(net.hop_cost(to.is_on(self.host), payload.len()));
         }
-        let mut path = match rx.path {
-            PathInner::Thread(p) => p,
-            PathInner::Sim(_) => return Err(IpcError::BadOperation("sim token on thread kernel")),
-        };
-        let reply_tx = path
-            .reply_tx
-            .take()
-            .ok_or(IpcError::BadOperation("transaction already completed"))?;
-        let core = self.core()?;
-        let entry = match Self::entry_for(&core, to) {
-            Ok(e) => e,
-            Err(e) => {
-                // Target is gone: dropping reply_tx disconnects the blocked
-                // sender, which observes ProcessDied.
-                drop(reply_tx);
-                return Err(e);
-            }
-        };
-        self.ledger.on_forward(path.txn);
-        let env = Envelope {
-            from: rx.from,
-            msg,
-            payload: rx.payload,
-            reply_tx,
-            cap: path.cap,
-            prebuf: std::mem::take(&mut path.buf),
-            txn: path.txn,
-        };
-        entry
-            .tx
-            .send(MailItem::Env(env))
+        let mailbox = self.core()?.mailbox_of(to)?;
+        self.ledger.on_forward(path.reply.txn());
+        mailbox
+            .push(Envelope {
+                from,
+                msg,
+                payload,
+                reply: path.reply,
+                cap: path.cap,
+                prebuf: path.buf,
+            })
             .map_err(|_| IpcError::NoProcess)
     }
 
     fn move_from(&self, rx: &Received) -> Result<Bytes, IpcError> {
-        if let Ok(core) = self.core() {
-            if let Some(net) = &core.emulate {
-                let len = rx.payload.len();
-                let local = rx.from.is_on(self.host);
-                let cost = if local {
-                    net.copy_cost(len)
-                } else if len <= net.params().max_data_per_packet {
-                    net.params().t_remote_name_fetch + net.copy_cost(len)
-                } else {
-                    net.bulk_cost(false, len)
-                };
-                std::thread::sleep(cost);
-            }
+        if let Some(net) = &self.emulate {
+            let len = rx.payload.len();
+            let local = rx.from.is_on(self.host);
+            let cost = if local {
+                net.copy_cost(len)
+            } else if len <= net.params().max_data_per_packet {
+                net.params().t_remote_name_fetch + net.copy_cost(len)
+            } else {
+                net.bulk_cost(false, len)
+            };
+            std::thread::sleep(cost);
         }
         Ok(rx.payload.clone())
     }
@@ -525,9 +486,6 @@ impl Ipc for ProcessCtx {
             PathInner::Thread(p) => p,
             PathInner::Sim(_) => return Err(IpcError::BadOperation("sim token on thread kernel")),
         };
-        if path.reply_tx.is_none() {
-            return Err(IpcError::BadOperation("transaction already completed"));
-        }
         if path.buf.len() + data.len() > path.cap {
             return Err(IpcError::BufferOverflow);
         }
@@ -570,10 +528,8 @@ impl Ipc for ProcessCtx {
     }
 
     fn charge(&self, work: Duration) {
-        if let Ok(core) = self.core() {
-            if core.emulate.is_some() {
-                std::thread::sleep(work);
-            }
+        if self.emulate.is_some() {
+            std::thread::sleep(work);
         }
     }
 
@@ -592,6 +548,6 @@ impl Ipc for ProcessCtx {
         // Present only in 1984-emulation mode, where charge() sleeps — so
         // servers and stubs apply their calibrated processing costs in
         // real time, exactly as on the virtual-time kernel.
-        self.core.upgrade().and_then(|c| c.emulate.clone())
+        self.emulate.clone()
     }
 }

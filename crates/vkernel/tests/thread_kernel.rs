@@ -431,3 +431,208 @@ fn emulated_mode_exposes_the_cost_model_to_servers() {
     let h2 = emulated.add_host();
     assert!(emulated.client(h2, |ctx| ctx.net().is_some()));
 }
+
+// ---- Rendezvous edge cases -------------------------------------------
+//
+// Each body runs under a watchdog, so a lost wake-up fails the test
+// instead of stalling the run, and ends in `Domain::shutdown`, which in
+// debug builds asserts that the invariant ledger holds no open transaction.
+
+fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    const LIMIT: std::time::Duration = std::time::Duration::from_secs(120);
+    let (done_tx, done_rx) = channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(LIMIT) {
+        Ok(()) => worker.join().unwrap(),
+        // The sender was dropped unsent: the body panicked.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("rendezvous hung for {LIMIT:?}"),
+    }
+}
+
+fn wait_for(domain: &Domain, host: vproto::LogicalHost, service: ServiceId) {
+    while domain
+        .registry()
+        .lookup(service, Scope::Both, host)
+        .is_none()
+    {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn late_group_reply_never_completes_the_next_transaction() {
+    with_watchdog(|| {
+        const MARK: u16 = 0xEC40;
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let group = domain.client(host, |ctx| ctx.create_group());
+        for tag in [1u16, 2, 3] {
+            domain.spawn(host, "member", move |ctx| {
+                ctx.join_group(group).unwrap();
+                ctx.set_pid(ServiceId::new(7100 + u32::from(tag)), Scope::Both);
+                while let Ok(rx) = ctx.receive() {
+                    let mut m = Message::ok();
+                    m.set_word(5, tag);
+                    ctx.reply(rx, m, Bytes::new()).ok();
+                }
+            });
+            wait_for(&domain, host, ServiceId::new(7100 + u32::from(tag)));
+        }
+        // Unlike a group member's reply, the plain server's carries MARK
+        // and the request's own word.
+        let plain = domain.spawn(host, "plain", |ctx| {
+            while let Ok(rx) = ctx.receive() {
+                let mut m = rx.msg;
+                m.set_word(6, MARK);
+                ctx.reply(rx, m, Bytes::new()).ok();
+            }
+        });
+        domain.client(host, move |ctx| {
+            for i in 0..10_000u16 {
+                let first = ctx
+                    .send_group(group, Message::request(RequestCode::Echo), Bytes::new())
+                    .unwrap();
+                assert!((1..=3).contains(&first.msg.word(5)));
+                // Two members' replies are still in flight here.
+                let mut m = Message::request(RequestCode::Echo);
+                m.set_word(5, 100 + i);
+                let reply = ctx.send(plain, m, Bytes::new(), 0).unwrap();
+                assert_eq!(
+                    (reply.msg.word(5), reply.msg.word(6)),
+                    (100 + i, MARK),
+                    "round {i}: a stale group reply completed a later send"
+                );
+            }
+        });
+        domain.shutdown();
+    });
+}
+
+#[test]
+fn envelope_left_in_an_exited_process_mailbox_fails_its_sender() {
+    with_watchdog(|| {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        // Forwarding to itself queues the envelope in the server's own
+        // mailbox; the server then exits without ever receiving it.
+        let server = domain.spawn(host, "quitter", |ctx| {
+            let rx = ctx.receive().unwrap();
+            let msg = rx.msg;
+            ctx.forward(rx, ctx.my_pid(), msg).unwrap();
+        });
+        let err = domain
+            .client(host, move |ctx| {
+                ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0)
+            })
+            .unwrap_err();
+        assert_eq!(err, IpcError::ProcessDied);
+        domain.shutdown();
+    });
+}
+
+#[test]
+fn send_racing_kill_resolves_and_never_blocks() {
+    with_watchdog(|| {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        for round in 0..200 {
+            let server = domain.spawn(host, "echo", echo_server);
+            let (warm_tx, warm_rx) = crossbeam::channel::bounded(1);
+            let d = domain.clone();
+            let sender = std::thread::spawn(move || {
+                d.client(host, move |ctx| {
+                    let mut warm_tx = Some(warm_tx);
+                    loop {
+                        match ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0)
+                        {
+                            Ok(_) => {
+                                if let Some(tx) = warm_tx.take() {
+                                    let _ = tx.send(());
+                                }
+                            }
+                            Err(e) => return e,
+                        }
+                    }
+                })
+            });
+            // The kill lands while the client is somewhere inside its loop.
+            warm_rx.recv().unwrap();
+            domain.kill(server);
+            let err = sender.join().unwrap();
+            assert!(
+                matches!(err, IpcError::NoProcess | IpcError::ProcessDied),
+                "round {round}: {err:?}"
+            );
+        }
+        domain.shutdown();
+    });
+}
+
+#[test]
+fn forward_chain_delivers_move_to_segments_in_hop_order() {
+    with_watchdog(|| {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let last = domain.spawn(host, "hop4", |ctx| {
+            while let Ok(mut rx) = ctx.receive() {
+                ctx.move_to(&mut rx, b"4-").unwrap();
+                ctx.reply(rx, Message::ok(), Bytes::from_static(b"tail"))
+                    .ok();
+            }
+        });
+        let first = [b"3-", b"2-", b"1-"]
+            .into_iter()
+            .fold(last, |next, segment| {
+                domain.spawn(host, "hop", move |ctx| {
+                    while let Ok(mut rx) = ctx.receive() {
+                        ctx.move_to(&mut rx, segment).unwrap();
+                        let msg = rx.msg;
+                        ctx.forward(rx, next, msg).ok();
+                    }
+                })
+            });
+        let reply = domain
+            .client(host, move |ctx| {
+                ctx.send(first, Message::request(RequestCode::Echo), Bytes::new(), 64)
+            })
+            .unwrap();
+        assert_eq!(&reply.data[..], b"1-2-3-4-tail");
+        domain.shutdown();
+    });
+}
+
+#[test]
+fn received_dropped_on_another_thread_unblocks_the_sender() {
+    with_watchdog(|| {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let (hand_tx, hand_rx) = crossbeam::channel::bounded::<vkernel::Received>(1);
+        let dropper = std::thread::spawn(move || {
+            while let Ok(rx) = hand_rx.recv() {
+                drop(rx);
+            }
+        });
+        let server = domain.spawn(host, "hander", move |ctx| {
+            while let Ok(rx) = ctx.receive() {
+                hand_tx.send(rx).unwrap();
+            }
+        });
+        let err = domain
+            .client(host, move |ctx| {
+                ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0)
+            })
+            .unwrap_err();
+        assert_eq!(err, IpcError::ProcessDied);
+        // Shutting down drops the server's `hand_tx`, which ends the
+        // dropper thread.
+        domain.shutdown();
+        dropper.join().unwrap();
+    });
+}

@@ -5,6 +5,13 @@ use vkernel::{Ipc, Received};
 use vnaming::check_forward_budget;
 use vproto::{ContextId, Message, ObjectDescriptor, ReplyCode};
 
+/// A length or count as a 16-bit message word: saturates at `u16::MAX`
+/// instead of silently truncating. Every such word is advisory — the
+/// payload's own length (or the 32-bit count inside it) is authoritative.
+pub(crate) fn count_word(n: usize) -> u16 {
+    u16::try_from(n).unwrap_or(u16::MAX)
+}
+
 /// Replies with a bare failure (or success) code.
 pub(crate) fn reply_code(ctx: &dyn Ipc, rx: Received, code: ReplyCode) {
     let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
@@ -14,10 +21,7 @@ pub(crate) fn reply_code(ctx: &dyn Ipc, rx: Received, code: ReplyCode) {
 /// which interpretation stopped (paper §7's error-reporting problem).
 pub(crate) fn reply_fail(ctx: &dyn Ipc, rx: Received, fail: vnaming::FailReason) {
     let mut m = Message::reply(fail.code);
-    m.set_word(
-        vproto::fields::W_FAIL_INDEX,
-        fail.index.min(u16::MAX as usize) as u16,
-    );
+    m.set_word(vproto::fields::W_FAIL_INDEX, count_word(fail.index));
     let _ = ctx.reply(rx, m, Bytes::new());
 }
 

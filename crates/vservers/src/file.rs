@@ -11,7 +11,7 @@
 //! forwards there mid-name.
 
 use crate::common::{
-    forward_csname, reply_code, reply_data, reply_descriptor, reply_fail, OpClock,
+    count_word, forward_csname, reply_code, reply_data, reply_descriptor, reply_fail, OpClock,
 };
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -533,7 +533,7 @@ fn dispatch(
                         }
                     }
                     let mut m = Message::ok();
-                    m.set_word(fields::W_IO_COUNT, w.len() as u16);
+                    m.set_word(fields::W_IO_COUNT, count_word(w.len()));
                     reply_data(ctx, rx, m, w);
                 }
                 Err(code) => reply_code(ctx, rx, code),
@@ -606,7 +606,7 @@ fn dispatch(
             match result {
                 Ok(n) => {
                     let mut m = Message::ok();
-                    m.set_word(fields::W_IO_COUNT, n as u16);
+                    m.set_word(fields::W_IO_COUNT, count_word(n));
                     reply_data(ctx, rx, m, Vec::new());
                 }
                 Err(code) => reply_code(ctx, rx, code),

@@ -7,7 +7,7 @@
 //! are simulated loopbacks: written bytes become readable, state follows a
 //! tiny open/established/closed automaton.
 
-use crate::common::{reply_code, reply_data, reply_descriptor};
+use crate::common::{count_word, reply_code, reply_data, reply_descriptor};
 use std::collections::BTreeMap;
 use vio::{serve_read, InstanceTable};
 use vkernel::Ipc;
@@ -178,7 +178,7 @@ pub fn internet_server(ctx: &dyn Ipc, config: InternetConfig) {
                     Err(c) => c,
                 };
                 let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, data.len() as u16);
+                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
                 reply_data(ctx, rx, m, Vec::new());
             }
             Some(RequestCode::ReadInstance) => {
@@ -199,7 +199,7 @@ pub fn internet_server(ctx: &dyn Ipc, config: InternetConfig) {
                 match window {
                     Ok(w) => {
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, w.len() as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
                         reply_data(ctx, rx, m, w);
                     }
                     Err(code) => reply_code(ctx, rx, code),

@@ -9,7 +9,7 @@
 //! name-handling protocol, with the peer re-interpreting the full name.
 //! No client, run-time routine, or other server knows anything about `@`.
 
-use crate::common::{forward_csname, reply_code, reply_data, reply_descriptor};
+use crate::common::{count_word, forward_csname, reply_code, reply_data, reply_descriptor};
 use std::collections::BTreeMap;
 use vio::{serve_read, InstanceTable};
 use vkernel::Ipc;
@@ -194,7 +194,7 @@ pub fn mail_server(ctx: &dyn Ipc, config: MailConfig) {
                     Err(c) => c,
                 };
                 let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, data.len() as u16);
+                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
                 reply_data(ctx, rx, m, Vec::new());
             }
             Some(RequestCode::ReadInstance) => {
@@ -215,7 +215,7 @@ pub fn mail_server(ctx: &dyn Ipc, config: MailConfig) {
                 match window {
                     Ok(w) => {
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, w.len() as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
                         reply_data(ctx, rx, m, w);
                     }
                     Err(code) => reply_code(ctx, rx, code),

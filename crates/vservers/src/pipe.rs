@@ -8,7 +8,7 @@
 //! `Send`) and keeps serving other requests; the eventual `Reply` releases
 //! the reader. No special kernel support is involved.
 
-use crate::common::{reply_code, reply_data};
+use crate::common::{count_word, reply_code, reply_data};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
 use vio::InstanceTable;
@@ -87,7 +87,7 @@ fn drain_pending(ctx: &dyn Ipc, pipe: &mut Pipe) {
         let take = p.count.min(pipe.buffer.len());
         let data: Vec<u8> = pipe.buffer.drain(..take).collect();
         let mut m = Message::ok();
-        m.set_word(fields::W_IO_COUNT, data.len() as u16);
+        m.set_word(fields::W_IO_COUNT, count_word(data.len()));
         reply_data(ctx, p.rx, m, data);
     }
 }
@@ -179,7 +179,7 @@ pub fn pipe_server(ctx: &dyn Ipc, config: PipeConfig) {
                 match outcome {
                     Ok(n) => {
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, n as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(n));
                         reply_data(ctx, rx, m, Vec::new());
                     }
                     Err(code) => reply_code(ctx, rx, code),

@@ -22,7 +22,7 @@
 //! false`) always answer from their table this way and can join a
 //! multicast replica group, which is the client's last-resort fallback.
 
-use crate::common::{forward_csname, reply_code, reply_data, reply_descriptor};
+use crate::common::{count_word, forward_csname, reply_code, reply_data, reply_descriptor};
 use crate::shard::{ShardedTable, Snapshot};
 use crate::suspect::SuspectSet;
 use crate::sync::{ApplyOutcome, MerkleWalk, SyncTable, TombstoneOutcome};
@@ -102,13 +102,6 @@ impl PrefixTarget {
             ))
         }
     }
-}
-
-/// The advisory entry-count message word for sync payloads: saturates at
-/// `u16::MAX` instead of silently truncating tables past 65 535 entries —
-/// the 32-bit count inside the payload is authoritative.
-fn count_word(n: usize) -> u16 {
-    u16::try_from(n).unwrap_or(u16::MAX)
 }
 
 /// The reply to a `SyncPull`/`SyncGossip` whose round completed. The three
@@ -323,7 +316,7 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                     Ok(window) => {
                         let window = window.to_vec();
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, window.len() as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(window.len()));
                         reply_data(ctx, rx, m, window);
                     }
                     Err(code) => reply_code(ctx, rx, code),

@@ -5,7 +5,7 @@
 //! their queue position — through the same context-directory mechanism as
 //! every other object type.
 
-use crate::common::{reply_code, reply_data, reply_descriptor};
+use crate::common::{count_word, reply_code, reply_data, reply_descriptor};
 use std::collections::BTreeMap;
 use vio::{serve_read, InstanceTable};
 use vkernel::Ipc;
@@ -152,7 +152,7 @@ pub fn printer_server(ctx: &dyn Ipc, config: PrinterConfig) {
                     Err(c) => c,
                 };
                 let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, data.len() as u16);
+                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
                 reply_data(ctx, rx, m, Vec::new());
             }
             Some(RequestCode::ReadInstance) => {
@@ -173,7 +173,7 @@ pub fn printer_server(ctx: &dyn Ipc, config: PrinterConfig) {
                 match window {
                     Ok(w) => {
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, w.len() as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
                         reply_data(ctx, rx, m, w);
                     }
                     Err(code) => reply_code(ctx, rx, code),

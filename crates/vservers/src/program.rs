@@ -5,7 +5,7 @@
 //! files. The program manager owns that context: executing a program adds
 //! an entry (with the root pid of the new program), termination removes it.
 
-use crate::common::{reply_code, reply_data, reply_descriptor};
+use crate::common::{count_word, reply_code, reply_data, reply_descriptor};
 use std::collections::BTreeMap;
 use vio::{serve_read, InstanceTable};
 use vkernel::Ipc;
@@ -144,7 +144,7 @@ pub fn program_manager(ctx: &dyn Ipc, config: ProgramConfig) {
                 {
                     Ok(w) => {
                         let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, w.len() as u16);
+                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
                         reply_data(ctx, rx, m, w);
                     }
                     Err(code) => reply_code(ctx, rx, code),

@@ -689,3 +689,43 @@ fn sync_pull_summary_saturates_past_u16() {
         );
     });
 }
+
+/// Regression (ISSUE 13): the prefix server's `ReadInstance` reply wrote
+/// `window.len() as u16`, safe only because the window is bounded by a
+/// count that itself arrived in a 16-bit word. The largest request the
+/// protocol can express, against a directory image larger than 64 KiB,
+/// returns exactly that many bytes and says so.
+#[test]
+fn prefix_directory_read_of_u16_max_reports_exact_count() {
+    let domain = Domain::new();
+    let host = domain.add_host();
+    let pfx = domain.spawn(host, "prefix", |ctx| {
+        let target = |i| ContextPair::new(Pid::from_raw(0x0001_0001), ContextId::new(i));
+        prefix_server(
+            ctx,
+            PrefixConfig {
+                preload_direct: (0..4_000u32)
+                    .map(|i| (format!("n{i:05}"), target(i)))
+                    .collect(),
+                ..PrefixConfig::default()
+            },
+        )
+    });
+    wait_for(&domain, host, ServiceId::CONTEXT_PREFIX);
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(pfx, ContextId::DEFAULT));
+        let dir = client.open("", OpenMode::Directory).expect("directory");
+        assert!(dir.size() > 64 * 1024, "image is only {} bytes", dir.size());
+        let mut msg = Message::request(RequestCode::ReadInstance);
+        msg.set_word(fields::W_IO_INSTANCE, dir.instance().0)
+            .set_word32(fields::W_IO_OFFSET_LO, 0)
+            .set_word(fields::W_IO_COUNT, u16::MAX);
+        let reply = ctx
+            .send(dir.server(), msg, Bytes::new(), usize::from(u16::MAX))
+            .expect("read");
+        assert_eq!(reply.msg.reply_code(), ReplyCode::Ok);
+        assert_eq!(reply.data.len(), 65_535);
+        assert_eq!(reply.msg.word(fields::W_IO_COUNT), 65_535);
+        dir.close(ctx).expect("close");
+    });
+}

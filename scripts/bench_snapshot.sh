@@ -23,10 +23,21 @@ trap 'rm -rf "$OUT_DIR"' EXIT
 # 25% regression gate below, and single short runs on a shared box jitter
 # by double-digit percents — the min is the standard noise-shedding
 # estimator and matches the best-of-N pins inside the benches themselves.
+#
+# The runs are pinned to one core where `taskset` works. A rendezvous
+# between two unpinned threads is bimodal — ~2 µs when the scheduler keeps
+# them on one core, ~30 µs across two on a small VM — and which mode a run
+# lands in is not the code's doing; `vload` pins for the same reason.
+cargo bench -p vbench --no-run
+PIN=()
+LAST_CPU=$(( $(nproc) - 1 ))
+if command -v taskset >/dev/null && taskset -c "$LAST_CPU" true 2>/dev/null; then
+    PIN=(taskset -c "$LAST_CPU")
+fi
 for b in "${BENCHES[@]}"; do
     for rep in 1 2 3; do
-        echo "==> cargo bench -p vbench --bench $b (run $rep/3)"
-        cargo bench -p vbench --bench "$b" | tee "$OUT_DIR/$b.$rep.txt"
+        echo "==> ${PIN[*]} cargo bench -p vbench --bench $b (run $rep/3)"
+        "${PIN[@]}" cargo bench -p vbench --bench "$b" | tee "$OUT_DIR/$b.$rep.txt"
     done
 done
 

@@ -38,4 +38,13 @@ cargo test -q -p vservers --test anti_entropy_props
 echo "==> cargo build --release"
 cargo build --release
 
+# The benchmark's own smoke run: every workload at reduced scale, every
+# reply checked against the generator's model — so a kernel change that
+# breaks an answer fails here, before the benchmark does. `vload` is a
+# workspace of its own; its lock file must come out of the build unchanged,
+# or some crate it reaches changed its dependency list.
+echo "==> cargo test --offline --manifest-path vload/Cargo.toml"
+cargo test -q --offline --manifest-path vload/Cargo.toml
+git diff --exit-code vload/Cargo.lock
+
 echo "==> all checks passed"
