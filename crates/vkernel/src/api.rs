@@ -149,25 +149,6 @@ pub trait Ipc {
     /// * [`IpcError::Shutdown`] — the domain is shutting down.
     fn receive(&self) -> Result<Received, IpcError>;
 
-    /// Non-blocking variant of [`Ipc::receive`]: returns `Ok(None)`
-    /// immediately when no request is waiting, instead of blocking.
-    ///
-    /// Servers use this to drain a burst of already-queued requests (e.g.
-    /// to batch resolutions against one table snapshot) before blocking
-    /// for the next arrival. The default implementation always reports an
-    /// empty mailbox, which is always correct — a kernel without a
-    /// non-blocking probe simply never batches. The virtual-time kernel
-    /// keeps this default so event schedules (and their hashes) are
-    /// identical with or without batching.
-    ///
-    /// # Errors
-    ///
-    /// * [`IpcError::Killed`] — the process was killed.
-    /// * [`IpcError::Shutdown`] — the domain is shutting down.
-    fn try_receive(&self) -> Result<Option<Received>, IpcError> {
-        Ok(None)
-    }
-
     /// Completes a transaction: moves `data` into the sender's receive
     /// buffer (after any earlier [`Ipc::move_to`] bytes) and unblocks the
     /// sender with `msg`.

@@ -12,7 +12,7 @@ use crate::error::IpcError;
 use crate::group::GroupTable;
 use crate::invariants::{InvariantLedger, TxnKind};
 use crate::registry::Registry;
-use crate::rendezvous::{Closed, Mailbox, ReplyCell, ReplyHandle};
+use crate::rendezvous::{Mailbox, ReplyCell, ReplyHandle};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -405,13 +405,6 @@ impl Ipc for ProcessCtx {
             .pop()
             .map(Envelope::into_received)
             .ok_or(IpcError::Killed)
-    }
-
-    fn try_receive(&self) -> Result<Option<Received>, IpcError> {
-        match self.mailbox.try_pop() {
-            Ok(env) => Ok(env.map(Envelope::into_received)),
-            Err(Closed) => Err(IpcError::Killed),
-        }
     }
 
     fn reply(&self, rx: Received, msg: Message, data: Bytes) -> Result<(), IpcError> {

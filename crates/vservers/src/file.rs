@@ -11,24 +11,30 @@
 //! forwards there mid-name.
 
 use crate::common::{
-    count_word, forward_csname, reply_code, reply_data, reply_descriptor, reply_fail, OpClock,
+    open_directory, open_reply, read, release, reply, reply_descriptor, reply_fail, serve, written,
+    Answer, Call, Handle, Handled, OpClock, Server,
 };
-use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use vio::{serve_read, InstanceTable};
-use vkernel::{Ipc, Received};
+use vio::InstanceTable;
+use vkernel::Ipc;
 use vnaming::{
     resolve, ComponentSpace, ContextTable, CsRequest, DirectoryBuilder, Outcome, ResolvedTarget,
     Step,
 };
 use vproto::{
     fields, ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, InstanceId, Message,
-    ObjectDescriptor, ObjectId, OpenMode, Permissions, Pid, ReplyCode, RequestCode, Scope,
+    ObjectDescriptor, ObjectId, OpenMode, Permissions, ReplyCode, RequestCode, Scope,
 };
 
 /// Component separator used by the file server's hierarchical names.
 const SEP: u8 = b'/';
+
+/// The most bytes a file may hold: 16 MiB. A write names its offset with a
+/// client-chosen 32-bit word, so without a cap a single 1-byte write at
+/// `0xFFFF_0000` makes the server allocate 4 GiB. A write that would end
+/// past the cap is refused with `NoServerResources` and changes nothing.
+const MAX_FILE_BYTES: usize = 16 << 20;
 
 /// Configuration for a [`file_server`] process.
 #[derive(Debug, Clone)]
@@ -135,6 +141,13 @@ impl Fs {
         match &self.nodes.get(&id)?.kind {
             NodeKind::Dir { entries, .. } => Some(entries),
             NodeKind::File(_) => None,
+        }
+    }
+
+    fn file(&self, id: ObjectId) -> Option<&[u8]> {
+        match &self.nodes.get(&id)?.kind {
+            NodeKind::File(data) => Some(data),
+            NodeKind::Dir { .. } => None,
         }
     }
 
@@ -400,22 +413,16 @@ enum CreateTarget {
         parent_ctx: ContextId,
         leaf: Vec<u8>,
     },
-    Forward {
-        server: Pid,
-        ctx: ContextId,
-        index: usize,
-    },
+    Forward(Answer),
     Fail(ReplyCode),
 }
 
 fn resolve_for_create(fs: &Fs, req: &CsRequest) -> CreateTarget {
     match resolve(fs, &req.name, req.index, req.context, SEP) {
         Outcome::Done { target, parent, .. } => CreateTarget::Exists(target, parent),
-        Outcome::Forward { target, index } => CreateTarget::Forward {
-            server: target.server,
-            ctx: target.context,
-            index,
-        },
+        Outcome::Forward { target, index } => {
+            CreateTarget::Forward(Answer::Forward { to: target, index })
+        }
         Outcome::Fail(fail) if fail.code == ReplyCode::NotFound => {
             // Is the missing component the last one?
             let rest = &req.name[fail.index..];
@@ -435,11 +442,9 @@ fn resolve_for_create(fs: &Fs, req: &CsRequest) -> CreateTarget {
                     ..
                 } => CreateTarget::Creatable { parent_ctx, leaf },
                 Outcome::Done { .. } => CreateTarget::Fail(ReplyCode::NotAContext),
-                Outcome::Forward { target, index } => CreateTarget::Forward {
-                    server: target.server,
-                    ctx: target.context,
-                    index,
-                },
+                Outcome::Forward { target, index } => {
+                    CreateTarget::Forward(Answer::Forward { to: target, index })
+                }
                 Outcome::Fail(f) => CreateTarget::Fail(f.code),
             }
         }
@@ -447,10 +452,10 @@ fn resolve_for_create(fs: &Fs, req: &CsRequest) -> CreateTarget {
     }
 }
 
-#[derive(Debug)]
-enum InstState {
-    File(ObjectId),
-    Directory { snapshot: Vec<u8>, ctx: ContextId },
+struct FileServer {
+    fs: Fs,
+    instances: InstanceTable<Handle<ObjectId>>,
+    simulate_disk: bool,
 }
 
 /// Runs a V file server until the domain shuts down.
@@ -478,519 +483,361 @@ pub fn file_server(ctx: &dyn Ipc, config: FileServerConfig) {
     if let Some(scope) = config.service_scope {
         ctx.set_pid(vproto::ServiceId::FILE_SERVER, scope);
     }
-    let mut instances: InstanceTable<InstState> = InstanceTable::new();
-
-    while let Ok(rx) = ctx.receive() {
-        dispatch(ctx, rx, &mut fs, &mut instances, &config);
-    }
+    serve(
+        ctx,
+        &mut FileServer {
+            fs,
+            instances: InstanceTable::new(),
+            simulate_disk: config.simulate_disk,
+        },
+    );
 }
 
-fn dispatch(
-    ctx: &dyn Ipc,
-    rx: Received,
-    fs: &mut Fs,
-    instances: &mut InstanceTable<InstState>,
-    config: &FileServerConfig,
-) {
-    let msg = rx.msg;
-    if msg.is_csname_request() {
-        // Paper §5.3-5.4: begin with the name, not the operation code.
-        let payload = match ctx.move_from(&rx) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        let req = match CsRequest::parse(&msg, &payload) {
-            Ok(r) => r,
-            Err(code) => return reply_code(ctx, rx, code),
-        };
-        dispatch_csname(ctx, rx, fs, instances, config, req);
-        return;
+impl Server for FileServer {
+    fn name_op(&mut self, call: &mut Call, req: CsRequest) -> Handled {
+        let op = call.msg.request_code();
+        // Create-like operations resolve with missing-leaf tolerance.
+        let create_like = matches!(
+            op,
+            Some(RequestCode::CreateObject) | Some(RequestCode::AddContextName)
+        ) || (op == Some(RequestCode::CreateInstance)
+            && call.msg.mode() == Some(OpenMode::Create));
+
+        if create_like {
+            return match resolve_for_create(&self.fs, &req) {
+                CreateTarget::Forward(answer) => Ok(answer),
+                CreateTarget::Fail(code) => Err(code),
+                CreateTarget::Exists(target, parent) => self.resolved(call, req, target, parent),
+                CreateTarget::Creatable { parent_ctx, leaf } => {
+                    self.create(call, req, parent_ctx, leaf)
+                }
+            };
+        }
+        match resolve(&self.fs, &req.name, req.index, req.context, SEP) {
+            Outcome::Forward { target, index } => Ok(Answer::Forward { to: target, index }),
+            Outcome::Fail(fail) => reply_fail(fail),
+            Outcome::Done { target, parent, .. } => self.resolved(call, req, target, parent),
+        }
     }
-    match msg.request_code() {
-        Some(RequestCode::ReadInstance) => {
-            let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-            let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-            let count = msg.word(fields::W_IO_COUNT) as usize;
-            let window: Result<Vec<u8>, ReplyCode> = instances.check(id, false).and_then(|inst| {
-                let data: &[u8] = match &inst.state {
-                    InstState::File(node) => match fs.nodes.get(node).map(|n| &n.kind) {
-                        Some(NodeKind::File(d)) => d,
-                        _ => return Err(ReplyCode::InvalidInstance),
-                    },
-                    InstState::Directory { snapshot, .. } => snapshot,
-                };
-                serve_read(data, offset, count).map(|w| w.to_vec())
-            });
-            match window {
-                Ok(w) => {
-                    let is_file = matches!(
-                        instances.get(id).map(|i| &i.state),
-                        Some(InstState::File(_))
-                    );
-                    if is_file && config.simulate_disk {
-                        if let Some(net) = ctx.net() {
-                            ctx.sleep(net.disk_cost(w.len()));
-                        }
-                    }
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_IO_COUNT, count_word(w.len()));
-                    reply_data(ctx, rx, m, w);
-                }
-                Err(code) => reply_code(ctx, rx, code),
-            }
-        }
-        Some(RequestCode::WriteInstance) => {
-            let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-            let offset = msg.word32(fields::W_IO_OFFSET_LO) as usize;
-            let data = match ctx.move_from(&rx) {
-                Ok(d) => d,
-                Err(_) => return,
-            };
-            let result: Result<usize, ReplyCode> = (|| {
-                // Directory instances accept descriptor writes in Directory
-                // mode (paper §5.6); file writes need a writable mode.
-                let inst = instances.check(id, false)?;
-                if matches!(inst.state, InstState::File(_)) && !inst.mode.writes() {
-                    return Err(ReplyCode::BadMode);
-                }
-                match &inst.state {
-                    InstState::File(node_id) => {
-                        let node_id = *node_id;
-                        let t = fs.clock.tick();
-                        let node = fs
-                            .nodes
-                            .get_mut(&node_id)
-                            .ok_or(ReplyCode::InvalidInstance)?;
-                        match &mut node.kind {
-                            NodeKind::File(content) => {
-                                if content.len() < offset + data.len() {
-                                    content.resize(offset + data.len(), 0);
-                                }
-                                content[offset..offset + data.len()].copy_from_slice(&data);
-                                node.modified = t;
-                                Ok(data.len())
-                            }
-                            NodeKind::Dir { .. } => Err(ReplyCode::BadMode),
-                        }
-                    }
-                    InstState::Directory { ctx: dctx, .. } => {
-                        // Paper §5.6: writing a description record has the
-                        // semantics of the modification operation.
-                        let dctx = *dctx;
-                        let d =
-                            ObjectDescriptor::decode_one(&data).map_err(|_| ReplyCode::BadArgs)?;
-                        let dir_id = fs.dir_node_of_ctx(dctx).ok_or(ReplyCode::InvalidContext)?;
-                        let entry = fs
-                            .dir_entries(dir_id)
-                            .and_then(|e| e.get(d.name.as_bytes()).cloned())
-                            .ok_or(ReplyCode::NotFound)?;
-                        match entry {
-                            DirEntry::Local(target) => {
-                                let code = fs.apply_modify(target, &d);
-                                if code.is_ok() {
-                                    Ok(data.len())
-                                } else {
-                                    Err(code)
-                                }
-                            }
-                            DirEntry::Remote(_) => Err(ReplyCode::BadMode),
-                        }
+
+    fn op(&mut self, call: &mut Call) -> Handled {
+        let id = call.instance();
+        match call.msg.request_code() {
+            Some(RequestCode::ReadInstance) => {
+                let answer = read(call, &self.instances, |node| self.fs.file(*node))?;
+                let is_file = matches!(
+                    self.instances.get(id).map(|i| &i.state),
+                    Some(Handle::Object(_))
+                );
+                if is_file && self.simulate_disk {
+                    if let (Some(net), Answer::Data(_, window)) = (call.ctx.net(), &answer) {
+                        call.ctx.sleep(net.disk_cost(window.len()));
                     }
                 }
-            })();
-            if config.simulate_disk && result.is_ok() {
-                if let Some(net) = ctx.net() {
-                    ctx.sleep(net.disk_cost(data.len()));
-                }
+                Ok(answer)
             }
-            match result {
-                Ok(n) => {
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_IO_COUNT, count_word(n));
-                    reply_data(ctx, rx, m, Vec::new());
-                }
-                Err(code) => reply_code(ctx, rx, code),
-            }
-        }
-        Some(RequestCode::ReleaseInstance) => {
-            let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-            let code = if instances.release(id).is_some() {
-                ReplyCode::Ok
-            } else {
-                ReplyCode::InvalidInstance
-            };
-            reply_code(ctx, rx, code);
-        }
-        Some(RequestCode::QueryInstance) => {
-            let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-            match instances.get(id).map(|i| &i.state) {
-                Some(InstState::File(node)) => {
-                    let path = fs.path_of(*node);
-                    match fs.descriptor_of(*node, &path) {
-                        Some(d) => reply_descriptor(ctx, rx, &d),
-                        None => reply_code(ctx, rx, ReplyCode::InvalidInstance),
+            Some(RequestCode::WriteInstance) => {
+                let offset = call.msg.word32(fields::W_IO_OFFSET_LO) as usize;
+                let data = call.data()?;
+                self.write(id, offset, &data)?;
+                if self.simulate_disk {
+                    if let Some(net) = call.ctx.net() {
+                        call.ctx.sleep(net.disk_cost(data.len()));
                     }
                 }
-                Some(InstState::Directory {
-                    snapshot,
-                    ctx: dctx,
-                }) => {
-                    let d = ObjectDescriptor::new(DescriptorTag::Directory, CsName::from("."))
-                        .with_size(snapshot.len() as u64)
-                        .with_ext(DescriptorExt::Directory {
-                            context: *dctx,
-                            entries: 0,
-                        });
-                    reply_descriptor(ctx, rx, &d);
-                }
-                None => reply_code(ctx, rx, ReplyCode::InvalidInstance),
+                written(data.len())
             }
-        }
-        Some(RequestCode::GetContextName) => {
-            // Inverse mapping: context id → CSname (paper §5.7, §6).
-            let ctx_id = ContextId::new(msg.word32(fields::W_INVERT_ID_LO));
-            match fs.dir_node_of_ctx(ctx_id) {
-                Some(dir) => {
-                    let path = fs.path_of(dir);
-                    reply_data(ctx, rx, Message::ok(), path);
+            Some(RequestCode::ReleaseInstance) => release(call, &mut self.instances),
+            Some(RequestCode::QueryInstance) => {
+                match &self
+                    .instances
+                    .get(id)
+                    .ok_or(ReplyCode::InvalidInstance)?
+                    .state
+                {
+                    Handle::Object(node) => {
+                        let path = self.fs.path_of(*node);
+                        let d = self.fs.descriptor_of(*node, &path);
+                        reply_descriptor(&d.ok_or(ReplyCode::InvalidInstance)?)
+                    }
+                    Handle::Directory { image, ctx } => reply_descriptor(
+                        &ObjectDescriptor::new(DescriptorTag::Directory, CsName::from("."))
+                            .with_size(image.len() as u64)
+                            .with_ext(DescriptorExt::Directory {
+                                context: *ctx,
+                                entries: 0,
+                            }),
+                    ),
                 }
-                None => reply_code(ctx, rx, ReplyCode::InvalidContext),
             }
-        }
-        Some(RequestCode::GetInstanceName) => {
-            let id = InstanceId(msg.word32(fields::W_INVERT_ID_LO) as u16);
-            match instances.get(id).map(|i| &i.state) {
-                Some(InstState::File(node)) => {
-                    let path = fs.path_of(*node);
-                    reply_data(ctx, rx, Message::ok(), path);
+            Some(RequestCode::GetContextName) => {
+                // Inverse mapping: context id → CSname (paper §5.7, §6).
+                let ctx_id = ContextId::new(call.msg.word32(fields::W_INVERT_ID_LO));
+                let dir = self
+                    .fs
+                    .dir_node_of_ctx(ctx_id)
+                    .ok_or(ReplyCode::InvalidContext)?;
+                Ok(Answer::Data(Message::ok(), self.fs.path_of(dir)))
+            }
+            Some(RequestCode::GetInstanceName) => {
+                let id = InstanceId(call.msg.word32(fields::W_INVERT_ID_LO) as u16);
+                match self.instances.get(id).map(|i| &i.state) {
+                    Some(Handle::Object(node)) => {
+                        Ok(Answer::Data(Message::ok(), self.fs.path_of(*node)))
+                    }
+                    _ => Err(ReplyCode::InvalidInstance),
                 }
-                _ => reply_code(ctx, rx, ReplyCode::InvalidInstance),
             }
-        }
-        Some(RequestCode::SetInstanceOwner) => {
-            // The new owner CSname travels as the payload; the instance
-            // names the object whose ownership changes (paper §5.5's
-            // modify-descriptor path, scoped to one field).
-            let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-            let owner = match ctx.move_from(&rx) {
-                Ok(d) => d,
-                Err(_) => return,
-            };
-            let result: Result<(), ReplyCode> = (|| {
+            Some(RequestCode::SetInstanceOwner) => {
+                // The new owner CSname travels as the payload; the instance
+                // names the object whose ownership changes (paper §5.5's
+                // modify-descriptor path, scoped to one field).
+                let owner = call.data()?;
                 if owner.is_empty() {
                     return Err(ReplyCode::BadArgs);
                 }
-                let inst = instances.check(id, false)?;
-                match &inst.state {
-                    InstState::File(node_id) => {
-                        let node_id = *node_id;
-                        let t = fs.clock.tick();
-                        let node = fs
-                            .nodes
-                            .get_mut(&node_id)
-                            .ok_or(ReplyCode::InvalidInstance)?;
-                        node.owner = CsName::from_bytes(owner.to_vec());
-                        node.modified = t;
-                        Ok(())
-                    }
+                let Handle::Object(node_id) = &self.instances.check(id, false)?.state else {
                     // A directory snapshot instance has no single object
                     // to re-own.
-                    InstState::Directory { .. } => Err(ReplyCode::BadMode),
-                }
-            })();
-            match result {
-                Ok(()) => reply_code(ctx, rx, ReplyCode::Ok),
-                Err(code) => reply_code(ctx, rx, code),
+                    return Err(ReplyCode::BadMode);
+                };
+                let t = self.fs.clock.tick();
+                let node = self
+                    .fs
+                    .nodes
+                    .get_mut(node_id)
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                node.owner = CsName::from_bytes(owner.to_vec());
+                node.modified = t;
+                reply(ReplyCode::Ok)
             }
-        }
-        Some(RequestCode::Echo) => {
-            let _ = ctx.reply(rx, msg, Bytes::new());
-        }
-        _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
-    }
-}
-
-fn dispatch_csname(
-    ctx: &dyn Ipc,
-    rx: Received,
-    fs: &mut Fs,
-    instances: &mut InstanceTable<InstState>,
-    _config: &FileServerConfig,
-    req: CsRequest,
-) {
-    let msg = rx.msg;
-    let op = msg.request_code();
-
-    // Create-like operations resolve with missing-leaf tolerance.
-    let create_like = matches!(
-        op,
-        Some(RequestCode::CreateObject) | Some(RequestCode::AddContextName)
-    ) || (op == Some(RequestCode::CreateInstance)
-        && msg.mode() == Some(OpenMode::Create));
-
-    if create_like {
-        match resolve_for_create(fs, &req) {
-            CreateTarget::Forward {
-                server,
-                ctx: c,
-                index,
-            } => {
-                let _ = forward_csname(ctx, rx, server, c, index);
-                return;
-            }
-            CreateTarget::Fail(code) => return reply_code(ctx, rx, code),
-            CreateTarget::Exists(target, parent) => {
-                return handle_resolved(ctx, rx, fs, instances, req, target, parent);
-            }
-            CreateTarget::Creatable { parent_ctx, leaf } => {
-                return handle_create(ctx, rx, fs, instances, req, parent_ctx, leaf);
-            }
-        }
-    }
-
-    match resolve(fs, &req.name, req.index, req.context, SEP) {
-        Outcome::Forward { target, index } => {
-            let _ = forward_csname(ctx, rx, target.server, target.context, index);
-        }
-        Outcome::Fail(fail) => reply_fail(ctx, rx, fail),
-        Outcome::Done { target, parent, .. } => {
-            handle_resolved(ctx, rx, fs, instances, req, target, parent);
+            Some(RequestCode::Echo) => Ok(Answer::Reply(call.msg)),
+            _ => Err(ReplyCode::UnknownRequest),
         }
     }
 }
 
-/// Handles create-like operations whose final component does not exist yet.
-fn handle_create(
-    ctx: &dyn Ipc,
-    rx: Received,
-    fs: &mut Fs,
-    instances: &mut InstanceTable<InstState>,
-    req: CsRequest,
-    parent_ctx: ContextId,
-    leaf: Vec<u8>,
-) {
-    let msg = rx.msg;
-    let parent_id = match fs.dir_node_of_ctx(parent_ctx) {
-        Some(id) => id,
-        None => return reply_code(ctx, rx, ReplyCode::InvalidContext),
-    };
-    let owner = CsName::from("user");
-    match msg.request_code() {
-        Some(RequestCode::CreateInstance) => {
-            match fs.create_file_in(parent_id, &leaf, Vec::new(), &owner) {
-                Ok(id) => {
-                    let inst = instances.open(rx.from, OpenMode::Create, InstState::File(id));
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_word32(fields::W_SIZE_LO, 0)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
+impl FileServer {
+    /// `WriteInstance` of `data` at `offset`.
+    fn write(&mut self, id: InstanceId, offset: usize, data: &[u8]) -> Result<(), ReplyCode> {
+        // Directory instances accept descriptor writes in Directory mode
+        // (paper §5.6); file writes need a writable mode.
+        let inst = self.instances.check(id, false)?;
+        match &inst.state {
+            Handle::Object(node_id) => {
+                if !inst.mode.writes() {
+                    return Err(ReplyCode::BadMode);
                 }
-                Err(code) => reply_code(ctx, rx, code),
+                let end = offset.saturating_add(data.len());
+                if end > MAX_FILE_BYTES {
+                    return Err(ReplyCode::NoServerResources);
+                }
+                let t = self.fs.clock.tick();
+                let node = self
+                    .fs
+                    .nodes
+                    .get_mut(node_id)
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                let NodeKind::File(content) = &mut node.kind else {
+                    return Err(ReplyCode::BadMode);
+                };
+                if content.len() < end {
+                    content.resize(end, 0);
+                }
+                content[offset..end].copy_from_slice(data);
+                node.modified = t;
+                Ok(())
+            }
+            Handle::Directory { ctx, .. } => {
+                // Paper §5.6: writing a description record has the
+                // semantics of the modification operation.
+                let d = ObjectDescriptor::decode_one(data).map_err(|_| ReplyCode::BadArgs)?;
+                let dir_id = self
+                    .fs
+                    .dir_node_of_ctx(*ctx)
+                    .ok_or(ReplyCode::InvalidContext)?;
+                let entry = self
+                    .fs
+                    .dir_entries(dir_id)
+                    .and_then(|e| e.get(d.name.as_bytes()).cloned())
+                    .ok_or(ReplyCode::NotFound)?;
+                let DirEntry::Local(target) = entry else {
+                    return Err(ReplyCode::BadMode);
+                };
+                match self.fs.apply_modify(target, &d) {
+                    ReplyCode::Ok => Ok(()),
+                    code => Err(code),
+                }
             }
         }
-        Some(RequestCode::CreateObject) => {
-            // Descriptor template (if any) selects file vs directory; only
-            // the tag word matters, so peek it rather than requiring a
-            // fully well-formed record.
-            let tag = vproto::WireReader::new(&req.extra)
-                .u16()
-                .ok()
-                .and_then(DescriptorTag::from_u16)
-                .unwrap_or(DescriptorTag::File);
-            let result = match tag {
-                DescriptorTag::Directory => fs.mkdir_in(parent_id, &leaf, &owner).map(|_| ()),
-                _ => fs
-                    .create_file_in(parent_id, &leaf, Vec::new(), &owner)
-                    .map(|_| ()),
-            };
-            match result {
-                Ok(()) => reply_code(ctx, rx, ReplyCode::Ok),
-                Err(code) => reply_code(ctx, rx, code),
-            }
-        }
-        Some(RequestCode::AddContextName) => {
-            // A context pointer. If the target is one of *our own*
-            // contexts, this is a local alias (a second name for the same
-            // directory — the many-to-one situation that makes reverse
-            // mapping ambiguous, paper §6); otherwise it is a cross-server
-            // link, the curved arrow of Figure 4.
-            let target = ContextPair::new(
-                msg.pid_at(fields::W_TARGET_PID_LO),
-                ContextId::new(msg.word32(fields::W_TARGET_CTX_LO)),
-            );
-            let entry = if target.server == ctx.my_pid() {
-                match fs.dir_node_of_ctx(target.context) {
-                    Some(dir_id) => DirEntry::Local(dir_id),
-                    None => return reply_code(ctx, rx, ReplyCode::InvalidContext),
-                }
-            } else {
-                DirEntry::Remote(target)
-            };
-            let t = fs.clock.tick();
-            let Some(node) = fs.nodes.get_mut(&parent_id) else {
-                return reply_code(ctx, rx, ReplyCode::InvalidContext);
-            };
-            node.modified = t;
-            match &mut node.kind {
-                NodeKind::Dir { entries, .. } => {
-                    entries.insert(leaf, entry);
-                    reply_code(ctx, rx, ReplyCode::Ok);
-                }
-                NodeKind::File(_) => reply_code(ctx, rx, ReplyCode::NotAContext),
-            }
-        }
-        _ => reply_code(ctx, rx, ReplyCode::NotFound),
     }
-}
 
-/// Handles CSname operations whose name resolved locally.
-fn handle_resolved(
-    ctx: &dyn Ipc,
-    rx: Received,
-    fs: &mut Fs,
-    instances: &mut InstanceTable<InstState>,
-    req: CsRequest,
-    target: ResolvedTarget<ObjectId>,
-    parent: ContextId,
-) {
-    let msg = rx.msg;
-    match msg.request_code() {
-        Some(RequestCode::CreateInstance) => {
-            let mode = match msg.mode() {
-                Some(m) => m,
-                None => return reply_code(ctx, rx, ReplyCode::BadArgs),
-            };
-            match (&target, mode) {
-                (ResolvedTarget::Object(id), OpenMode::Directory) => {
-                    let _ = id;
-                    reply_code(ctx, rx, ReplyCode::NotAContext);
-                }
-                (ResolvedTarget::Object(id), _) => {
-                    // Enforce the access-control bits a modify operation may
-                    // have set (the paper's §5.5 example).
-                    let perms = fs.nodes.get(id).map(|n| n.perms).unwrap_or_default();
-                    let denied = (mode.writes() && !perms.has(Permissions::WRITE))
-                        || (!mode.writes() && !perms.has(Permissions::READ));
-                    if denied {
-                        return reply_code(ctx, rx, ReplyCode::NoPermission);
-                    }
-                    let size = match fs.nodes.get(id).map(|n| &n.kind) {
-                        Some(NodeKind::File(d)) => d.len() as u64,
-                        _ => 0,
-                    };
-                    let inst = instances.open(rx.from, mode, InstState::File(*id));
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_word32(fields::W_SIZE_LO, size as u32)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
-                }
-                (ResolvedTarget::Context(c), OpenMode::Directory)
-                | (ResolvedTarget::Context(c), OpenMode::Read) => {
-                    // Open the context directory (paper §5.6); the extra
-                    // payload optionally carries a filter pattern.
-                    let pattern = if req.extra.is_empty() {
-                        None
-                    } else {
-                        Some(&req.extra[..])
-                    };
-                    match fs.fabricate_directory(*c, pattern) {
-                        Some(snapshot) => {
-                            let size = snapshot.len() as u64;
-                            let inst = instances.open(
-                                rx.from,
-                                OpenMode::Directory,
-                                InstState::Directory { snapshot, ctx: *c },
-                            );
-                            let mut m = Message::ok();
-                            m.set_word(fields::W_INSTANCE, inst.0)
-                                .set_word32(fields::W_SIZE_LO, size as u32)
-                                .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                            reply_data(ctx, rx, m, Vec::new());
+    /// Handles create-like operations whose final component does not exist
+    /// yet.
+    fn create(
+        &mut self,
+        call: &mut Call,
+        req: CsRequest,
+        parent_ctx: ContextId,
+        leaf: Vec<u8>,
+    ) -> Handled {
+        let fs = &mut self.fs;
+        let parent_id = fs
+            .dir_node_of_ctx(parent_ctx)
+            .ok_or(ReplyCode::InvalidContext)?;
+        let owner = CsName::from("user");
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance) => {
+                let id = fs.create_file_in(parent_id, &leaf, Vec::new(), &owner)?;
+                let inst = self
+                    .instances
+                    .open(call.from, OpenMode::Create, Handle::Object(id));
+                open_reply(call, inst, 0)
+            }
+            Some(RequestCode::CreateObject) => {
+                // Descriptor template (if any) selects file vs directory; only
+                // the tag word matters, so peek it rather than requiring a
+                // fully well-formed record.
+                let tag = vproto::WireReader::new(&req.extra)
+                    .u16()
+                    .ok()
+                    .and_then(DescriptorTag::from_u16)
+                    .unwrap_or(DescriptorTag::File);
+                match tag {
+                    DescriptorTag::Directory => fs.mkdir_in(parent_id, &leaf, &owner)?,
+                    _ => fs.create_file_in(parent_id, &leaf, Vec::new(), &owner)?,
+                };
+                reply(ReplyCode::Ok)
+            }
+            Some(RequestCode::AddContextName) => {
+                // A context pointer. If the target is one of *our own*
+                // contexts, this is a local alias (a second name for the same
+                // directory — the many-to-one situation that makes reverse
+                // mapping ambiguous, paper §6); otherwise it is a cross-server
+                // link, the curved arrow of Figure 4.
+                let target = ContextPair::new(
+                    call.msg.pid_at(fields::W_TARGET_PID_LO),
+                    ContextId::new(call.msg.word32(fields::W_TARGET_CTX_LO)),
+                );
+                let entry = if target.server == call.ctx.my_pid() {
+                    let dir_id = fs
+                        .dir_node_of_ctx(target.context)
+                        .ok_or(ReplyCode::InvalidContext)?;
+                    DirEntry::Local(dir_id)
+                } else {
+                    DirEntry::Remote(target)
+                };
+                let t = fs.clock.tick();
+                let node = fs
+                    .nodes
+                    .get_mut(&parent_id)
+                    .ok_or(ReplyCode::InvalidContext)?;
+                node.modified = t;
+                let NodeKind::Dir { entries, .. } = &mut node.kind else {
+                    return Err(ReplyCode::NotAContext);
+                };
+                entries.insert(leaf, entry);
+                reply(ReplyCode::Ok)
+            }
+            _ => Err(ReplyCode::NotFound),
+        }
+    }
+
+    /// Handles CSname operations whose name resolved locally.
+    fn resolved(
+        &mut self,
+        call: &mut Call,
+        req: CsRequest,
+        target: ResolvedTarget<ObjectId>,
+        parent: ContextId,
+    ) -> Handled {
+        let fs = &mut self.fs;
+        let msg = call.msg;
+        // The object a context name denotes is its directory.
+        let node_of = |fs: &Fs, target| match target {
+            ResolvedTarget::Object(id) => Ok(id),
+            ResolvedTarget::Context(c) => fs.dir_node_of_ctx(c).ok_or(ReplyCode::InvalidContext),
+        };
+        match msg.request_code() {
+            Some(RequestCode::CreateInstance) => {
+                let mode = msg.mode().ok_or(ReplyCode::BadArgs)?;
+                match (target, mode) {
+                    (ResolvedTarget::Object(_), OpenMode::Directory) => Err(ReplyCode::NotAContext),
+                    (ResolvedTarget::Object(id), _) => {
+                        // Enforce the access-control bits a modify operation
+                        // may have set (the paper's §5.5 example).
+                        let perms = fs.nodes.get(&id).map(|n| n.perms).unwrap_or_default();
+                        let denied = (mode.writes() && !perms.has(Permissions::WRITE))
+                            || (!mode.writes() && !perms.has(Permissions::READ));
+                        if denied {
+                            return Err(ReplyCode::NoPermission);
                         }
-                        None => reply_code(ctx, rx, ReplyCode::InvalidContext),
+                        let size = fs.file(id).map_or(0, |d| d.len() as u64);
+                        let inst = self.instances.open(call.from, mode, Handle::Object(id));
+                        open_reply(call, inst, size)
                     }
+                    (ResolvedTarget::Context(c), OpenMode::Directory)
+                    | (ResolvedTarget::Context(c), OpenMode::Read) => {
+                        // Open the context directory (paper §5.6); the extra
+                        // payload optionally carries a filter pattern.
+                        let pattern = (!req.extra.is_empty()).then_some(&req.extra[..]);
+                        let image = fs
+                            .fabricate_directory(c, pattern)
+                            .ok_or(ReplyCode::InvalidContext)?;
+                        open_directory(call, &mut self.instances, image, c)
+                    }
+                    (ResolvedTarget::Context(_), _) => Err(ReplyCode::BadMode),
                 }
-                (ResolvedTarget::Context(_), _) => {
-                    reply_code(ctx, rx, ReplyCode::BadMode);
+            }
+            Some(RequestCode::QueryName) => match target {
+                // Paper §5.7: map a context CSname → (server-pid, context-id).
+                ResolvedTarget::Context(c) => {
+                    let mut m = Message::ok();
+                    m.set_context_id(c);
+                    m.set_pid_at(fields::W_PID_LO, call.ctx.my_pid());
+                    Ok(Answer::Reply(m))
                 }
+                ResolvedTarget::Object(_) => Err(ReplyCode::NotAContext),
+            },
+            Some(RequestCode::QueryObject) => {
+                let id = node_of(fs, target)?;
+                let d = fs.descriptor_of(id, &leaf_name(&req));
+                reply_descriptor(&d.ok_or(ReplyCode::NotFound)?)
             }
-        }
-        Some(RequestCode::QueryName) => match target {
-            // Paper §5.7: map a context CSname → (server-pid, context-id).
-            ResolvedTarget::Context(c) => {
-                let mut m = Message::ok();
-                m.set_context_id(c);
-                m.set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                reply_data(ctx, rx, m, Vec::new());
+            Some(RequestCode::ModifyObject) => {
+                let d = ObjectDescriptor::decode_one(&req.extra).map_err(|_| ReplyCode::BadArgs)?;
+                let id = node_of(fs, target)?;
+                reply(fs.apply_modify(id, &d))
             }
-            ResolvedTarget::Object(_) => reply_code(ctx, rx, ReplyCode::NotAContext),
-        },
-        Some(RequestCode::QueryObject) => {
-            let (id, shown_name) = match target {
-                ResolvedTarget::Object(id) => (id, leaf_name(&req)),
-                ResolvedTarget::Context(c) => match fs.dir_node_of_ctx(c) {
-                    Some(dir) => (dir, leaf_name(&req)),
-                    None => return reply_code(ctx, rx, ReplyCode::InvalidContext),
-                },
-            };
-            match fs.descriptor_of(id, &shown_name) {
-                Some(d) => reply_descriptor(ctx, rx, &d),
-                None => reply_code(ctx, rx, ReplyCode::NotFound),
+            // Remove an object, or a cross-server link (or any entry), by name.
+            Some(RequestCode::RemoveObject) | Some(RequestCode::DeleteContextName) => {
+                let leaf = leaf_name(&req);
+                if leaf.is_empty() {
+                    return Err(ReplyCode::IllegalName);
+                }
+                reply(fs.remove(parent, &leaf))
             }
-        }
-        Some(RequestCode::ModifyObject) => {
-            let d = match ObjectDescriptor::decode_one(&req.extra) {
-                Ok(d) => d,
-                Err(_) => return reply_code(ctx, rx, ReplyCode::BadArgs),
-            };
-            let id = match target {
-                ResolvedTarget::Object(id) => id,
-                ResolvedTarget::Context(c) => match fs.dir_node_of_ctx(c) {
-                    Some(dir) => dir,
-                    None => return reply_code(ctx, rx, ReplyCode::InvalidContext),
-                },
-            };
-            reply_code(ctx, rx, fs.apply_modify(id, &d));
-        }
-        Some(RequestCode::RemoveObject) => {
-            let leaf = leaf_name(&req);
-            if leaf.is_empty() {
-                return reply_code(ctx, rx, ReplyCode::IllegalName);
+            Some(RequestCode::RenameObject) => {
+                let new_index = msg.word(fields::W_NAME2_INDEX) as usize;
+                let new_len = msg.word(fields::W_NAME2_LEN) as usize;
+                // The second name follows the first in the payload; req.extra
+                // holds payload bytes past the first name.
+                if new_index < req.name.len()
+                    || new_index + new_len > req.name.len() + req.extra.len()
+                {
+                    return Err(ReplyCode::BadArgs);
+                }
+                let start = new_index - req.name.len();
+                let new_name = &req.extra[start..start + new_len];
+                reply(do_rename(fs, &req, target, parent, new_name))
             }
-            reply_code(ctx, rx, fs.remove(parent, &leaf));
-        }
-        Some(RequestCode::DeleteContextName) => {
-            // Remove a cross-server link (or any entry) by name.
-            let leaf = leaf_name(&req);
-            if leaf.is_empty() {
-                return reply_code(ctx, rx, ReplyCode::IllegalName);
-            }
-            reply_code(ctx, rx, fs.remove(parent, &leaf));
-        }
-        Some(RequestCode::RenameObject) => {
-            let new_index = msg.word(fields::W_NAME2_INDEX) as usize;
-            let new_len = msg.word(fields::W_NAME2_LEN) as usize;
-            // The second name follows the first in the payload; req.extra
-            // holds payload bytes past the first name.
-            if new_index < req.name.len() || new_index + new_len > req.name.len() + req.extra.len()
-            {
-                return reply_code(ctx, rx, ReplyCode::BadArgs);
-            }
-            let start = new_index - req.name.len();
-            let new_name = req.extra[start..start + new_len].to_vec();
-            let code = do_rename(fs, &req, target, parent, &new_name);
-            reply_code(ctx, rx, code);
-        }
-        Some(RequestCode::CreateObject) | Some(RequestCode::AddContextName) => {
             // Fully resolved: the name already exists.
-            reply_code(ctx, rx, ReplyCode::NameInUse);
-        }
-        _ => {
+            Some(RequestCode::CreateObject) | Some(RequestCode::AddContextName) => {
+                Err(ReplyCode::NameInUse)
+            }
             // A CSname operation this server does not implement — but the
             // name resolved here, so answer honestly (paper §5.3).
-            reply_code(ctx, rx, ReplyCode::UnknownRequest);
+            _ => Err(ReplyCode::UnknownRequest),
         }
     }
 }
@@ -1039,7 +886,7 @@ fn do_rename(
     let (new_parent_ctx, new_leaf) = match resolve_for_create(fs, &fake_req) {
         CreateTarget::Creatable { parent_ctx, leaf } => (parent_ctx, leaf),
         CreateTarget::Exists(..) => return ReplyCode::NameInUse,
-        CreateTarget::Forward { .. } => return ReplyCode::IllegalName, // cross-server rename unsupported
+        CreateTarget::Forward(_) => return ReplyCode::IllegalName, // cross-server rename unsupported
         CreateTarget::Fail(code) => return code,
     };
     let Some(old_dir) = fs.dir_node_of_ctx(parent) else {
@@ -1048,6 +895,20 @@ fn do_rename(
     let Some(new_dir) = fs.dir_node_of_ctx(new_parent_ctx) else {
         return ReplyCode::InvalidContext;
     };
+    // A directory cannot move beneath itself: it would become its own
+    // ancestor, and the parent chain every reverse mapping walks would be a
+    // cycle. The walk up from the new parent ends because the tree has no
+    // cycle yet.
+    let mut above = Some(new_dir);
+    while let Some(node) = above {
+        if node == id {
+            return ReplyCode::IllegalName;
+        }
+        above = fs
+            .nodes
+            .get(&node)
+            .and_then(|n| n.parent.as_ref().map(|(p, _)| *p));
+    }
     // Detach from the old directory.
     let entry = match fs.nodes.get_mut(&old_dir) {
         Some(node) => match &mut node.kind {

@@ -7,14 +7,17 @@
 //! are simulated loopbacks: written bytes become readable, state follows a
 //! tiny open/established/closed automaton.
 
-use crate::common::{count_word, reply_code, reply_data, reply_descriptor};
+use crate::common::{
+    open_directory, open_reply, reply, reply_descriptor, serve_flat, Call, FlatObjects, Handle,
+    Handled,
+};
 use std::collections::BTreeMap;
-use vio::{serve_read, InstanceTable};
+use vio::InstanceTable;
 use vkernel::Ipc;
 use vnaming::{CsRequest, DirectoryBuilder};
 use vproto::{
-    fields, CsName, DescriptorExt, DescriptorTag, InstanceId, Message, ObjectDescriptor, ObjectId,
-    OpenMode, ReplyCode, RequestCode, Scope, ServiceId,
+    ContextId, CsName, DescriptorExt, DescriptorTag, ObjectDescriptor, ObjectId, OpenMode,
+    ReplyCode, RequestCode, Scope, ServiceId,
 };
 
 /// Connection states reported in descriptors.
@@ -60,162 +63,88 @@ fn parse_conn_name(name: &[u8]) -> Option<(u32, u16)> {
     Some((addr, port))
 }
 
+#[derive(Default)]
+struct Conns {
+    conns: BTreeMap<Vec<u8>, Conn>,
+    next_obj: u32,
+}
+
 /// Runs an internet (TCP) server until the domain shuts down.
 pub fn internet_server(ctx: &dyn Ipc, config: InternetConfig) {
-    let mut conns: BTreeMap<Vec<u8>, Conn> = BTreeMap::new();
-    let mut instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut dir_instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut next_obj = 0u32;
     ctx.set_pid(ServiceId::INTERNET_SERVER, config.scope);
+    serve_flat(ctx, Conns::default());
+}
 
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        if msg.is_csname_request() {
-            let payload = match ctx.move_from(&rx) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let req = match CsRequest::parse(&msg, &payload) {
-                Ok(r) => r,
-                Err(code) => {
-                    reply_code(ctx, rx, code);
-                    continue;
+impl FlatObjects for Conns {
+    fn name_op(
+        &mut self,
+        call: &mut Call,
+        req: CsRequest,
+        instances: &mut InstanceTable<Handle<Vec<u8>>>,
+    ) -> Handled {
+        let name = req.remaining();
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance) if name.is_empty() => {
+                let mut b = DirectoryBuilder::new();
+                for (n, c) in &self.conns {
+                    b.push(&conn_descriptor(n, c));
                 }
-            };
-            let name = req.remaining().to_vec();
-            match msg.request_code() {
-                Some(RequestCode::CreateInstance) => {
-                    if name.is_empty() {
-                        let mut b = DirectoryBuilder::new();
-                        for (n, c) in &conns {
-                            b.push(&conn_descriptor(n, c));
-                        }
-                        let snapshot = b.finish();
-                        let size = snapshot.len() as u64;
-                        let inst = dir_instances.open(rx.from, OpenMode::Directory, snapshot);
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_INSTANCE, inst.0)
-                            .set_word32(fields::W_SIZE_LO, size as u32)
-                            .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                        reply_data(ctx, rx, m, Vec::new());
-                        continue;
-                    }
-                    let mode = msg.mode().unwrap_or(OpenMode::Read);
-                    if !conns.contains_key(&name) {
-                        if mode == OpenMode::Create {
-                            match parse_conn_name(&name) {
-                                Some((remote_host, remote_port)) => {
-                                    next_obj += 1;
-                                    conns.insert(
-                                        name.clone(),
-                                        Conn {
-                                            id: ObjectId(next_obj),
-                                            remote_host,
-                                            remote_port,
-                                            state: STATE_ESTABLISHED,
-                                            buffer: Vec::new(),
-                                        },
-                                    );
-                                }
-                                None => {
-                                    reply_code(ctx, rx, ReplyCode::IllegalName);
-                                    continue;
-                                }
-                            }
-                        } else {
-                            reply_code(ctx, rx, ReplyCode::NotFound);
-                            continue;
-                        }
-                    }
-                    let size = conns[&name].buffer.len() as u64;
-                    let inst = instances.open(rx.from, mode, name);
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_word32(fields::W_SIZE_LO, size as u32)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
-                }
-                Some(RequestCode::QueryObject) => match conns.get(&name) {
-                    Some(c) => reply_descriptor(ctx, rx, &conn_descriptor(&name, c)),
-                    None => reply_code(ctx, rx, ReplyCode::NotFound),
-                },
-                Some(RequestCode::RemoveObject) => {
-                    // Closing a connection: it lingers as CLOSED until the
-                    // next remove, then disappears (a nod to TIME_WAIT).
-                    let code = match conns.get_mut(&name) {
-                        Some(c) if c.state == STATE_ESTABLISHED => {
-                            c.state = STATE_CLOSED;
-                            ReplyCode::Ok
-                        }
-                        Some(_) => {
-                            conns.remove(&name);
-                            ReplyCode::Ok
-                        }
-                        None => ReplyCode::NotFound,
-                    };
-                    reply_code(ctx, rx, code);
-                }
-                _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+                open_directory(call, instances, b.finish(), ContextId::DEFAULT)
             }
-            continue;
+            Some(RequestCode::CreateInstance) => {
+                let mode = call.msg.mode().unwrap_or(OpenMode::Read);
+                if !self.conns.contains_key(name) {
+                    if mode != OpenMode::Create {
+                        return Err(ReplyCode::NotFound);
+                    }
+                    let (remote_host, remote_port) =
+                        parse_conn_name(name).ok_or(ReplyCode::IllegalName)?;
+                    self.next_obj += 1;
+                    let conn = Conn {
+                        id: ObjectId(self.next_obj),
+                        remote_host,
+                        remote_port,
+                        state: STATE_ESTABLISHED,
+                        buffer: Vec::new(),
+                    };
+                    self.conns.insert(name.to_vec(), conn);
+                }
+                let size = self.conns[name].buffer.len() as u64;
+                let inst = instances.open(call.from, mode, Handle::Object(name.to_vec()));
+                open_reply(call, inst, size)
+            }
+            Some(RequestCode::QueryObject) => match self.conns.get(name) {
+                Some(c) => reply_descriptor(&conn_descriptor(name, c)),
+                None => Err(ReplyCode::NotFound),
+            },
+            Some(RequestCode::RemoveObject) => {
+                // Closing a connection: it lingers as CLOSED until the
+                // next remove, then disappears (a nod to TIME_WAIT).
+                match self.conns.get_mut(name) {
+                    Some(c) if c.state == STATE_ESTABLISHED => c.state = STATE_CLOSED,
+                    Some(_) => {
+                        self.conns.remove(name);
+                    }
+                    None => return Err(ReplyCode::NotFound),
+                }
+                reply(ReplyCode::Ok)
+            }
+            _ => Err(ReplyCode::UnknownRequest),
         }
-        match msg.request_code() {
-            Some(RequestCode::WriteInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let data = match ctx.move_from(&rx) {
-                    Ok(d) => d,
-                    Err(_) => continue,
-                };
-                let code = match instances.check(id, true) {
-                    Ok(inst) => match conns.get_mut(&inst.state) {
-                        Some(c) if c.state == STATE_ESTABLISHED => {
-                            c.buffer.extend_from_slice(&data);
-                            ReplyCode::Ok
-                        }
-                        Some(_) => ReplyCode::BadMode,
-                        None => ReplyCode::InvalidInstance,
-                    },
-                    Err(c) => c,
-                };
-                let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
-                reply_data(ctx, rx, m, Vec::new());
+    }
+
+    fn object(&self, name: &[u8]) -> Option<&[u8]> {
+        self.conns.get(name).map(|c| &c.buffer[..])
+    }
+
+    fn append(&mut self, name: &[u8], data: &[u8]) -> Result<(), ReplyCode> {
+        match self.conns.get_mut(name) {
+            Some(c) if c.state == STATE_ESTABLISHED => {
+                c.buffer.extend_from_slice(data);
+                Ok(())
             }
-            Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                let window: Result<Vec<u8>, ReplyCode> =
-                    if let Ok(inst) = instances.check(id, false) {
-                        match conns.get(&inst.state) {
-                            Some(c) => serve_read(&c.buffer, offset, count).map(|w| w.to_vec()),
-                            None => Err(ReplyCode::InvalidInstance),
-                        }
-                    } else if let Ok(inst) = dir_instances.check(id, false) {
-                        serve_read(&inst.state, offset, count).map(|w| w.to_vec())
-                    } else {
-                        Err(ReplyCode::InvalidInstance)
-                    };
-                match window {
-                    Ok(w) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
-                        reply_data(ctx, rx, m, w);
-                    }
-                    Err(code) => reply_code(ctx, rx, code),
-                }
-            }
-            Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let code = if instances.release(id).is_some() || dir_instances.release(id).is_some()
-                {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::InvalidInstance
-                };
-                reply_code(ctx, rx, code);
-            }
-            _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+            Some(_) => Err(ReplyCode::BadMode),
+            None => Err(ReplyCode::InvalidInstance),
         }
     }
 }

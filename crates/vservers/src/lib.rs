@@ -24,7 +24,10 @@
 //!   that defers replies to block empty readers.
 //!
 //! All servers are plain functions over `&dyn Ipc`, so they run unchanged on
-//! the real-thread kernel and the virtual-time kernel.
+//! the real-thread kernel and the virtual-time kernel. Each builds its state
+//! and hands it to one loop, `common::serve`: the crate's only `receive`,
+//! which fetches and parses a CSname request's name before the server sees
+//! the operation, and makes every `reply` and `forward` (DESIGN.md §3.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,14 +9,17 @@
 //! name-handling protocol, with the peer re-interpreting the full name.
 //! No client, run-time routine, or other server knows anything about `@`.
 
-use crate::common::{count_word, forward_csname, reply_code, reply_data, reply_descriptor};
+use crate::common::{
+    open_directory, open_reply, reply, reply_descriptor, serve_flat, Answer, Call, FlatObjects,
+    Handle, Handled,
+};
 use std::collections::BTreeMap;
-use vio::{serve_read, InstanceTable};
+use vio::InstanceTable;
 use vkernel::Ipc;
 use vnaming::{CsRequest, DirectoryBuilder};
 use vproto::{
-    fields, ContextId, CsName, DescriptorExt, DescriptorTag, InstanceId, Message, ObjectDescriptor,
-    ObjectId, OpenMode, Pid, ReplyCode, RequestCode, Scope, ServiceId,
+    ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, ObjectDescriptor, ObjectId,
+    OpenMode, Pid, ReplyCode, RequestCode, Scope, ServiceId,
 };
 
 /// Configuration for a [`mail_server`] process.
@@ -63,176 +66,114 @@ fn split_mail_name(name: &[u8]) -> (&[u8], Option<&[u8]>) {
     }
 }
 
+struct Mailboxes {
+    boxes: BTreeMap<Vec<u8>, Mailbox>,
+    next_obj: u32,
+    clock: u64,
+    config: MailConfig,
+}
+
 /// Runs a mail naming server until the domain shuts down.
 pub fn mail_server(ctx: &dyn Ipc, config: MailConfig) {
-    let mut boxes: BTreeMap<Vec<u8>, Mailbox> = BTreeMap::new();
-    let mut instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut dir_instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut next_obj = 0u32;
-    let mut clock = 0u64;
     ctx.set_pid(ServiceId::MAIL_SERVER, config.scope);
+    serve_flat(
+        ctx,
+        Mailboxes {
+            boxes: BTreeMap::new(),
+            next_obj: 0,
+            clock: 0,
+            config,
+        },
+    );
+}
 
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        if msg.is_csname_request() {
-            let payload = match ctx.move_from(&rx) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let req = match CsRequest::parse(&msg, &payload) {
-                Ok(r) => r,
-                Err(code) => {
-                    reply_code(ctx, rx, code);
-                    continue;
-                }
-            };
-            let full = req.remaining().to_vec();
-            let (user, host) = split_mail_name(&full);
+impl FlatObjects for Mailboxes {
+    fn name_op(
+        &mut self,
+        call: &mut Call,
+        req: CsRequest,
+        instances: &mut InstanceTable<Handle<Vec<u8>>>,
+    ) -> Handled {
+        let (user, host) = split_mail_name(req.remaining());
 
-            // Foreign host? Forward to the peer; it re-interprets the whole
-            // name (index unchanged), so the protocol needs no knowledge of
-            // the `@` syntax.
-            if let Some(h) = host {
-                if h != config.host.as_bytes() {
-                    match config.peers.iter().find(|(peer, _)| peer.as_bytes() == h) {
-                        Some((_, pid)) => {
-                            let _ = forward_csname(ctx, rx, *pid, ContextId::DEFAULT, req.index);
-                        }
-                        None => reply_code(ctx, rx, ReplyCode::NotFound),
-                    }
-                    continue;
-                }
-            }
-            let user = user.to_vec();
-            match msg.request_code() {
-                Some(RequestCode::CreateInstance) => {
-                    if user.is_empty() {
-                        // Directory of local mailboxes.
-                        let mut b = DirectoryBuilder::new();
-                        for (n, mb) in &boxes {
-                            b.push(&mailbox_descriptor(n, mb, &config));
-                        }
-                        let snapshot = b.finish();
-                        let size = snapshot.len() as u64;
-                        let inst = dir_instances.open(rx.from, OpenMode::Directory, snapshot);
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_INSTANCE, inst.0)
-                            .set_word32(fields::W_SIZE_LO, size as u32)
-                            .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                        reply_data(ctx, rx, m, Vec::new());
-                        continue;
-                    }
-                    let mode = msg.mode().unwrap_or(OpenMode::Read);
-                    if !boxes.contains_key(&user) {
-                        if mode == OpenMode::Create || mode == OpenMode::Append {
-                            clock += 1;
-                            next_obj += 1;
-                            boxes.insert(
-                                user.clone(),
-                                Mailbox {
-                                    id: ObjectId(next_obj),
-                                    messages: Vec::new(),
-                                    unread: 0,
-                                    modified: clock,
-                                },
-                            );
-                        } else {
-                            reply_code(ctx, rx, ReplyCode::NotFound);
-                            continue;
-                        }
-                    }
-                    if mode == OpenMode::Read {
-                        // Reading the mailbox marks it read.
-                        if let Some(mb) = boxes.get_mut(&user) {
-                            mb.unread = 0;
-                        }
-                    }
-                    let size = boxes[&user].messages.len() as u64;
-                    let inst = instances.open(rx.from, mode, user);
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_word32(fields::W_SIZE_LO, size as u32)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
-                }
-                Some(RequestCode::QueryObject) => match boxes.get(&user) {
-                    Some(mb) => reply_descriptor(ctx, rx, &mailbox_descriptor(&user, mb, &config)),
-                    None => reply_code(ctx, rx, ReplyCode::NotFound),
-                },
-                Some(RequestCode::RemoveObject) => {
-                    let code = if boxes.remove(&user).is_some() {
-                        ReplyCode::Ok
-                    } else {
-                        ReplyCode::NotFound
-                    };
-                    reply_code(ctx, rx, code);
-                }
-                _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
-            }
-            continue;
+        // Foreign host? Forward to the peer; it re-interprets the whole
+        // name (index unchanged), so the protocol needs no knowledge of
+        // the `@` syntax.
+        if let Some(h) = host.filter(|h| *h != self.config.host.as_bytes()) {
+            return match self
+                .config
+                .peers
+                .iter()
+                .find(|(peer, _)| peer.as_bytes() == h)
+            {
+                Some((_, pid)) => Ok(Answer::Forward {
+                    to: ContextPair::new(*pid, ContextId::DEFAULT),
+                    index: req.index,
+                }),
+                None => Err(ReplyCode::NotFound),
+            };
         }
-        match msg.request_code() {
-            Some(RequestCode::WriteInstance) => {
-                // Delivery: append one message.
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let data = match ctx.move_from(&rx) {
-                    Ok(d) => d,
-                    Err(_) => continue,
-                };
-                let code = match instances.check(id, true) {
-                    Ok(inst) => match boxes.get_mut(&inst.state) {
-                        Some(mb) => {
-                            clock += 1;
-                            mb.messages.extend_from_slice(&data);
-                            mb.messages.push(b'\n');
-                            mb.unread += 1;
-                            mb.modified = clock;
-                            ReplyCode::Ok
-                        }
-                        None => ReplyCode::InvalidInstance,
-                    },
-                    Err(c) => c,
-                };
-                let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
-                reply_data(ctx, rx, m, Vec::new());
-            }
-            Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                let window: Result<Vec<u8>, ReplyCode> =
-                    if let Ok(inst) = instances.check(id, false) {
-                        match boxes.get(&inst.state) {
-                            Some(mb) => serve_read(&mb.messages, offset, count).map(|w| w.to_vec()),
-                            None => Err(ReplyCode::InvalidInstance),
-                        }
-                    } else if let Ok(inst) = dir_instances.check(id, false) {
-                        serve_read(&inst.state, offset, count).map(|w| w.to_vec())
-                    } else {
-                        Err(ReplyCode::InvalidInstance)
-                    };
-                match window {
-                    Ok(w) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
-                        reply_data(ctx, rx, m, w);
-                    }
-                    Err(code) => reply_code(ctx, rx, code),
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance) if user.is_empty() => {
+                // Directory of local mailboxes.
+                let mut b = DirectoryBuilder::new();
+                for (n, mb) in &self.boxes {
+                    b.push(&mailbox_descriptor(n, mb, &self.config));
                 }
+                open_directory(call, instances, b.finish(), ContextId::DEFAULT)
             }
-            Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let code = if instances.release(id).is_some() || dir_instances.release(id).is_some()
-                {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::InvalidInstance
+            Some(RequestCode::CreateInstance) => {
+                let mode = call.msg.mode().unwrap_or(OpenMode::Read);
+                if !self.boxes.contains_key(user) {
+                    if mode != OpenMode::Create && mode != OpenMode::Append {
+                        return Err(ReplyCode::NotFound);
+                    }
+                    self.clock += 1;
+                    self.next_obj += 1;
+                    let mailbox = Mailbox {
+                        id: ObjectId(self.next_obj),
+                        messages: Vec::new(),
+                        unread: 0,
+                        modified: self.clock,
+                    };
+                    self.boxes.insert(user.to_vec(), mailbox);
+                }
+                let Some(mb) = self.boxes.get_mut(user) else {
+                    return Err(ReplyCode::NotFound);
                 };
-                reply_code(ctx, rx, code);
+                if mode == OpenMode::Read {
+                    // Reading the mailbox marks it read.
+                    mb.unread = 0;
+                }
+                let size = mb.messages.len() as u64;
+                let inst = instances.open(call.from, mode, Handle::Object(user.to_vec()));
+                open_reply(call, inst, size)
             }
-            _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+            Some(RequestCode::QueryObject) => match self.boxes.get(user) {
+                Some(mb) => reply_descriptor(&mailbox_descriptor(user, mb, &self.config)),
+                None => Err(ReplyCode::NotFound),
+            },
+            Some(RequestCode::RemoveObject) => match self.boxes.remove(user) {
+                Some(_) => reply(ReplyCode::Ok),
+                None => Err(ReplyCode::NotFound),
+            },
+            _ => Err(ReplyCode::UnknownRequest),
         }
+    }
+
+    fn object(&self, name: &[u8]) -> Option<&[u8]> {
+        self.boxes.get(name).map(|mb| &mb.messages[..])
+    }
+
+    /// Delivery: one write is one message.
+    fn append(&mut self, name: &[u8], data: &[u8]) -> Result<(), ReplyCode> {
+        let mb = self.boxes.get_mut(name).ok_or(ReplyCode::InvalidInstance)?;
+        self.clock += 1;
+        mb.messages.extend_from_slice(data);
+        mb.messages.push(b'\n');
+        mb.unread += 1;
+        mb.modified = self.clock;
+        Ok(())
     }
 }
 

@@ -8,13 +8,12 @@
 //! `Send`) and keeps serving other requests; the eventual `Reply` releases
 //! the reader. No special kernel support is involved.
 
-use crate::common::{count_word, reply_code, reply_data};
-use bytes::Bytes;
+use crate::common::{count_word, open_reply, reply, serve, written, Answer, Call, Handled, Server};
 use std::collections::{BTreeMap, VecDeque};
 use vio::InstanceTable;
-use vkernel::{Ipc, Received};
+use vkernel::Ipc;
 use vnaming::CsRequest;
-use vproto::{fields, InstanceId, Message, OpenMode, ReplyCode, RequestCode, Scope, ServiceId};
+use vproto::{fields, Message, OpenMode, ReplyCode, RequestCode, Scope, ServiceId};
 
 /// Configuration for a [`pipe_server`] process.
 #[derive(Debug, Clone)]
@@ -34,9 +33,9 @@ impl Default for PipeConfig {
     }
 }
 
-/// A blocked reader: the held transaction plus how much it asked for.
+/// A blocked reader: its parked transaction plus how much it asked for.
 struct PendingRead {
-    rx: Received,
+    token: u64,
     count: usize,
 }
 
@@ -69,14 +68,13 @@ struct End {
 }
 
 /// Satisfies as many blocked readers as the buffer (or writer EOF) allows.
-fn drain_pending(ctx: &dyn Ipc, pipe: &mut Pipe) {
+fn drain_pending(call: &mut Call, pipe: &mut Pipe) {
     while !pipe.pending.is_empty() {
         if pipe.buffer.is_empty() {
             if pipe.writers == 0 && pipe.had_writer {
                 // EOF: release every waiter empty-handed.
-                let pending = std::mem::take(&mut pipe.pending);
-                for p in pending {
-                    reply_code(ctx, p.rx, ReplyCode::EndOfFile);
+                for p in std::mem::take(&mut pipe.pending) {
+                    call.resume(p.token, Message::reply(ReplyCode::EndOfFile), Vec::new());
                 }
             }
             return;
@@ -88,8 +86,14 @@ fn drain_pending(ctx: &dyn Ipc, pipe: &mut Pipe) {
         let data: Vec<u8> = pipe.buffer.drain(..take).collect();
         let mut m = Message::ok();
         m.set_word(fields::W_IO_COUNT, count_word(data.len()));
-        reply_data(ctx, p.rx, m, data);
+        call.resume(p.token, m, data);
     }
+}
+
+struct Pipes {
+    pipes: BTreeMap<Vec<u8>, Pipe>,
+    instances: InstanceTable<End>,
+    capacity: usize,
 }
 
 /// Runs a pipe server until the domain shuts down.
@@ -100,142 +104,110 @@ fn drain_pending(ctx: &dyn Ipc, pipe: &mut Pipe) {
 /// last writer releases and the buffer drains. Writes beyond the capacity
 /// are refused with [`ReplyCode::NoServerResources`].
 pub fn pipe_server(ctx: &dyn Ipc, config: PipeConfig) {
-    let mut pipes: BTreeMap<Vec<u8>, Pipe> = BTreeMap::new();
-    let mut instances: InstanceTable<End> = InstanceTable::new();
     ctx.set_pid(ServiceId::PIPE_SERVER, config.scope);
+    serve(
+        ctx,
+        &mut Pipes {
+            pipes: BTreeMap::new(),
+            instances: InstanceTable::new(),
+            capacity: config.capacity,
+        },
+    );
+}
 
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        if msg.is_csname_request() {
-            let payload = match ctx.move_from(&rx) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let req = match CsRequest::parse(&msg, &payload) {
-                Ok(r) => r,
-                Err(code) => {
-                    reply_code(ctx, rx, code);
-                    continue;
+impl Server for Pipes {
+    fn name_op(&mut self, call: &mut Call, req: CsRequest) -> Handled {
+        let name = req.remaining();
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance) => {
+                if name.is_empty() {
+                    return Err(ReplyCode::IllegalName);
                 }
-            };
-            let name = req.remaining().to_vec();
-            match msg.request_code() {
-                Some(RequestCode::CreateInstance) => {
-                    if name.is_empty() {
-                        reply_code(ctx, rx, ReplyCode::IllegalName);
-                        continue;
-                    }
-                    let mode = msg.mode().unwrap_or(OpenMode::Read);
-                    let pipe = pipes.entry(name.clone()).or_insert_with(Pipe::new);
-                    let writer = mode.writes();
-                    if writer {
-                        pipe.writers += 1;
-                        pipe.had_writer = true;
-                    } else {
-                        pipe.readers += 1;
-                    }
-                    let inst = instances.open(rx.from, mode, End { name, writer });
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
+                let mode = call.msg.mode().unwrap_or(OpenMode::Read);
+                let pipe = self.pipes.entry(name.to_vec()).or_insert_with(Pipe::new);
+                let writer = mode.writes();
+                if writer {
+                    pipe.writers += 1;
+                    pipe.had_writer = true;
+                } else {
+                    pipe.readers += 1;
                 }
-                Some(RequestCode::RemoveObject) => {
-                    match pipes.remove(&name) {
-                        Some(mut pipe) => {
-                            pipe.writers = 0;
-                            pipe.had_writer = true; // force EOF for waiters
-                            drain_pending(ctx, &mut pipe);
-                            reply_code(ctx, rx, ReplyCode::Ok);
-                        }
-                        None => reply_code(ctx, rx, ReplyCode::NotFound),
-                    }
-                }
-                _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+                let end = End {
+                    name: name.to_vec(),
+                    writer,
+                };
+                let inst = self.instances.open(call.from, mode, end);
+                open_reply(call, inst, 0)
             }
-            continue;
+            Some(RequestCode::RemoveObject) => {
+                let mut pipe = self.pipes.remove(name).ok_or(ReplyCode::NotFound)?;
+                pipe.writers = 0;
+                pipe.had_writer = true; // force EOF for waiters
+                drain_pending(call, &mut pipe);
+                reply(ReplyCode::Ok)
+            }
+            _ => Err(ReplyCode::UnknownRequest),
         }
-        match msg.request_code() {
+    }
+
+    fn op(&mut self, call: &mut Call) -> Handled {
+        match call.msg.request_code() {
             Some(RequestCode::WriteInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let data = match ctx.move_from(&rx) {
-                    Ok(d) => d,
-                    Err(_) => continue,
-                };
-                let outcome = match instances.check(id, true) {
-                    Ok(inst) => match pipes.get_mut(&inst.state.name) {
-                        Some(pipe) if pipe.buffer.len() + data.len() > config.capacity => {
-                            Err(ReplyCode::NoServerResources)
-                        }
-                        Some(pipe) => {
-                            pipe.buffer.extend(data.iter());
-                            drain_pending(ctx, pipe);
-                            Ok(data.len())
-                        }
-                        None => Err(ReplyCode::InvalidInstance),
-                    },
-                    Err(c) => Err(c),
-                };
-                match outcome {
-                    Ok(n) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, count_word(n));
-                        reply_data(ctx, rx, m, Vec::new());
-                    }
-                    Err(code) => reply_code(ctx, rx, code),
+                let data = call.data()?;
+                let inst = self.instances.check(call.instance(), true)?;
+                let pipe = self
+                    .pipes
+                    .get_mut(&inst.state.name)
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                if pipe.buffer.len() + data.len() > self.capacity {
+                    return Err(ReplyCode::NoServerResources);
                 }
+                pipe.buffer.extend(data.iter());
+                drain_pending(call, pipe);
+                written(data.len())
             }
             Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                let name = match instances.check(id, false) {
-                    Ok(inst) if !inst.state.writer => inst.state.name.clone(),
-                    Ok(_) => {
-                        reply_code(ctx, rx, ReplyCode::BadMode);
-                        continue;
-                    }
-                    Err(c) => {
-                        reply_code(ctx, rx, c);
-                        continue;
-                    }
-                };
-                match pipes.get_mut(&name) {
-                    Some(pipe) => {
-                        // Defer the reply: enqueue, then satisfy whatever is
-                        // possible right now.
-                        pipe.pending.push_back(PendingRead { rx, count });
-                        drain_pending(ctx, pipe);
-                    }
-                    None => reply_code(ctx, rx, ReplyCode::InvalidInstance),
+                let count = usize::from(call.msg.word(fields::W_IO_COUNT));
+                let end = &self.instances.check(call.instance(), false)?.state;
+                if end.writer {
+                    return Err(ReplyCode::BadMode);
                 }
+                let pipe = self
+                    .pipes
+                    .get_mut(&end.name)
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                // Defer the reply: enqueue, then satisfy whatever is
+                // possible right now.
+                pipe.pending.push_back(PendingRead {
+                    token: call.token(),
+                    count,
+                });
+                drain_pending(call, pipe);
+                Ok(Answer::Park)
             }
             Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                match instances.release(id) {
-                    Some(end) => {
-                        if let Some(pipe) = pipes.get_mut(&end.name) {
-                            if end.writer {
-                                pipe.writers = pipe.writers.saturating_sub(1);
-                                drain_pending(ctx, pipe);
-                            } else {
-                                pipe.readers = pipe.readers.saturating_sub(1);
-                            }
-                            if pipe.writers == 0
-                                && pipe.readers == 0
-                                && pipe.buffer.is_empty()
-                                && pipe.pending.is_empty()
-                            {
-                                pipes.remove(&end.name);
-                            }
-                        }
-                        reply_code(ctx, rx, ReplyCode::Ok);
+                let end = self
+                    .instances
+                    .release(call.instance())
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                if let Some(pipe) = self.pipes.get_mut(&end.name) {
+                    if end.writer {
+                        pipe.writers = pipe.writers.saturating_sub(1);
+                        drain_pending(call, pipe);
+                    } else {
+                        pipe.readers = pipe.readers.saturating_sub(1);
                     }
-                    None => reply_code(ctx, rx, ReplyCode::InvalidInstance),
+                    if pipe.writers == 0
+                        && pipe.readers == 0
+                        && pipe.buffer.is_empty()
+                        && pipe.pending.is_empty()
+                    {
+                        self.pipes.remove(&end.name);
+                    }
                 }
+                reply(ReplyCode::Ok)
             }
-            _ => {
-                let _ = ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new());
-            }
+            _ => Err(ReplyCode::UnknownRequest),
         }
     }
 }

@@ -22,28 +22,25 @@
 //! false`) always answer from their table this way and can join a
 //! multicast replica group, which is the client's last-resort fallback.
 
-use crate::common::{count_word, forward_csname, reply_code, reply_data, reply_descriptor};
-use crate::shard::{ShardedTable, Snapshot};
+use crate::common::{
+    count_word, open_directory, read, release, reply, reply_descriptor, serve, Answer, Call,
+    Handle, Handled, Server,
+};
+use crate::shard::ShardedTable;
 use crate::suspect::SuspectSet;
 use crate::sync::{ApplyOutcome, MerkleWalk, SyncTable, TombstoneOutcome};
 use bytes::Bytes;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::convert::Infallible;
 use std::time::Duration;
-use vio::{serve_read, InstanceTable};
-use vkernel::{GroupId, Ipc, Received};
+use vio::InstanceTable;
+use vkernel::{GroupId, Ipc, IpcError};
 use vnaming::{CsRequest, DirectoryBuilder};
 use vproto::{
-    fields, ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, InstanceId, Message,
+    fields, ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, Message,
     ObjectDescriptor, OpenMode, Pid, ReplyCode, RequestCode, ResolveAnswer, ResolveBatchMsg,
     ResolveBatchReply, Scope, ServiceId, SyncBinding, SyncDeltaMsg, SyncDigestMsg, SyncEntry,
     SyncProbeMsg, SyncProbeReply, SyncStatusRec, RESOLVE_NOT_FOUND, RESOLVE_NO_SERVER, RESOLVE_OK,
 };
-
-/// Cap on how many already-queued requests one loop iteration drains into
-/// a resolution burst before replying — bounds the latency a queued
-/// non-resolve request can suffer behind a burst.
-const MAX_RESOLVE_BURST: usize = 64;
 
 /// One prefix table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +203,26 @@ pub fn prefix_footprint_bytes(n_entries: usize, total_name_bytes: usize) -> usiz
         + total_name_bytes
 }
 
+struct PrefixServer {
+    /// The table's shards double as the published view: definitions and
+    /// sync rounds mutate copies of the shards a snapshot still shares, and
+    /// `idle` publishes the table's current shards before the next request
+    /// — resolutions never see a half-applied batch.
+    sharded: ShardedTable,
+    /// Directory listings only: a prefix is not opened for I/O.
+    instances: InstanceTable<Handle<Infallible>>,
+    /// Suspect prefixes, indexed by name and by TTL expiry.
+    suspects: SuspectSet,
+    /// Cumulative anti-entropy bookkeeping, kept in the record `SyncStatus`
+    /// reports it in; the table-derived fields are filled in at reply time.
+    counters: SyncStatusRec,
+    degraded: Option<DegradedPrefixConfig>,
+    authoritative: bool,
+    /// The prefix of the request forwarded last, and its entry: what the
+    /// kernel's verdict on that forward is about.
+    forwarding: Option<(Vec<u8>, PrefixTarget)>,
+}
+
 /// Runs a context prefix server until the domain shuts down.
 ///
 /// Implements the optional add/delete context-name operations (paper §5.7),
@@ -239,153 +256,191 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
             table.preload(name, b);
         }
     }
-    // The table's shards double as the published view: definitions and
-    // sync rounds mutate copies of the shards a snapshot still shares, and
-    // the loop publishes the table's current shards before serving the
-    // next request — resolutions never see a half-applied batch.
-    let mut sharded = ShardedTable::from_table(table);
-    let mut instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    // Suspect prefixes, indexed by name and by TTL expiry.
-    let mut suspects = SuspectSet::default();
-    // Cumulative anti-entropy bookkeeping, kept in the record `SyncStatus`
-    // reports it in; the table-derived fields are filled in at reply time.
-    let mut counters = SyncStatusRec::default();
-    // Requests drained by a resolution burst that turned out not to be
-    // resolutions themselves; served in order before blocking again.
-    let mut queued: VecDeque<Received> = VecDeque::new();
+    let mut server = PrefixServer {
+        sharded: ShardedTable::from_table(table),
+        instances: InstanceTable::new(),
+        suspects: SuspectSet::default(),
+        counters: SyncStatusRec::default(),
+        degraded: config.degraded,
+        authoritative,
+        forwarding: None,
+    };
     ctx.set_pid(ServiceId::CONTEXT_PREFIX, config.scope);
     if let Some(group) = config.degraded.and_then(|d| d.replica_group) {
         let _ = ctx.join_group(group);
     }
+    serve(ctx, &mut server);
+}
 
-    loop {
-        // Publish any table mutations from the previous iteration before
-        // blocking: either the whole batch of a sync round becomes visible
-        // or none of it does, so a reader can never observe a half-applied
-        // round. A no-op (and no allocation) when nothing changed.
-        sharded.publish();
-        let rx = match queued.pop_front() {
-            Some(rx) => rx,
-            None => match ctx.receive() {
-                Ok(rx) => rx,
-                Err(_) => break,
-            },
+impl Server for PrefixServer {
+    /// Publishes any table mutations from the previous request before
+    /// blocking: either the whole batch of a sync round becomes visible or
+    /// none of it does, so a reader can never observe a half-applied round.
+    /// A no-op (and no allocation) when nothing changed.
+    fn idle(&mut self) {
+        self.sharded.publish();
+    }
+
+    /// Sweeps expired suspicions on every request — a suspicion whose TTL
+    /// elapsed must clear even if no query for that prefix ever arrives
+    /// again (any message wakes the sweep). The TTL-ordered index pops
+    /// exactly the expired entries: O(expired), not O(armed).
+    fn arrived(&mut self, ctx: &dyn Ipc) {
+        let now_ns = ctx.now().as_nanos() as u64;
+        self.counters.suspects_expired += self.suspects.expire(now_ns);
+    }
+
+    /// Routes a CSname request: a definition, an operation on the prefix
+    /// context itself, or — the hot path — a forward through the table.
+    fn name_op(&mut self, call: &mut Call, req: CsRequest) -> Handled {
+        let ctx = call.ctx;
+        let msg = call.msg;
+        let remaining = req.remaining();
+        // Add/delete with a bracketed name and a nonempty remainder are
+        // meant for the server behind the prefix (e.g. creating a
+        // cross-server link in a file server directory) — those fall
+        // through to forwarding below.
+        let op = msg.request_code();
+        let is_definition = matches!(
+            op,
+            Some(RequestCode::AddContextName) | Some(RequestCode::DeleteContextName)
+        ) && match CsName::from(remaining).parse_prefix() {
+            Some(p) => remaining[p.rest_index..].is_empty(),
+            None => true,
         };
-        let msg = rx.msg;
-        // Sweep expired suspicions on every iteration — a suspicion whose
-        // TTL elapsed must clear even if no query for that prefix ever
-        // arrives again (any message wakes the sweep). The TTL-ordered
-        // index pops exactly the expired entries: O(expired), not O(armed).
-        {
-            let now_ns = ctx.now().as_nanos() as u64;
-            counters.suspects_expired += suspects.expire(now_ns);
-        }
-        if msg.is_csname_request() {
-            let payload = match ctx.move_from(&rx) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let req = match CsRequest::parse(&msg, &payload) {
-                Ok(r) => r,
-                Err(code) => {
-                    reply_code(ctx, rx, code);
-                    continue;
+        match op {
+            Some(RequestCode::AddContextName) if is_definition => {
+                // The optional definition operation (paper §5.7): bind a
+                // prefix to an existing context.
+                let name = strip_brackets(remaining).to_vec();
+                if name.is_empty() || name.contains(&b'[') || name.contains(&b']') {
+                    return Err(ReplyCode::IllegalName);
                 }
-            };
-            handle_csname(
-                ctx,
-                rx,
-                &mut sharded,
-                &mut instances,
-                req,
-                config.degraded,
-                &mut suspects,
-                &mut counters,
-            );
-            continue;
-        }
-        match msg.request_code() {
-            Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                match instances
-                    .check(id, false)
-                    .and_then(|inst| serve_read(&inst.state, offset, count))
-                {
-                    Ok(window) => {
-                        let window = window.to_vec();
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, count_word(window.len()));
-                        reply_data(ctx, rx, m, window);
+                let target = if msg.word(fields::W_LOGICAL) != 0 {
+                    PrefixTarget::Logical {
+                        service: ServiceId::new(msg.word32(fields::W_TARGET_PID_LO)),
+                        context: ContextId::new(msg.word32(fields::W_TARGET_CTX_LO)),
                     }
-                    Err(code) => reply_code(ctx, rx, code),
+                } else {
+                    PrefixTarget::Direct(ContextPair::new(
+                        msg.pid_at(fields::W_TARGET_PID_LO),
+                        ContextId::new(msg.word32(fields::W_TARGET_CTX_LO)),
+                    ))
+                };
+                let now_ns = ctx.now().as_nanos() as u64;
+                let table = self.sharded.table_mut();
+                table.define(name, target.to_binding(), now_ns);
+                return reply(ReplyCode::Ok);
+            }
+            Some(RequestCode::DeleteContextName) if is_definition => {
+                // Deletion is a stamped tombstone, not a removal: sync
+                // rounds must propagate the delete rather than resurrect the
+                // binding. A name this table never held is a no-op —
+                // nothing to propagate, and stamping anyway would grow the
+                // table without bound under delete-of-unknown churn.
+                let name = strip_brackets(remaining);
+                let now_ns = ctx.now().as_nanos() as u64;
+                return match self.sharded.table_mut().tombstone(name, now_ns) {
+                    TombstoneOutcome::DroppedLive => reply(ReplyCode::Ok),
+                    TombstoneOutcome::AlreadyDead | TombstoneOutcome::Unknown => {
+                        Err(ReplyCode::NotFound)
+                    }
+                };
+            }
+            _ => {}
+        }
+
+        if remaining.is_empty() {
+            // The name denotes the prefix context itself.
+            return self.own_context(call, &req);
+        }
+        let (prefix, rest_index) = match CsName::from(remaining).parse_prefix() {
+            Some(p) => (p.prefix.to_vec(), p.rest_index),
+            // Not a bracketed name: this server defines no other bindings.
+            None => return Err(ReplyCode::IllegalName),
+        };
+
+        // The measured cost of the paper's §6 table lives here: parsing the
+        // prefix, scanning the table, rewriting and forwarding the message.
+        if let Some(net) = ctx.net() {
+            ctx.charge(net.params().t_prefix_processing);
+        }
+
+        // The hot path reads the published snapshot — one hashed probe of an
+        // immutable shard. A tombstone answers like a miss.
+        let entry = self
+            .sharded
+            .snapshot()
+            .lookup(&prefix)
+            .ok_or(ReplyCode::NotFound)?;
+        let target = PrefixTarget::from_binding(&entry.binding);
+
+        let binding_query =
+            op == Some(RequestCode::QueryName) && remaining[rest_index..].is_empty();
+        if binding_query {
+            self.counters.binding_queries += 1;
+        }
+
+        // Degraded-mode resolution: a bare-prefix `QueryName` asks only for
+        // the binding, which this table already knows. While the bound host
+        // is suspect (a recent forward timed out — unreachable, not
+        // necessarily dead), or always on a non-authoritative replica,
+        // answer it from the table with the staleness flag set instead of
+        // burning another retransmission ladder. Only direct entries
+        // qualify: a logical entry's authority is `GetPid`, which has its
+        // own recovery. An entry the authority has vouched for (verified,
+        // no suspicion armed) answers *fresh*: anti-entropy is what lets a
+        // replica hand out first-class bindings without a probe to the
+        // authority.
+        if let Some(d) = self.degraded {
+            let now_ns = ctx.now().as_nanos() as u64;
+            let suspect_armed = self.suspects.is_armed(&prefix, now_ns);
+            if binding_query && (suspect_armed || !d.authoritative) {
+                if let PrefixTarget::Direct(pair) = target {
+                    let staleness = u16::from(!entry.verified || suspect_armed);
+                    let mut m = Message::ok();
+                    m.set_context_id(pair.context);
+                    m.set_pid_at(fields::W_PID_LO, pair.server);
+                    m.set_word(fields::W_STALENESS, staleness);
+                    return Ok(Answer::Reply(m));
                 }
             }
-            Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let code = if instances.release(id).is_some() {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::InvalidInstance
-                };
-                reply_code(ctx, rx, code);
-            }
+        }
+
+        let to = target.locate(ctx).ok_or(ReplyCode::NoServer)?;
+        let index = req.index + rest_index;
+        self.forwarding = Some((prefix, target));
+        Ok(Answer::Forward { to, index })
+    }
+
+    fn op(&mut self, call: &mut Call) -> Handled {
+        let ctx = call.ctx;
+        let msg = call.msg;
+        match msg.request_code() {
+            Some(RequestCode::ReadInstance) => read(call, &self.instances, |n| match *n {}),
+            Some(RequestCode::ReleaseInstance) => release(call, &mut self.instances),
             Some(RequestCode::GetContextName) => {
                 // Inverse mapping: (server, context) → "[prefix]" (§5.7).
                 let server = msg.pid_at(fields::W_TARGET_PID_LO);
                 let target_ctx = ContextId::new(msg.word32(fields::W_TARGET_CTX_LO));
                 let looking_for = ContextPair::new(server, target_ctx);
-                let found = sharded.table().live_iter().find_map(|(name, b, _)| {
+                let found = self.sharded.table().live_iter().find_map(|(name, b, _)| {
                     match PrefixTarget::from_binding(b) {
                         PrefixTarget::Direct(pair) if pair == looking_for => Some(name.to_vec()),
                         _ => None,
                     }
                 });
-                match found {
-                    Some(name) => {
-                        let mut out = Vec::with_capacity(name.len() + 2);
-                        out.push(b'[');
-                        out.extend_from_slice(&name);
-                        out.push(b']');
-                        reply_data(ctx, rx, Message::ok(), out);
-                    }
-                    // Paper §6: "there is no guarantee that there is an
-                    // inverse mapping".
-                    None => reply_code(ctx, rx, ReplyCode::NotFound),
-                }
+                // Paper §6: "there is no guarantee that there is an inverse
+                // mapping".
+                let name = found.ok_or(ReplyCode::NotFound)?;
+                let mut out = Vec::with_capacity(name.len() + 2);
+                out.push(b'[');
+                out.extend_from_slice(&name);
+                out.push(b']');
+                Ok(Answer::Data(Message::ok(), out))
             }
-            Some(RequestCode::Echo) => {
-                let _ = ctx.reply(rx, msg, Bytes::new());
-            }
-            Some(RequestCode::ResolveBatch) => {
-                // Resolve a batch of bare prefixes against ONE published
-                // snapshot. Any further `ResolveBatch` requests already
-                // sitting in the mailbox join the burst (up to a cap) and
-                // are served from the same snapshot; the first non-resolve
-                // request drained ends the burst and is queued for the
-                // next iteration, so ordering for mutations is preserved.
-                let mut burst = vec![rx];
-                while burst.len() < MAX_RESOLVE_BURST {
-                    match ctx.try_receive() {
-                        Ok(Some(drained))
-                            if drained.msg.request_code() == Some(RequestCode::ResolveBatch) =>
-                        {
-                            burst.push(drained);
-                        }
-                        Ok(Some(drained)) => {
-                            queued.push_back(drained);
-                            break;
-                        }
-                        Ok(None) | Err(_) => break,
-                    }
-                }
-                let snap = sharded.snapshot();
-                let now_ns = ctx.now().as_nanos() as u64;
-                for rx in burst {
-                    serve_resolve_batch(ctx, rx, &snap, &suspects, now_ns, &mut counters);
-                }
-            }
+            Some(RequestCode::Echo) => Ok(Answer::Reply(msg)),
+            Some(RequestCode::ResolveBatch) => self.resolve_batch(call),
             Some(RequestCode::SyncPull) => {
                 // One anti-entropy round against the configured authority:
                 // digest out, delta back, apply atomically. A successful
@@ -396,86 +451,68 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 // and a replica group is configured, fall back to one
                 // gossip round against a peer replica — adopted entries
                 // stay Suspect and the watermark does not move.
-                let Some((d, peer)) = config.degraded.and_then(|d| Some((d, d.sync_peer?))) else {
-                    reply_code(ctx, rx, ReplyCode::NoServer);
-                    continue;
-                };
-                let table = sharded.table_mut();
+                let (d, peer) = self
+                    .degraded
+                    .and_then(|d| Some((d, d.sync_peer?)))
+                    .ok_or(ReplyCode::NoServer)?;
+                let counters = &mut self.counters;
+                let table = self.sharded.table_mut();
                 let applied =
-                    authority_round(ctx, table, peer, d.flat_sync, &mut counters, &mut suspects)
+                    authority_round(ctx, table, peer, d.flat_sync, counters, &mut self.suspects)
                         .map(|out| (out, false))
                         .or_else(|| {
-                            let out = gossip_round(
-                                ctx,
-                                table,
-                                d.replica_group?,
-                                d.flat_sync,
-                                &mut counters,
-                            )?;
+                            let group = d.replica_group?;
+                            let out = gossip_round(ctx, table, group, d.flat_sync, counters)?;
                             Some((out, true))
                         });
-                match applied {
-                    Some((out, via_gossip)) => {
-                        let m = round_reply(out, sharded.table(), via_gossip);
-                        reply_data(ctx, rx, m, Vec::new());
-                    }
-                    // Nothing was applied: the round is atomic, the peer
-                    // just wasn't reachable this time. That is a transient
-                    // condition, so answer `Retry` — `NoServer` is reserved
-                    // for anti-entropy not being configured at all.
-                    None => reply_code(ctx, rx, ReplyCode::Retry),
-                }
+                // Nothing was applied: the round is atomic, the peer just
+                // wasn't reachable this time. That is a transient condition,
+                // so answer `Retry` — `NoServer` is reserved for
+                // anti-entropy not being configured at all.
+                let (out, via_gossip) = applied.ok_or(ReplyCode::Retry)?;
+                Ok(Answer::Reply(round_reply(
+                    out,
+                    self.sharded.table(),
+                    via_gossip,
+                )))
             }
             Some(RequestCode::SyncGossip) => {
-                let phase = msg.word(fields::W_SYNC_PHASE);
-                if phase == 1 {
+                if msg.word(fields::W_SYNC_PHASE) == 1 {
                     // Probe (multicast on the replica group): group replies
                     // carry no payload, so just volunteer this server's pid
                     // — the prober runs the digest round unicast.
                     let mut m = Message::ok();
                     m.set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    let _ = ctx.reply(rx, m, Bytes::new());
-                    continue;
+                    return Ok(Answer::Reply(m));
                 }
                 // Trigger (unicast): run one gossip round now.
-                let Some((d, group)) = config.degraded.and_then(|d| Some((d, d.replica_group?)))
-                else {
-                    reply_code(ctx, rx, ReplyCode::NoServer);
-                    continue;
-                };
-                match gossip_round(ctx, sharded.table_mut(), group, d.flat_sync, &mut counters) {
-                    Some(out) => {
-                        let m = round_reply(out, sharded.table(), true);
-                        reply_data(ctx, rx, m, Vec::new());
-                    }
-                    // Transient: no peer answered this round's probe.
-                    None => reply_code(ctx, rx, ReplyCode::Retry),
-                }
+                let (d, group) = self
+                    .degraded
+                    .and_then(|d| Some((d, d.replica_group?)))
+                    .ok_or(ReplyCode::NoServer)?;
+                let table = self.sharded.table_mut();
+                // `Retry`: transient, no peer answered this round's probe.
+                let out = gossip_round(ctx, table, group, d.flat_sync, &mut self.counters)
+                    .ok_or(ReplyCode::Retry)?;
+                Ok(Answer::Reply(round_reply(out, self.sharded.table(), true)))
             }
             Some(RequestCode::SyncDigest) => {
-                let payload = match ctx.move_from(&rx) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                match SyncDigestMsg::decode(&payload) {
-                    Ok(digest) => {
-                        // The flat-digest oracle's responder: the digest
-                        // doubles as the sender's watermark ack, exactly
-                        // as a probe does on the Merkle path.
-                        let now_ns = ctx.now().as_nanos() as u64;
-                        let (delta, gc_dropped) = sharded.table_mut().answer_digest(
-                            &digest,
-                            authoritative,
-                            Some(rx.from.raw()),
-                            now_ns,
-                        );
-                        counters.gc_dropped += gc_dropped;
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_COUNT, count_word(delta.entries.len()));
-                        reply_data(ctx, rx, m, delta.encode());
-                    }
-                    Err(_) => reply_code(ctx, rx, ReplyCode::BadArgs),
-                }
+                let payload = call.data()?;
+                let digest = SyncDigestMsg::decode(&payload).map_err(|_| ReplyCode::BadArgs)?;
+                // The flat-digest oracle's responder: the digest doubles as
+                // the sender's watermark ack, exactly as a probe does on the
+                // Merkle path.
+                let now_ns = ctx.now().as_nanos() as u64;
+                let (delta, gc_dropped) = self.sharded.table_mut().answer_digest(
+                    &digest,
+                    self.authoritative,
+                    Some(call.from.raw()),
+                    now_ns,
+                );
+                self.counters.gc_dropped += gc_dropped;
+                let mut m = Message::ok();
+                m.set_word(fields::W_SYNC_COUNT, count_word(delta.entries.len()));
+                Ok(Answer::Data(m, delta.encode()))
             }
             Some(RequestCode::SyncProbe) => {
                 // One step of a puller's Merkle walk. The responder's role
@@ -486,97 +523,169 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
                 // the same state one digest would), then answers child
                 // hashes for the probed interior nodes and the delta for
                 // the probed leaf buckets.
-                let payload = match ctx.move_from(&rx) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                match SyncProbeMsg::decode(&payload) {
-                    Ok(probe) => {
-                        let now_ns = ctx.now().as_nanos() as u64;
-                        let (reply, gc_dropped) = sharded.table_mut().answer_probe(
-                            &probe,
-                            authoritative,
-                            Some(rx.from.raw()),
-                            now_ns,
-                        );
-                        counters.gc_dropped += gc_dropped;
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_SYNC_COUNT, count_word(reply.entries.len()))
-                            .set_word(fields::W_SYNC_NODES, count_word(reply.nodes.len()));
-                        reply_data(ctx, rx, m, reply.encode());
-                    }
-                    Err(_) => reply_code(ctx, rx, ReplyCode::BadArgs),
-                }
+                let payload = call.data()?;
+                let probe = SyncProbeMsg::decode(&payload).map_err(|_| ReplyCode::BadArgs)?;
+                let now_ns = ctx.now().as_nanos() as u64;
+                let (reply, gc_dropped) = self.sharded.table_mut().answer_probe(
+                    &probe,
+                    self.authoritative,
+                    Some(call.from.raw()),
+                    now_ns,
+                );
+                self.counters.gc_dropped += gc_dropped;
+                let mut m = Message::ok();
+                m.set_word(fields::W_SYNC_COUNT, count_word(reply.entries.len()))
+                    .set_word(fields::W_SYNC_NODES, count_word(reply.nodes.len()));
+                Ok(Answer::Data(m, reply.encode()))
             }
             Some(RequestCode::SyncStatus) => {
-                let table = sharded.table_mut();
+                let table = self.sharded.table_mut();
                 let rec = SyncStatusRec {
                     epoch: table.max_epoch(),
                     live_entries: table.live_len() as u32,
                     tombstones: table.tombstone_len() as u32,
-                    suspects: suspects.len() as u32,
+                    suspects: self.suspects.len() as u32,
                     table_hash: table.table_hash(),
                     watermark: table.watermark(),
                     gc_horizon: table.gc_horizon(),
-                    ..counters
+                    ..self.counters
                 };
-                reply_data(ctx, rx, Message::ok(), rec.encode());
+                Ok(Answer::Data(Message::ok(), rec.encode()))
             }
-            _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+            _ => Err(ReplyCode::UnknownRequest),
+        }
+    }
+
+    fn forwarded(&mut self, ctx: &dyn Ipc, verdict: Result<(), IpcError>) {
+        let Some((prefix, target)) = self.forwarding.take() else {
+            return;
+        };
+        match verdict {
+            Err(IpcError::NoProcess) => {
+                // The bound server is permanently gone (not a transient loss
+                // timeout): a direct entry is now a stale binding, so
+                // tombstone it — the next definition re-binds, and sync
+                // rounds propagate the removal. Logical entries stay; they
+                // re-resolve via `GetPid` and survive restarts by design.
+                if matches!(target, PrefixTarget::Direct(_)) {
+                    let now_ns = ctx.now().as_nanos() as u64;
+                    self.sharded.table_mut().tombstone(&prefix, now_ns);
+                }
+            }
+            Err(IpcError::Timeout) => {
+                // The bound host did not answer the kernel's full ladder: it
+                // may be alive yet unreachable (a partition). Arm a suspicion
+                // so binding queries are served degraded until the TTL
+                // expires — then the next request probes again. The *current*
+                // request is already resolved as a timeout for its sender;
+                // the client's retry is what lands on the degraded path.
+                if let Some(d) = self.degraded {
+                    let until = ctx.now() + d.suspect_ttl;
+                    self.suspects.arm(prefix, until.as_nanos() as u64);
+                }
+            }
+            // The path works again; any armed suspicion is disproved.
+            Ok(()) => self.suspects.disarm(&prefix),
+            Err(_) => {}
         }
     }
 }
 
-/// Answers one `ResolveBatch` request from a published snapshot.
-///
-/// Every name in the batch (and every request in a drained burst sharing
-/// `snap`) is resolved against the same immutable snapshot, so the whole
-/// batch observes one internally consistent table state. The batched
-/// probe walks the names shard by shard ([`Snapshot::resolve_batch`]), so
-/// a burst touches each shard's map once while it is cache-hot.
-fn serve_resolve_batch(
-    ctx: &dyn Ipc,
-    rx: Received,
-    snap: &Arc<Snapshot>,
-    suspects: &SuspectSet,
-    now_ns: u64,
-    counters: &mut SyncStatusRec,
-) {
-    let payload = match ctx.move_from(&rx) {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    let batch = match ResolveBatchMsg::decode(&payload) {
-        Ok(b) => b,
-        Err(_) => return reply_code(ctx, rx, ReplyCode::BadArgs),
-    };
-    counters.binding_queries += batch.names.len() as u32;
-    let refs: Vec<&[u8]> = batch.names.iter().map(Vec::as_slice).collect();
-    let answers: Vec<ResolveAnswer> = snap
-        .resolve_batch(&refs)
-        .into_iter()
-        .zip(&batch.names)
-        .map(|(hit, name)| {
-            let answer = |status, pid, context, staleness| ResolveAnswer {
-                status,
-                pid,
-                context,
-                staleness,
-            };
-            let Some(entry) = hit else {
-                return answer(RESOLVE_NOT_FOUND, 0, 0, 0);
-            };
-            let staleness = u16::from(!entry.verified || suspects.is_armed(name, now_ns));
-            match PrefixTarget::from_binding(&entry.binding).locate(ctx) {
-                Some(to) => answer(RESOLVE_OK, to.server.raw(), to.context.raw(), staleness),
-                None => answer(RESOLVE_NO_SERVER, 0, 0, staleness),
+impl PrefixServer {
+    /// Answers one `ResolveBatch` request from the published snapshot.
+    ///
+    /// Every name in the batch is resolved against the same immutable
+    /// snapshot, so the whole batch observes one internally consistent
+    /// table state. The batched probe walks the names shard by shard
+    /// ([`crate::shard::Snapshot::resolve_batch`]), touching each shard's
+    /// map once while it is cache-hot.
+    fn resolve_batch(&mut self, call: &Call) -> Handled {
+        let ctx = call.ctx;
+        let snap = self.sharded.snapshot();
+        let now_ns = ctx.now().as_nanos() as u64;
+        let payload = call.data()?;
+        let batch = ResolveBatchMsg::decode(&payload).map_err(|_| ReplyCode::BadArgs)?;
+        self.counters.binding_queries += batch.names.len() as u32;
+        let refs: Vec<&[u8]> = batch.names.iter().map(Vec::as_slice).collect();
+        let answers: Vec<ResolveAnswer> = snap
+            .resolve_batch(&refs)
+            .into_iter()
+            .zip(&batch.names)
+            .map(|(hit, name)| {
+                let answer = |status, pid, context, staleness| ResolveAnswer {
+                    status,
+                    pid,
+                    context,
+                    staleness,
+                };
+                let Some(entry) = hit else {
+                    return answer(RESOLVE_NOT_FOUND, 0, 0, 0);
+                };
+                let staleness = u16::from(!entry.verified || self.suspects.is_armed(name, now_ns));
+                match PrefixTarget::from_binding(&entry.binding).locate(ctx) {
+                    Some(to) => answer(RESOLVE_OK, to.server.raw(), to.context.raw(), staleness),
+                    None => answer(RESOLVE_NO_SERVER, 0, 0, staleness),
+                }
+            })
+            .collect();
+        let reply = ResolveBatchReply { answers };
+        let mut m = Message::ok();
+        m.set_word(fields::W_SYNC_COUNT, count_word(reply.answers.len()));
+        Ok(Answer::Data(m, reply.encode()))
+    }
+
+    /// Operations on the prefix server's own (single) context: directory
+    /// listing, query, mapping.
+    fn own_context(&mut self, call: &mut Call, req: &CsRequest) -> Handled {
+        let table = self.sharded.table();
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance)
+                if matches!(
+                    call.msg.mode(),
+                    Some(OpenMode::Directory) | Some(OpenMode::Read)
+                ) =>
+            {
+                let mut b = if req.extra.is_empty() {
+                    DirectoryBuilder::new()
+                } else {
+                    DirectoryBuilder::with_pattern(req.extra.clone())
+                };
+                for (name, binding, _) in table.live_iter() {
+                    let (pair, logical) = match PrefixTarget::from_binding(binding) {
+                        PrefixTarget::Direct(pair) => (pair, 0u32),
+                        PrefixTarget::Logical { service, context } => {
+                            (ContextPair::new(Pid::NULL, context), service.raw())
+                        }
+                    };
+                    let d = ObjectDescriptor::new(
+                        DescriptorTag::ContextPrefix,
+                        CsName::from(name.to_vec()),
+                    )
+                    .with_ext(DescriptorExt::ContextPrefix {
+                        target: pair,
+                        logical_service: logical,
+                    });
+                    b.push(&d);
+                }
+                open_directory(call, &mut self.instances, b.finish(), ContextId::DEFAULT)
             }
-        })
-        .collect();
-    let reply = ResolveBatchReply { answers };
-    let mut m = Message::ok();
-    m.set_word(fields::W_SYNC_COUNT, count_word(reply.answers.len()));
-    reply_data(ctx, rx, m, reply.encode());
+            Some(RequestCode::QueryName) => {
+                let mut m = Message::ok();
+                m.set_context_id(ContextId::DEFAULT);
+                m.set_pid_at(fields::W_PID_LO, call.ctx.my_pid());
+                Ok(Answer::Reply(m))
+            }
+            Some(RequestCode::QueryObject) => reply_descriptor(
+                &ObjectDescriptor::new(DescriptorTag::Directory, CsName::from("[]"))
+                    .with_size(table.live_len() as u64)
+                    .with_ext(DescriptorExt::Directory {
+                        context: ContextId::DEFAULT,
+                        entries: table.live_len() as u32,
+                    }),
+            ),
+            _ => Err(ReplyCode::UnknownRequest),
+        }
+    }
 }
 
 /// One pull round against the configured authority: fetch the delta, then
@@ -707,239 +816,5 @@ fn strip_brackets(name: &[u8]) -> &[u8] {
         &name[1..name.len() - 1]
     } else {
         name
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_csname(
-    ctx: &dyn Ipc,
-    rx: Received,
-    sharded: &mut ShardedTable,
-    instances: &mut InstanceTable<Vec<u8>>,
-    req: CsRequest,
-    degraded: Option<DegradedPrefixConfig>,
-    suspects: &mut SuspectSet,
-    counters: &mut SyncStatusRec,
-) {
-    let msg = rx.msg;
-    // Add/delete with a bracketed name and a nonempty remainder are meant
-    // for the server behind the prefix (e.g. creating a cross-server link
-    // in a file server directory) — those fall through to forwarding below.
-    let is_definition = matches!(
-        msg.request_code(),
-        Some(RequestCode::AddContextName) | Some(RequestCode::DeleteContextName)
-    ) && match CsName::from(req.remaining()).parse_prefix() {
-        Some(p) => req.remaining()[p.rest_index..].is_empty(),
-        None => true,
-    };
-    match msg.request_code() {
-        Some(RequestCode::AddContextName) if !is_definition => {}
-        Some(RequestCode::DeleteContextName) if !is_definition => {}
-        Some(RequestCode::AddContextName) => {
-            // The optional definition operation (paper §5.7): bind a prefix
-            // to an existing context.
-            let name = strip_brackets(req.remaining()).to_vec();
-            if name.is_empty() || name.contains(&b'[') || name.contains(&b']') {
-                return reply_code(ctx, rx, ReplyCode::IllegalName);
-            }
-            let target = if msg.word(fields::W_LOGICAL) != 0 {
-                PrefixTarget::Logical {
-                    service: ServiceId::new(msg.word32(fields::W_TARGET_PID_LO)),
-                    context: ContextId::new(msg.word32(fields::W_TARGET_CTX_LO)),
-                }
-            } else {
-                PrefixTarget::Direct(ContextPair::new(
-                    msg.pid_at(fields::W_TARGET_PID_LO),
-                    ContextId::new(msg.word32(fields::W_TARGET_CTX_LO)),
-                ))
-            };
-            let now_ns = ctx.now().as_nanos() as u64;
-            sharded
-                .table_mut()
-                .define(name, target.to_binding(), now_ns);
-            reply_code(ctx, rx, ReplyCode::Ok);
-            return;
-        }
-        Some(RequestCode::DeleteContextName) => {
-            // Deletion is a stamped tombstone, not a removal: sync rounds
-            // must propagate the delete rather than resurrect the binding.
-            // A name this table never held is a no-op — nothing to
-            // propagate, and stamping anyway would grow the table without
-            // bound under delete-of-unknown churn.
-            let name = strip_brackets(req.remaining()).to_vec();
-            let now_ns = ctx.now().as_nanos() as u64;
-            let code = match sharded.table_mut().tombstone(&name, now_ns) {
-                TombstoneOutcome::DroppedLive => ReplyCode::Ok,
-                TombstoneOutcome::AlreadyDead | TombstoneOutcome::Unknown => ReplyCode::NotFound,
-            };
-            reply_code(ctx, rx, code);
-            return;
-        }
-        _ => {}
-    }
-
-    let remaining = req.remaining();
-    if remaining.is_empty() {
-        // The name denotes the prefix context itself.
-        return handle_own_context(ctx, rx, sharded.table(), instances, &req);
-    }
-    let parsed = match CsName::from(remaining).parse_prefix() {
-        Some(p) => (p.prefix.to_vec(), p.rest_index),
-        None => {
-            // Not a bracketed name: this server defines no other bindings.
-            return reply_code(ctx, rx, ReplyCode::IllegalName);
-        }
-    };
-    let (prefix, rest_index) = parsed;
-
-    // The measured cost of the paper's §6 table lives here: parsing the
-    // prefix, scanning the table, rewriting and forwarding the message.
-    if let Some(net) = ctx.net() {
-        ctx.charge(net.params().t_prefix_processing);
-    }
-
-    // The hot path reads the published snapshot — one hashed probe of an
-    // immutable shard. A tombstone answers like a miss.
-    let Some(entry) = sharded.snapshot().lookup(&prefix) else {
-        return reply_code(ctx, rx, ReplyCode::NotFound);
-    };
-    let target = PrefixTarget::from_binding(&entry.binding);
-
-    let binding_query =
-        msg.request_code() == Some(RequestCode::QueryName) && remaining[rest_index..].is_empty();
-    if binding_query {
-        counters.binding_queries += 1;
-    }
-
-    // Degraded-mode resolution: a bare-prefix `QueryName` asks only for
-    // the binding, which this table already knows. While the bound host
-    // is suspect (a recent forward timed out — unreachable, not
-    // necessarily dead), or always on a non-authoritative replica, answer
-    // it from the table with the staleness flag set instead of burning
-    // another retransmission ladder. Only direct entries qualify: a
-    // logical entry's authority is `GetPid`, which has its own recovery.
-    // An entry the authority has vouched for (verified, no suspicion
-    // armed) answers *fresh*: anti-entropy is what lets a replica hand
-    // out first-class bindings without a probe to the authority.
-    if let Some(d) = degraded {
-        let now_ns = ctx.now().as_nanos() as u64;
-        let suspect_armed = suspects.is_armed(&prefix, now_ns);
-        if binding_query && (suspect_armed || !d.authoritative) {
-            if let PrefixTarget::Direct(pair) = target {
-                let staleness = if entry.verified && !suspect_armed {
-                    0
-                } else {
-                    1
-                };
-                let mut m = Message::ok();
-                m.set_context_id(pair.context);
-                m.set_pid_at(fields::W_PID_LO, pair.server);
-                m.set_word(fields::W_STALENESS, staleness);
-                return reply_data(ctx, rx, m, Vec::new());
-            }
-        }
-    }
-
-    let Some(to) = target.locate(ctx) else {
-        return reply_code(ctx, rx, ReplyCode::NoServer);
-    };
-    let absolute_index = req.index + rest_index;
-    match forward_csname(ctx, rx, to.server, to.context, absolute_index) {
-        Err(vkernel::IpcError::NoProcess) => {
-            // The bound server is permanently gone (not a transient loss
-            // timeout): a direct entry is now a stale binding, so
-            // tombstone it — the next definition re-binds, and sync
-            // rounds propagate the removal. Logical entries stay; they
-            // re-resolve via `GetPid` and survive restarts by design.
-            if matches!(target, PrefixTarget::Direct(_)) {
-                let now_ns = ctx.now().as_nanos() as u64;
-                sharded.table_mut().tombstone(&prefix, now_ns);
-            }
-        }
-        Err(vkernel::IpcError::Timeout) => {
-            // The bound host did not answer the kernel's full ladder: it
-            // may be alive yet unreachable (a partition). Arm a suspicion
-            // so binding queries are served degraded until the TTL
-            // expires — then the next request probes again. The *current*
-            // request is already resolved as a timeout for its sender;
-            // the client's retry is what lands on the degraded path.
-            if let Some(d) = degraded {
-                let until = ctx.now() + d.suspect_ttl;
-                suspects.arm(prefix, until.as_nanos() as u64);
-            }
-        }
-        Ok(()) => {
-            // The path works again; any armed suspicion is disproved.
-            suspects.disarm(&prefix);
-        }
-        Err(_) => {}
-    }
-}
-
-/// Operations on the prefix server's own (single) context: directory
-/// listing, query, mapping.
-fn handle_own_context(
-    ctx: &dyn Ipc,
-    rx: Received,
-    table: &SyncTable,
-    instances: &mut InstanceTable<Vec<u8>>,
-    req: &CsRequest,
-) {
-    let msg = rx.msg;
-    match msg.request_code() {
-        Some(RequestCode::CreateInstance)
-            if matches!(msg.mode(), Some(OpenMode::Directory) | Some(OpenMode::Read)) =>
-        {
-            let pattern = if req.extra.is_empty() {
-                None
-            } else {
-                Some(req.extra.clone())
-            };
-            let mut b = match pattern {
-                Some(p) => DirectoryBuilder::with_pattern(p),
-                None => DirectoryBuilder::new(),
-            };
-            for (name, binding, _) in table.live_iter() {
-                let (pair, logical) = match PrefixTarget::from_binding(binding) {
-                    PrefixTarget::Direct(pair) => (pair, 0u32),
-                    PrefixTarget::Logical { service, context } => {
-                        (ContextPair::new(Pid::NULL, context), service.raw())
-                    }
-                };
-                let d = ObjectDescriptor::new(
-                    DescriptorTag::ContextPrefix,
-                    CsName::from(name.to_vec()),
-                )
-                .with_ext(DescriptorExt::ContextPrefix {
-                    target: pair,
-                    logical_service: logical,
-                });
-                b.push(&d);
-            }
-            let snapshot = b.finish();
-            let size = snapshot.len() as u64;
-            let inst = instances.open(rx.from, OpenMode::Directory, snapshot);
-            let mut m = Message::ok();
-            m.set_word(fields::W_INSTANCE, inst.0)
-                .set_word32(fields::W_SIZE_LO, size as u32)
-                .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-            reply_data(ctx, rx, m, Vec::new());
-        }
-        Some(RequestCode::QueryName) => {
-            let mut m = Message::ok();
-            m.set_context_id(ContextId::DEFAULT);
-            m.set_pid_at(fields::W_PID_LO, ctx.my_pid());
-            reply_data(ctx, rx, m, Vec::new());
-        }
-        Some(RequestCode::QueryObject) => {
-            let d = ObjectDescriptor::new(DescriptorTag::Directory, CsName::from("[]"))
-                .with_size(table.live_len() as u64)
-                .with_ext(DescriptorExt::Directory {
-                    context: ContextId::DEFAULT,
-                    entries: table.live_len() as u32,
-                });
-            reply_descriptor(ctx, rx, &d);
-        }
-        _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
     }
 }

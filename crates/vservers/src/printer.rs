@@ -5,14 +5,17 @@
 //! their queue position — through the same context-directory mechanism as
 //! every other object type.
 
-use crate::common::{count_word, reply_code, reply_data, reply_descriptor};
+use crate::common::{
+    open_directory, open_reply, reply, reply_descriptor, serve_flat, Call, FlatObjects, Handle,
+    Handled,
+};
 use std::collections::BTreeMap;
-use vio::{serve_read, InstanceTable};
+use vio::InstanceTable;
 use vkernel::Ipc;
 use vnaming::{CsRequest, DirectoryBuilder};
 use vproto::{
-    fields, CsName, DescriptorExt, DescriptorTag, InstanceId, Message, ObjectDescriptor, ObjectId,
-    OpenMode, ReplyCode, RequestCode, Scope, ServiceId,
+    ContextId, CsName, DescriptorExt, DescriptorTag, ObjectDescriptor, ObjectId, OpenMode,
+    ReplyCode, RequestCode, Scope, ServiceId,
 };
 
 /// Configuration for a [`printer_server`] process.
@@ -36,161 +39,96 @@ struct Job {
     seq: u64,
 }
 
+#[derive(Default)]
+struct Queue {
+    jobs: BTreeMap<Vec<u8>, Job>,
+    next_obj: u32,
+    clock: u64,
+}
+
+impl Queue {
+    /// The jobs in submission order.
+    fn ordered(&self) -> Vec<(&Vec<u8>, &Job)> {
+        let mut ordered: Vec<(&Vec<u8>, &Job)> = self.jobs.iter().collect();
+        ordered.sort_by_key(|(_, j)| j.seq);
+        ordered
+    }
+}
+
 /// Runs a printer server until the domain shuts down.
 ///
 /// `RemoveObject` on the job at the head of the queue models the printer
 /// finishing (or an operator cancelling) a job; every job behind it moves
 /// up one position in the fabricated directory.
 pub fn printer_server(ctx: &dyn Ipc, config: PrinterConfig) {
-    let mut jobs: BTreeMap<Vec<u8>, Job> = BTreeMap::new();
-    let mut instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut dir_instances: InstanceTable<Vec<u8>> = InstanceTable::new();
-    let mut next_obj = 0u32;
-    let mut clock = 0u64;
     ctx.set_pid(ServiceId::PRINT_SERVER, config.scope);
+    serve_flat(ctx, Queue::default());
+}
 
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        if msg.is_csname_request() {
-            let payload = match ctx.move_from(&rx) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let req = match CsRequest::parse(&msg, &payload) {
-                Ok(r) => r,
-                Err(code) => {
-                    reply_code(ctx, rx, code);
-                    continue;
+impl FlatObjects for Queue {
+    fn name_op(
+        &mut self,
+        call: &mut Call,
+        req: CsRequest,
+        instances: &mut InstanceTable<Handle<Vec<u8>>>,
+    ) -> Handled {
+        let name = req.remaining();
+        match call.msg.request_code() {
+            Some(RequestCode::CreateInstance) if name.is_empty() => {
+                // Queue directory, ordered by submission.
+                let mut b = DirectoryBuilder::new();
+                for (pos, (n, j)) in self.ordered().into_iter().enumerate() {
+                    b.push(&job_descriptor(n, j, pos as u32));
                 }
-            };
-            let name = req.remaining().to_vec();
-            match msg.request_code() {
-                Some(RequestCode::CreateInstance) => {
-                    if name.is_empty() {
-                        // Queue directory, ordered by submission.
-                        let mut ordered: Vec<(&Vec<u8>, &Job)> = jobs.iter().collect();
-                        ordered.sort_by_key(|(_, j)| j.seq);
-                        let mut b = DirectoryBuilder::new();
-                        for (pos, (n, j)) in ordered.iter().enumerate() {
-                            b.push(&job_descriptor(n, j, pos as u32));
-                        }
-                        let snapshot = b.finish();
-                        let size = snapshot.len() as u64;
-                        let inst = dir_instances.open(rx.from, OpenMode::Directory, snapshot);
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_INSTANCE, inst.0)
-                            .set_word32(fields::W_SIZE_LO, size as u32)
-                            .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                        reply_data(ctx, rx, m, Vec::new());
-                        continue;
+                open_directory(call, instances, b.finish(), ContextId::DEFAULT)
+            }
+            Some(RequestCode::CreateInstance) => {
+                let mode = call.msg.mode().unwrap_or(OpenMode::Read);
+                if !self.jobs.contains_key(name) {
+                    if mode != OpenMode::Create {
+                        return Err(ReplyCode::NotFound);
                     }
-                    let mode = msg.mode().unwrap_or(OpenMode::Read);
-                    if !jobs.contains_key(&name) {
-                        if mode == OpenMode::Create {
-                            clock += 1;
-                            next_obj += 1;
-                            jobs.insert(
-                                name.clone(),
-                                Job {
-                                    id: ObjectId(next_obj),
-                                    data: Vec::new(),
-                                    submitted: clock,
-                                    seq: clock,
-                                },
-                            );
-                        } else {
-                            reply_code(ctx, rx, ReplyCode::NotFound);
-                            continue;
-                        }
-                    }
-                    let size = jobs[&name].data.len() as u64;
-                    let inst = instances.open(rx.from, mode, name);
-                    let mut m = Message::ok();
-                    m.set_word(fields::W_INSTANCE, inst.0)
-                        .set_word32(fields::W_SIZE_LO, size as u32)
-                        .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                    reply_data(ctx, rx, m, Vec::new());
-                }
-                Some(RequestCode::QueryObject) => {
-                    let mut ordered: Vec<(&Vec<u8>, &Job)> = jobs.iter().collect();
-                    ordered.sort_by_key(|(_, j)| j.seq);
-                    match ordered.iter().position(|(n, _)| **n == name) {
-                        Some(pos) => {
-                            let j = &jobs[&name];
-                            reply_descriptor(ctx, rx, &job_descriptor(&name, j, pos as u32));
-                        }
-                        None => reply_code(ctx, rx, ReplyCode::NotFound),
-                    }
-                }
-                Some(RequestCode::RemoveObject) => {
-                    let code = if jobs.remove(&name).is_some() {
-                        ReplyCode::Ok
-                    } else {
-                        ReplyCode::NotFound
+                    self.clock += 1;
+                    self.next_obj += 1;
+                    let job = Job {
+                        id: ObjectId(self.next_obj),
+                        data: Vec::new(),
+                        submitted: self.clock,
+                        seq: self.clock,
                     };
-                    reply_code(ctx, rx, code);
+                    self.jobs.insert(name.to_vec(), job);
                 }
-                _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+                let size = self.jobs[name].data.len() as u64;
+                let inst = instances.open(call.from, mode, Handle::Object(name.to_vec()));
+                open_reply(call, inst, size)
             }
-            continue;
-        }
-        match msg.request_code() {
-            Some(RequestCode::WriteInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let data = match ctx.move_from(&rx) {
-                    Ok(d) => d,
-                    Err(_) => continue,
-                };
-                let code = match instances.check(id, true) {
-                    Ok(inst) => match jobs.get_mut(&inst.state) {
-                        Some(j) => {
-                            j.data.extend_from_slice(&data);
-                            ReplyCode::Ok
-                        }
-                        None => ReplyCode::InvalidInstance,
-                    },
-                    Err(c) => c,
-                };
-                let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, count_word(data.len()));
-                reply_data(ctx, rx, m, Vec::new());
-            }
-            Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                let window: Result<Vec<u8>, ReplyCode> =
-                    if let Ok(inst) = instances.check(id, false) {
-                        match jobs.get(&inst.state) {
-                            Some(j) => serve_read(&j.data, offset, count).map(|w| w.to_vec()),
-                            None => Err(ReplyCode::InvalidInstance),
-                        }
-                    } else if let Ok(inst) = dir_instances.check(id, false) {
-                        serve_read(&inst.state, offset, count).map(|w| w.to_vec())
-                    } else {
-                        Err(ReplyCode::InvalidInstance)
-                    };
-                match window {
-                    Ok(w) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, count_word(w.len()));
-                        reply_data(ctx, rx, m, w);
-                    }
-                    Err(code) => reply_code(ctx, rx, code),
-                }
-            }
-            Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let code = if instances.release(id).is_some() || dir_instances.release(id).is_some()
+            Some(RequestCode::QueryObject) => {
+                match self
+                    .ordered()
+                    .into_iter()
+                    .enumerate()
+                    .find(|(_, (n, _))| *n == name)
                 {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::InvalidInstance
-                };
-                reply_code(ctx, rx, code);
+                    Some((pos, (_, j))) => reply_descriptor(&job_descriptor(name, j, pos as u32)),
+                    None => Err(ReplyCode::NotFound),
+                }
             }
-            _ => reply_code(ctx, rx, ReplyCode::UnknownRequest),
+            Some(RequestCode::RemoveObject) => match self.jobs.remove(name) {
+                Some(_) => reply(ReplyCode::Ok),
+                None => Err(ReplyCode::NotFound),
+            },
+            _ => Err(ReplyCode::UnknownRequest),
         }
+    }
+
+    fn object(&self, name: &[u8]) -> Option<&[u8]> {
+        self.jobs.get(name).map(|j| &j.data[..])
+    }
+
+    fn append(&mut self, name: &[u8], data: &[u8]) -> Result<(), ReplyCode> {
+        let job = self.jobs.get_mut(name).ok_or(ReplyCode::InvalidInstance)?;
+        job.data.extend_from_slice(data);
+        Ok(())
     }
 }
 

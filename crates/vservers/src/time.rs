@@ -2,6 +2,7 @@
 //! "With simple services like time, the client typically translates from
 //! service to real server pid on each operation."
 
+use crate::common::{serve, Answer, Call, Handled, Server};
 use bytes::Bytes;
 use vkernel::{Ipc, IpcError};
 use vproto::{fields, Message, ReplyCode, RequestCode, Scope, ServiceId};
@@ -13,22 +14,24 @@ pub struct TimeConfig {
     pub scope: Scope,
 }
 
+struct Clock;
+
+impl Server for Clock {
+    fn op(&mut self, call: &mut Call) -> Handled {
+        if call.msg.request_code() != Some(RequestCode::GetTime) {
+            return Err(ReplyCode::UnknownRequest);
+        }
+        let mut m = Message::ok();
+        m.set_word32(fields::W_TIME_LO, call.ctx.now().as_secs() as u32);
+        Ok(Answer::Reply(m))
+    }
+}
+
 /// Runs a time server until the domain shuts down. Replies to `GetTime`
 /// with the domain clock (wall or virtual, per the kernel).
 pub fn time_server(ctx: &dyn Ipc, config: TimeConfig) {
     ctx.set_pid(ServiceId::TIME_SERVER, config.scope);
-    while let Ok(rx) = ctx.receive() {
-        match rx.msg.request_code() {
-            Some(RequestCode::GetTime) => {
-                let mut m = Message::ok();
-                m.set_word32(fields::W_TIME_LO, ctx.now().as_secs() as u32);
-                let _ = ctx.reply(rx, m, Bytes::new());
-            }
-            _ => {
-                let _ = ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new());
-            }
-        }
-    }
+    serve(ctx, &mut Clock);
 }
 
 /// The client side, exactly as §4.2 describes: a `GetPid` *per call*, then
