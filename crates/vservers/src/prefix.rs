@@ -424,18 +424,18 @@ impl Server for PrefixServer {
                 let server = msg.pid_at(fields::W_TARGET_PID_LO);
                 let target_ctx = ContextId::new(msg.word32(fields::W_TARGET_CTX_LO));
                 let looking_for = ContextPair::new(server, target_ctx);
-                let found = self.sharded.table().live_iter().find_map(|(name, b, _)| {
-                    match PrefixTarget::from_binding(b) {
-                        PrefixTarget::Direct(pair) if pair == looking_for => Some(name.to_vec()),
-                        _ => None,
-                    }
+                // Several names may be bound to the pair: the first in name
+                // order answers.
+                let found = self.sharded.table().first_live_name(|b| {
+                    matches!(PrefixTarget::from_binding(b),
+                        PrefixTarget::Direct(pair) if pair == looking_for)
                 });
                 // Paper §6: "there is no guarantee that there is an inverse
                 // mapping".
                 let name = found.ok_or(ReplyCode::NotFound)?;
                 let mut out = Vec::with_capacity(name.len() + 2);
                 out.push(b'[');
-                out.extend_from_slice(&name);
+                out.extend_from_slice(name);
                 out.push(b']');
                 Ok(Answer::Data(Message::ok(), out))
             }

@@ -19,6 +19,12 @@
 //!   copy alive untouched (copy-on-write, RCU style — readers never take a
 //!   write lock, writers never block readers).
 //!
+//! The unit of *copying* is one level down: a shard's slots are cut into
+//! pages of 2^[`REGION_SLOT_BITS`] slots, each behind its own `Arc`, so the
+//! first write to a published shard copies its spine of page pointers and
+//! the one ~24 KB page it writes, not the whole slot array. Every other page
+//! stays shared with the snapshots that hold it.
+//!
 //! Atomicity: a mutation batch (a define, a whole sync apply round, a GC
 //! sweep) becomes visible all-at-once at the next `publish`, or not at
 //! all. Aborted rounds never call `publish`, so they are invisible to
@@ -40,6 +46,13 @@
 //! 9.4 slots compared per lookup, against 1.4 for this layout, which is
 //! what plain low-bit indexing gives). A table too small for two regions
 //! is one region, and the scan is the whole (small) shard.
+//!
+//! A page is a region's worth of slots, `chunks[i >> REGION_SLOT_BITS]`
+//! holding slot `i`; a shard smaller than one page is one short chunk. Slot
+//! numbering, probing and the range scans are those of one flat array: only
+//! where a slot lives changes. A write copies the page it writes, and only
+//! `remove`'s backward shift can carry a record across a page boundary, so
+//! a mutation copies one page, or two when the shift crosses.
 
 use crate::sync::{
     shard_of_bucket, SyncTable, VersionedEntry, MERKLE_FANOUT, MERKLE_LEVELS, SHARD_COUNT,
@@ -48,10 +61,14 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 use vproto::{fnv1a, SyncBinding};
 
-/// log2 of the slots in one region: large enough that the skewed bucket
-/// occupancy averages out (512 slots hold ~250 records of ~30 buckets),
-/// small enough that a bucket scan stays a few kilobytes.
+/// log2 of the slots in one region, and in one copy-on-write page: large
+/// enough that the skewed bucket occupancy averages out (512 slots hold ~250
+/// records of ~30 buckets), small enough that a bucket scan — and the copy
+/// a write makes — stays a few tens of kilobytes.
 const REGION_SLOT_BITS: u32 = 9;
+
+/// The slots in one full page.
+const PAGE_SLOTS: usize = 1 << REGION_SLOT_BITS;
 
 /// log2 of the level-(`MERKLE_LEVELS`−1) nodes in one shard — the most
 /// regions a shard can usefully have; past that, regions grow instead.
@@ -77,7 +94,7 @@ pub(crate) const fn shard_of_hash(h: u64) -> usize {
 pub(crate) struct Record {
     pub(crate) hash: u64,
     /// Shared with the table's side indexes, and between the copies of a
-    /// shard that copy-on-write makes.
+    /// page that copy-on-write makes.
     pub(crate) name: Arc<[u8]>,
     pub(crate) entry: VersionedEntry,
 }
@@ -92,11 +109,34 @@ impl Record {
     }
 }
 
+/// Where the records under level-(`MERKLE_LEVELS`−1) node `node` have their
+/// homes in a shard of `cap` slots: the first slot of its region, and log2
+/// of the region's slot count. The region is the *low* bits of the node
+/// index — the skew of FNV-1a sits in its topmost bits; these spread as well
+/// as any mixing of them would, for one shift and one mask.
+fn region(cap: usize, node: u32) -> (usize, u32) {
+    let bits = cap.trailing_zeros();
+    let region_bits = bits.saturating_sub(REGION_SLOT_BITS).min(NODE_BITS);
+    let slot_bits = bits - region_bits;
+    (
+        (node as usize & ((1 << region_bits) - 1)) << slot_bits,
+        slot_bits,
+    )
+}
+
+/// The slot a record hashed `hash` is placed from in a shard of `cap` slots.
+fn home(cap: usize, hash: u64) -> usize {
+    let (start, slot_bits) = region(cap, bucket_of_hash(hash) / MERKLE_FANOUT);
+    start | (hash as usize & ((1 << slot_bits) - 1))
+}
+
 /// One shard of the table: see the module docs for its three roles.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Shard {
-    /// Empty, or a power of two ≥ twice `len`.
-    slots: Vec<Option<Record>>,
+    /// The slot array, one copy-on-write page per `Arc`: no chunk, one
+    /// chunk shorter than a page, or full pages. Either way the slot count
+    /// is a power of two ≥ twice `len`.
+    chunks: Vec<Arc<[Option<Record>]>>,
     /// Occupied slots (live and tombstoned).
     len: usize,
     /// Occupied slots holding a live binding.
@@ -104,24 +144,22 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Where the records under level-(`MERKLE_LEVELS`−1) node `node` have
-    /// their homes: the first slot of its region, and log2 of the region's
-    /// slot count. The region is the *low* bits of the node index — the
-    /// skew of FNV-1a sits in its topmost bits; these spread as well as any
-    /// mixing of them would, for one shift and one mask.
-    fn region(&self, node: u32) -> (usize, u32) {
-        let bits = self.slots.len().trailing_zeros();
-        let region_bits = bits.saturating_sub(REGION_SLOT_BITS).min(NODE_BITS);
-        let slot_bits = bits - region_bits;
-        (
-            (node as usize & ((1 << region_bits) - 1)) << slot_bits,
-            slot_bits,
-        )
+    /// The number of slots: every chunk is as long as the first, since only
+    /// a lone chunk may be shorter than a page.
+    fn capacity(&self) -> usize {
+        self.chunks
+            .first()
+            .map_or(0, |page| page.len() * self.chunks.len())
     }
 
-    fn home(&self, hash: u64) -> usize {
-        let (start, slot_bits) = self.region(bucket_of_hash(hash) / MERKLE_FANOUT);
-        start | (hash as usize & ((1 << slot_bits) - 1))
+    fn slot(&self, at: usize) -> &Option<Record> {
+        &self.chunks[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)]
+    }
+
+    /// Slot `at` for writing: its page is copied first if a snapshot still
+    /// shares it.
+    fn slot_mut(&mut self, at: usize) -> &mut Option<Record> {
+        &mut Arc::make_mut(&mut self.chunks[at >> REGION_SLOT_BITS])[at & (PAGE_SLOTS - 1)]
     }
 
     /// Probes for `name`: `Ok(slot)` where it is stored, or `Err(slot)` at
@@ -131,16 +169,16 @@ impl Shard {
     // measured 5 % slower per batched lookup at 10⁶ names.
     #[inline(always)]
     fn probe(&self, hash: u64, name: &[u8]) -> Result<usize, usize> {
-        if self.slots.is_empty() {
+        let cap = self.capacity();
+        if cap == 0 {
             return Err(0);
         }
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(hash);
-        while let Some(rec) = &self.slots[at] {
+        let mut at = home(cap, hash);
+        while let Some(rec) = self.slot(at) {
             if rec.hash == hash && *rec.name == *name {
                 return Ok(at);
             }
-            at = (at + 1) & mask;
+            at = (at + 1) & (cap - 1);
         }
         Err(at)
     }
@@ -150,7 +188,18 @@ impl Shard {
     #[inline(always)]
     pub(crate) fn get(&self, hash: u64, name: &[u8]) -> Option<&Record> {
         let at = self.probe(hash, name).ok()?;
-        self.slots[at].as_ref()
+        self.slot(at).as_ref()
+    }
+
+    /// The record in the home slot of `hash` — the first slot its probe
+    /// reads. `None` means no record with that hash is stored.
+    #[inline(always)]
+    fn at_home(&self, hash: u64) -> Option<&Record> {
+        let cap = self.capacity();
+        if cap == 0 {
+            return None;
+        }
+        self.slot(home(cap, hash)).as_ref()
     }
 
     /// Stores `entry` under `name`, returning the stored name handle and
@@ -164,17 +213,17 @@ impl Shard {
     ) -> (&Arc<[u8]>, Option<VersionedEntry>) {
         let at = match self.probe(hash, name) {
             Ok(at) => at,
-            Err(at) if (self.len + 1) * 2 <= self.slots.len() => at,
+            Err(at) if (self.len + 1) * 2 <= self.capacity() => at,
             Err(_) => {
                 self.grow();
                 self.probe(hash, name).unwrap_or_else(|at| at)
             }
         };
-        let slot = &mut self.slots[at];
-        let old = slot.as_ref().map(|rec| rec.entry);
+        let old = self.slot(at).as_ref().map(|rec| rec.entry);
         self.len += usize::from(old.is_none());
         self.live += usize::from(entry.binding.is_some());
         self.live -= usize::from(old.is_some_and(|e| e.binding.is_some()));
+        let slot = self.slot_mut(at);
         let rec = match slot {
             Some(rec) => {
                 rec.entry = entry;
@@ -195,39 +244,53 @@ impl Shard {
     /// stop on).
     pub(crate) fn remove(&mut self, hash: u64, name: &[u8]) -> Option<Record> {
         let mut hole = self.probe(hash, name).ok()?;
-        let removed = self.slots[hole].take()?;
+        let removed = self.slot_mut(hole).take()?;
         self.len -= 1;
         self.live -= usize::from(removed.entry.binding.is_some());
-        let mask = self.slots.len() - 1;
+        let cap = self.capacity();
+        let mask = cap - 1;
         let mut at = hole;
         loop {
             at = (at + 1) & mask;
-            let Some(rec) = &self.slots[at] else { break };
+            let Some(rec) = self.slot(at) else { break };
             // `rec` may fall back into the hole unless its home lies
             // cyclically within (hole, at].
-            if (at.wrapping_sub(self.home(rec.hash)) & mask) >= (at.wrapping_sub(hole) & mask) {
-                self.slots.swap(hole, at);
+            if (at.wrapping_sub(home(cap, rec.hash)) & mask) >= (at.wrapping_sub(hole) & mask) {
+                let moved = self.slot_mut(at).take();
+                *self.slot_mut(hole) = moved;
                 hole = at;
             }
         }
         Some(removed)
     }
 
+    /// Doubles the slot array, re-placing every record into fresh pages.
+    /// A page no snapshot holds gives up its records; a shared one is
+    /// copied first, so the snapshot keeps its own.
     fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![None; cap]);
-        for rec in old.into_iter().flatten() {
-            let mut at = self.home(rec.hash);
-            while self.slots[at].is_some() {
-                at = (at + 1) & (cap - 1);
+        let cap = (self.capacity() * 2).max(MIN_SLOTS);
+        let page = cap.min(PAGE_SLOTS);
+        let mut fresh: Vec<Arc<[Option<Record>]>> = (0..cap / page)
+            .map(|_| (0..page).map(|_| None).collect())
+            .collect();
+        // Fresh pages are unshared: each is written in place.
+        let mut pages: Vec<&mut [Option<Record>]> =
+            fresh.iter_mut().filter_map(Arc::get_mut).collect();
+        for mut old in std::mem::take(&mut self.chunks) {
+            for rec in Arc::make_mut(&mut old).iter_mut().filter_map(Option::take) {
+                let mut at = home(cap, rec.hash);
+                while pages[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)].is_some() {
+                    at = (at + 1) & (cap - 1);
+                }
+                pages[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)] = Some(rec);
             }
-            self.slots[at] = Some(rec);
         }
+        self.chunks = fresh;
     }
 
     /// Every record, in slot order.
     pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
-        self.slots.iter().flatten()
+        self.chunks.iter().flat_map(|page| page.iter().flatten())
     }
 
     /// The records of the `count` leaf buckets starting at `first` — one
@@ -236,10 +299,11 @@ impl Shard {
     /// from the region's first slot to the first empty slot at or past its
     /// last, wrapping at the end of the array like the probes do.
     pub(crate) fn under(&self, first: u32, count: u32) -> impl Iterator<Item = &Record> {
-        let (start, slot_bits) = self.region(first / MERKLE_FANOUT);
-        let mask = self.slots.len().wrapping_sub(1);
-        (0..self.slots.len())
-            .map(move |step| (step, &self.slots[(start + step) & mask]))
+        let cap = self.capacity();
+        let (start, slot_bits) = region(cap, first / MERKLE_FANOUT);
+        let mask = cap.wrapping_sub(1);
+        (0..cap)
+            .map(move |step| (step, self.slot((start + step) & mask)))
             .take_while(move |(step, slot)| slot.is_some() || (step + 1) >> slot_bits == 0)
             .filter_map(|(_, slot)| slot.as_ref())
             .filter(move |rec| bucket_of_hash(rec.hash).wrapping_sub(first) < count)
@@ -291,29 +355,30 @@ impl Snapshot {
         self.shards.iter().map(|s| s.live_len()).sum()
     }
 
-    /// Resolves a batch of prefixes against this one consistent view,
-    /// grouped through the shards: all of shard 0's names probe before
-    /// shard 1's, so a burst walks each shard while it is hot instead of
-    /// ping-ponging between sixteen of them. Answers land at the input
-    /// index of their name.
+    /// Resolves a batch of prefixes against this one consistent view, in
+    /// three passes so that the names' cache misses overlap instead of
+    /// queueing one behind another: hash every name, load every name's home
+    /// slot, then compare. A name found in its home slot, or whose home slot
+    /// is empty, is answered from that one load; only the rest take the
+    /// full probe. Answers land at the input index of their name.
     pub fn resolve_batch(&self, names: &[&[u8]]) -> Vec<Option<SnapEntry>> {
-        let mut out = vec![None; names.len()];
-        // Hash every name once (the hash encodes its shard in the top four
-        // bits), sort the (hash, index) pairs so probes run shard-major,
-        // then probe with the precomputed hashes.
-        let mut order: Vec<(u64, u32)> = names
+        let hashes: Vec<u64> = names.iter().map(|name| fnv1a(name)).collect();
+        let homes: Vec<Option<&Record>> = hashes
             .iter()
-            .enumerate()
-            .map(|(i, n)| (fnv1a(n), i as u32))
+            .map(|&h| self.shards[shard_of_hash(h)].at_home(h))
             .collect();
-        order.sort_unstable_by_key(|&(h, _)| shard_of_hash(h));
-        for &(h, i) in &order {
-            let i = i as usize;
-            out[i] = self.shards[shard_of_hash(h)]
-                .get(h, names[i])
-                .and_then(Record::live);
-        }
-        out
+        names
+            .iter()
+            .zip(hashes)
+            .zip(homes)
+            .map(|((name, h), home)| match home {
+                Some(rec) if rec.hash == h && *rec.name == **name => rec.live(),
+                Some(_) => self.shards[shard_of_hash(h)]
+                    .get(h, name)
+                    .and_then(Record::live),
+                None => None,
+            })
+            .collect()
     }
 }
 
@@ -360,7 +425,7 @@ impl ShardedTable {
     }
 
     /// Write access to the versioned table. Mutations stage invisibly (the
-    /// first one to touch a published shard copies it); call
+    /// first one to touch a published page copies it); call
     /// [`ShardedTable::publish`] when the batch is complete.
     pub fn table_mut(&mut self) -> &mut SyncTable {
         &mut self.table
@@ -427,9 +492,10 @@ impl ResolverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::TombstoneOutcome;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, OnceLock};
 
     fn bind(target: u32) -> SyncBinding {
         SyncBinding {
@@ -445,6 +511,73 @@ mod tests {
             epoch: 1,
             verified: true,
         }
+    }
+
+    /// Names in shard `s` whose hash has its low `REGION_SLOT_BITS` bits all
+    /// ones. In a shard of several pages each one's home is the last slot
+    /// of a page, so once two share a page, a run crosses that page's end.
+    fn page_end_names(s: usize, count: usize) -> Vec<Vec<u8>> {
+        (0u32..)
+            .map(|k| format!("edge{k}").into_bytes())
+            .filter(|name| {
+                let h = fnv1a(name);
+                shard_of_hash(h) == s && h as usize & (PAGE_SLOTS - 1) == PAGE_SLOTS - 1
+            })
+            .take(count)
+            .collect()
+    }
+
+    /// The slot of a stored `name` in its shard, and that name's home slot.
+    fn placement(shard: &Shard, name: &[u8]) -> (usize, usize) {
+        let h = fnv1a(name);
+        let at = shard.probe(h, name).expect("the name is stored");
+        (at, home(shard.capacity(), h))
+    }
+
+    /// A record on the last slot of a page whose removal would have the
+    /// backward shift carry a record of the next page across the boundary:
+    /// the page-end record's name and the name of the one that would move
+    /// into its slot.
+    fn crossing_pair(shard: &Shard) -> Option<[Arc<[u8]>; 2]> {
+        if shard.chunks.len() < 2 {
+            return None;
+        }
+        let cap = shard.capacity();
+        let mask = cap - 1;
+        (PAGE_SLOTS - 1..cap).step_by(PAGE_SLOTS).find_map(|end| {
+            let rec = shard.slot(end).as_ref()?;
+            // Runs are far shorter than a page: every slot the loop reads
+            // is on the next one.
+            let mut at = end;
+            let follower = loop {
+                at = (at + 1) & mask;
+                let next = shard.slot(at).as_ref()?;
+                if (at.wrapping_sub(home(cap, next.hash)) & mask) >= (at.wrapping_sub(end) & mask) {
+                    break next;
+                }
+            };
+            Some([rec.name.clone(), follower.name.clone()])
+        })
+    }
+
+    /// How many shards, and how many of their pages, of `after` are not
+    /// shared with `before`.
+    fn copied(before: &Snapshot, after: &Snapshot) -> (usize, usize) {
+        let mut count = (0, 0);
+        for (old, new) in before.shards.iter().zip(&after.shards) {
+            if Arc::ptr_eq(old, new) {
+                continue;
+            }
+            assert_eq!(old.chunks.len(), new.chunks.len(), "the shard did not grow");
+            count.0 += 1;
+            count.1 += old
+                .chunks
+                .iter()
+                .zip(&new.chunks)
+                .filter(|(a, b)| !Arc::ptr_eq(a, b))
+                .count();
+        }
+        count
     }
 
     #[test]
@@ -504,6 +637,56 @@ mod tests {
         assert_eq!(shared, SHARD_COUNT - 1, "exactly one shard was dirty");
     }
 
+    /// The unit of copying is a page: after a publish, one define or one
+    /// tombstone leaves exactly one shard and one page not shared with the
+    /// previous snapshot, and a GC sweep that removes one record at most
+    /// two pages — two exactly when its backward shift crosses a page
+    /// boundary.
+    #[test]
+    fn a_write_copies_one_page_of_one_shard() {
+        let mut st = ShardedTable::new();
+        let mut now = 100;
+        let names = (0..10_000u32).map(|i| format!("cnt{i}").into_bytes());
+        for (i, name) in (0u32..).zip(names.chain(page_end_names(5, 6))) {
+            now += 1;
+            st.table_mut().define(name, bind(i), now);
+        }
+        st.publish();
+        assert!(st.table().shards().iter().all(|s| s.chunks.len() >= 2));
+        let mut write = |st: &mut ShardedTable, op: &dyn Fn(&mut SyncTable, u64)| {
+            now += 1;
+            let before = st.snapshot();
+            op(st.table_mut(), now);
+            st.publish();
+            copied(&before, &st.snapshot())
+        };
+
+        let define = |t: &mut SyncTable, now| t.define(b"one-more".to_vec(), bind(1), now);
+        assert_eq!(write(&mut st, &define), (1, 1), "a define");
+        let tombstone = |t: &mut SyncTable, now| {
+            assert_eq!(t.tombstone(b"cnt17", now), TombstoneOutcome::DroppedLive);
+        };
+        assert_eq!(write(&mut st, &tombstone), (1, 1), "a tombstone");
+        let gc = |t: &mut SyncTable, now| assert_eq!(t.gc_below(now), 1);
+        let (shards, pages) = write(&mut st, &gc);
+        assert_eq!(shards, 1, "a GC of one record");
+        assert!(
+            (1..=2).contains(&pages),
+            "a GC of one record: {pages} pages"
+        );
+
+        let [doomed, follower] = crossing_pair(&st.table().shards()[5])
+            .expect("the page-end names put a run across a page boundary");
+        let tombstone = |t: &mut SyncTable, now| {
+            assert_eq!(t.tombstone(&doomed, now), TombstoneOutcome::DroppedLive);
+        };
+        let (end, _) = placement(&st.table().shards()[5], &doomed);
+        assert_eq!(write(&mut st, &tombstone), (1, 1), "a tombstone");
+        assert_eq!(write(&mut st, &gc), (1, 2), "a GC that shifts across");
+        let (moved_to, _) = placement(&st.table().shards()[5], &follower);
+        assert_eq!(moved_to, end, "the follower moved back onto the page end");
+    }
+
     #[test]
     fn verified_promotion_republishes() {
         let mut st = ShardedTable::new();
@@ -525,23 +708,60 @@ mod tests {
         assert!(st.snapshot().lookup(b"seed").is_some());
     }
 
+    /// The staged batch probe answers every name as `lookup` does: names in
+    /// their home slot, names displaced from it, names whose run crosses a
+    /// page boundary, tombstones, names never defined (in stored and in
+    /// empty shards), and one name repeated within a batch.
     #[test]
     fn batch_matches_single_lookups() {
         let mut st = ShardedTable::new();
-        for i in 0..200u32 {
+        let mut names: Vec<Vec<u8>> = (0..10_000u32)
+            .map(|i| format!("svc{i}").into_bytes())
+            .collect();
+        names.extend(page_end_names(3, 6));
+        for (i, name) in (0u32..).zip(&names) {
             st.table_mut()
-                .define(format!("svc{i}").into_bytes(), bind(i), 100 + u64::from(i));
+                .define(name.clone(), bind(i), 100 + u64::from(i));
+        }
+        for name in names.iter().step_by(10) {
+            st.table_mut().tombstone(name, 20_000);
         }
         st.publish();
         let snap = st.snapshot();
-        let names: Vec<Vec<u8>> = (0..300u32)
+        let (mut displaced, mut across) = (0, 0);
+        for name in &names {
+            let (at, home) = placement(&snap.shards[SyncTable::shard_of(name)], name);
+            displaced += usize::from(at != home);
+            across += usize::from(at >> REGION_SLOT_BITS != home >> REGION_SLOT_BITS);
+        }
+        assert!(displaced > 0, "some names sit past their home slot");
+        assert!(across > 0, "some names sit on the page after their home's");
+        let absent: Vec<Vec<u8>> = (10_000..10_300u32)
             .map(|i| format!("svc{i}").into_bytes())
             .collect();
-        let refs: Vec<&[u8]> = names.iter().map(|n| n.as_slice()).collect();
-        let batch = snap.resolve_batch(&refs);
-        for (name, got) in refs.iter().zip(&batch) {
-            assert_eq!(*got, snap.lookup(name), "{:?}", name);
+        let mut refs: Vec<&[u8]> = names.iter().chain(&absent).map(Vec::as_slice).collect();
+        let empty = ShardedTable::new().snapshot();
+        let repeated = vec![refs[7], refs[7], refs[0], refs[7], &absent[0][..], refs[7]];
+        for batch in [refs.clone(), repeated] {
+            for (name, got) in batch.iter().zip(snap.resolve_batch(&batch)) {
+                assert_eq!(
+                    got,
+                    snap.lookup(name),
+                    "{:?}",
+                    String::from_utf8_lossy(name)
+                );
+            }
+            assert!(empty.resolve_batch(&batch).iter().all(Option::is_none));
         }
+        refs.truncate(64);
+        assert_eq!(
+            snap.resolve_batch(&refs)
+                .iter()
+                .filter(|e| e.is_some())
+                .count(),
+            refs.len() - refs.len().div_ceil(10),
+            "tombstones answer None"
+        );
     }
 
     #[test]
@@ -554,13 +774,14 @@ mod tests {
         assert!(reader.lookup(b"a").is_some());
     }
 
-    /// Copy-on-write isolation: a reader's snapshot shares its shards with
-    /// the writer, and must answer identically before and after the writer
-    /// redefines, tombstones and garbage-collects *in those same shards* —
-    /// seen from another thread, with the hand-offs forced by channels.
+    /// Copy-on-write isolation: a reader's snapshot shares its shards and
+    /// their pages with the writer, and must answer identically before and
+    /// after the writer redefines, tombstones and garbage-collects *in those
+    /// same pages* — seen from another thread, with the hand-offs forced by
+    /// channels.
     #[test]
     fn held_snapshot_is_untouched_by_later_mutations_and_gc() {
-        let names: Vec<Vec<u8>> = (0..400u32)
+        let names: Vec<Vec<u8>> = (0..10_000u32)
             .map(|i| format!("cow{i}").into_bytes())
             .collect();
         let mut st = ShardedTable::new();
@@ -569,6 +790,10 @@ mod tests {
                 .define(name.clone(), bind(i as u32), 100 + i as u64);
         }
         st.publish();
+        assert!(
+            st.table().shards().iter().all(|s| s.chunks.len() >= 2),
+            "every shard spans several pages"
+        );
         let held = st.snapshot();
         let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
         let (to_reader, from_writer) = mpsc::channel::<()>();
@@ -627,13 +852,13 @@ mod tests {
             let hash = (0xA << 60) | (bucket_bits << 44) | (next() & ((1 << 44) - 1));
             add(&mut shard, hash);
         }
-        if pile > 0 && !shard.slots.is_empty() {
+        let cap = shard.capacity();
+        if pile > 0 && cap > 0 {
             // The node whose region is the array's last one, and low bits
             // all ones: every such record's home is the very last slot.
-            let cap = shard.slots.len();
             let node = (0xA000..0xB000u32)
                 .find(|&node| {
-                    let (start, slot_bits) = shard.region(node);
+                    let (start, slot_bits) = region(cap, node);
                     start + (1 << slot_bits) == cap
                 })
                 .expect("some node maps to the last region");
@@ -642,7 +867,7 @@ mod tests {
                     break; // keep the array (and so the chosen region) as is
                 }
                 let hash = (u64::from(node) << 48) | (next() & 0xFFFF_0000_0000) | 0xFFFF_FFFF;
-                assert_eq!(shard.home(hash), cap - 1);
+                assert_eq!(home(cap, hash), cap - 1);
                 add(&mut shard, hash);
             }
         }
@@ -671,7 +896,7 @@ mod tests {
                 sorted(shard.under(bucket, 1).map(|r| &*r.name).collect()),
                 sorted(expect.clone()),
                 "bucket {bucket:#x} of a {}-slot shard",
-                shard.slots.len()
+                shard.capacity()
             );
             let first = bucket - bucket % MERKLE_FANOUT;
             let siblings = brute.range(first..first + MERKLE_FANOUT);
@@ -702,9 +927,10 @@ mod tests {
             pile in 0usize..12,
         ) {
             let mut shard = synthetic_shard(seed, size, size as u64 / per_bucket + 1, pile);
-            prop_assert!(size < 33_000 || shard.slots.len() > 65_536);
-            if pile > 1 && shard.slots.last().is_some_and(Option::is_some) {
-                prop_assert!(shard.slots[0].is_some(), "the pile wrapped to slot 0");
+            let cap = shard.capacity();
+            prop_assert!(size < 33_000 || cap > 65_536);
+            if pile > 1 && shard.slot(cap - 1).is_some() {
+                prop_assert!(shard.slot(0).is_some(), "the pile wrapped to slot 0");
             }
             check_scans(&shard);
             // Every record is reachable by its own probe.
@@ -740,14 +966,199 @@ mod tests {
         for k in 0..3u64 {
             shard.insert(hash(k), &k.to_le_bytes(), live(k as u32));
         }
-        assert_eq!(shard.slots.len(), 8);
-        let occupied: Vec<usize> = (0..8).filter(|&i| shard.slots[i].is_some()).collect();
+        assert_eq!(shard.capacity(), 8);
+        let occupied: Vec<usize> = (0..8).filter(|&i| shard.slot(i).is_some()).collect();
         assert_eq!(occupied, [0, 1, 7]);
         assert_eq!(shard.under(bucket_of_hash(hash(0)), 1).count(), 3);
         assert!(shard.remove(hash(0), &0u64.to_le_bytes()).is_some());
-        let occupied: Vec<usize> = (0..8).filter(|&i| shard.slots[i].is_some()).collect();
+        let occupied: Vec<usize> = (0..8).filter(|&i| shard.slot(i).is_some()).collect();
         assert_eq!(occupied, [0, 7], "the run closed up across the wrap");
         assert!(shard.get(hash(2), &2u64.to_le_bytes()).is_some());
         assert_eq!(shard.under(bucket_of_hash(hash(0)), 1).count(), 2);
+    }
+
+    /// The names of the held-snapshot property, all in shard 0 so that a few
+    /// hundred of them span several pages: 1 400 plain names, then
+    /// `EDGES` page-end names.
+    fn pool() -> &'static [Vec<u8>] {
+        static POOL: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let mut pool: Vec<Vec<u8>> = (0u32..)
+                .map(|k| format!("m{k}").into_bytes())
+                .filter(|name| SyncTable::shard_of(name) == 0)
+                .take(1_400)
+                .collect();
+            pool.extend(page_end_names(0, EDGES));
+            pool
+        })
+    }
+
+    /// More page-end names than shard 0 ever has pages in the property, so
+    /// defining all of them forces a run across some page's end.
+    const EDGES: usize = 12;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Define(usize, u32),
+        Tombstone(usize),
+        Gc,
+        Publish,
+    }
+
+    /// Six defines to three tombstones to one sweep to one publish.
+    fn schedule_step() -> impl Strategy<Value = Step> {
+        (0u32..11, 0..pool().len(), any::<u32>()).prop_map(|(kind, k, target)| match kind {
+            0..=5 => Step::Define(k, target),
+            6..=8 => Step::Tombstone(k),
+            9 => Step::Gc,
+            _ => Step::Publish,
+        })
+    }
+
+    /// A writer driven through a schedule, holding every snapshot it
+    /// published beside a frozen copy of the bindings it held then.
+    #[derive(Default)]
+    struct Run {
+        st: ShardedTable,
+        now: u64,
+        model: BTreeMap<usize, SyncBinding>,
+        held: Vec<(Arc<Snapshot>, BTreeMap<usize, SyncBinding>)>,
+    }
+
+    impl Run {
+        fn shard0(&self) -> &Shard {
+            &self.st.table().shards()[0]
+        }
+
+        fn stored(&self, k: usize) -> bool {
+            let name = &pool()[k];
+            self.shard0().get(fnv1a(name), name).is_some()
+        }
+
+        fn define(&mut self, k: usize, target: u32) {
+            self.now += 1;
+            self.st
+                .table_mut()
+                .define(pool()[k].clone(), bind(target), self.now);
+            self.model.insert(k, bind(target));
+        }
+
+        fn tombstone(&mut self, k: usize) {
+            self.now += 1;
+            self.st.table_mut().tombstone(&pool()[k], self.now);
+            self.model.remove(&k);
+        }
+
+        /// Collects every tombstone.
+        fn gc(&mut self) {
+            let horizon = self.st.table().max_epoch();
+            self.st.table_mut().gc_below(horizon);
+        }
+
+        fn publish(&mut self) {
+            self.st.publish();
+            self.held.push((self.st.snapshot(), self.model.clone()));
+        }
+
+        fn step(&mut self, step: &Step) {
+            match *step {
+                Step::Define(k, target) => self.define(k, target),
+                Step::Tombstone(k) => self.tombstone(k),
+                Step::Gc => self.gc(),
+                Step::Publish => self.publish(),
+            }
+        }
+
+        /// Publishes, then defines names shard 0 does not hold until it
+        /// grows: the grow re-places records out of pages the snapshot just
+        /// published still holds.
+        fn grow_while_held(&mut self) {
+            self.publish();
+            let cap = self.shard0().capacity();
+            for k in 0..pool().len() {
+                if self.shard0().capacity() > cap {
+                    break;
+                }
+                if !self.stored(k) {
+                    self.define(k, 0x9e0);
+                }
+            }
+            assert!(self.shard0().capacity() > cap, "shard 0 grew");
+            assert_eq!(
+                self.held.last().map(|(snap, _)| snap.shards[0].capacity()),
+                Some(cap)
+            );
+        }
+
+        /// Removes a page-end record whose slot the backward shift refills
+        /// from the next page, with a snapshot holding both pages; defines
+        /// page-end names first until there is such a record.
+        fn shift_across_pages(&mut self) {
+            self.gc(); // so the sweep below removes exactly one record
+            let [doomed, follower] = loop {
+                if let Some(pair) = crossing_pair(self.shard0()) {
+                    break pair;
+                }
+                let k = (pool().len() - EDGES..pool().len())
+                    .find(|&k| !self.stored(k))
+                    .expect("more page-end names than pages");
+                self.define(k, 0xed9e);
+            };
+            let (end, _) = placement(self.shard0(), &doomed);
+            let (from, _) = placement(self.shard0(), &follower);
+            self.publish();
+            let k = pool().iter().position(|name| **name == *doomed);
+            self.tombstone(k.expect("a pool name"));
+            self.gc();
+            assert_eq!(placement(self.shard0(), &follower).0, end);
+            assert_ne!(from >> REGION_SLOT_BITS, end >> REGION_SLOT_BITS);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Every snapshot the writer published answers `lookup` and
+        /// `resolve_batch`, for every name, exactly as the table stood at
+        /// that publish — however the writer went on to define, tombstone,
+        /// collect, grow and shift underneath it. Every schedule includes a
+        /// grow while a snapshot holds the old pages and a backward shift
+        /// across a page boundary, at a drawn point.
+        #[test]
+        fn held_snapshots_answer_as_their_frozen_models(
+            bulk in 300usize..700,
+            steps in collection::vec(schedule_step(), 0..120),
+            grow_at in 0usize..120,
+            cross_at in 0usize..120,
+        ) {
+            let mut run = Run::default();
+            for k in 0..bulk {
+                run.define(k, k as u32);
+            }
+            run.publish();
+            for at in 0..=steps.len() {
+                if at == grow_at.min(steps.len()) {
+                    run.grow_while_held();
+                }
+                if at == cross_at.min(steps.len()) {
+                    run.shift_across_pages();
+                }
+                if let Some(step) = steps.get(at) {
+                    run.step(step);
+                }
+            }
+            run.publish();
+            // The pool, then names no shard holds (most in empty shards).
+            let absent: Vec<Vec<u8>> = (0..64u32).map(|k| format!("absent{k}").into_bytes()).collect();
+            let names: Vec<&[u8]> = pool().iter().chain(&absent).map(Vec::as_slice).collect();
+            for (snap, model) in &run.held {
+                let batch = snap.resolve_batch(&names);
+                for (k, (name, got)) in names.iter().zip(batch).enumerate() {
+                    let want = model.get(&k).copied();
+                    prop_assert_eq!(got.map(|e| e.binding), want);
+                    prop_assert_eq!(snap.lookup(name).map(|e| e.binding), want);
+                }
+            }
+        }
     }
 }

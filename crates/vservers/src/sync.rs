@@ -25,7 +25,9 @@
 //! nothing else holds a binding: a shard is the unit of storage, one
 //! root-child Merkle subtree, and the unit of publication at once. Every
 //! content mutation is one `put` or one `remove` here, each one
-//! `Shard::insert`/`Shard::remove` through `Arc::make_mut`. The only side
+//! `Shard::insert`/`Shard::remove` through `Arc::make_mut` — which, on a
+//! shard a snapshot still holds, copies the shard's spine of page pointers,
+//! and the shard then copies only the ~24 KB page it writes. The only side
 //! indexes are `tombs` and `unverified`, written in those two functions
 //! and holding the shard's own name handles; the Merkle tree keeps hashes
 //! of *interior* nodes only — a leaf's hash is folded on demand from the
@@ -216,7 +218,7 @@ pub struct ApplyOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct SyncTable {
     /// The records. Shared with published snapshots (and clones of this
-    /// table) until a mutation copies the shard it touches.
+    /// table) until a mutation copies the page it touches.
     shards: [Arc<Shard>; SHARD_COUNT],
     next_epoch: u64,
     /// Replica side: the highest authority epoch fully reconciled through.
@@ -348,10 +350,11 @@ impl SyncTable {
     }
 
     /// Inserts (or overwrites) an entry. *Every* content mutation funnels
-    /// through here or through [`SyncTable::remove`]: the shard is copied
-    /// if a snapshot still shares it, the side indexes follow, and the
-    /// touched leaf's ancestors are invalidated — unless only the
-    /// `verified` bit changed, which the tree does not hash.
+    /// through here or through [`SyncTable::remove`]: the shard's spine and
+    /// the page written are copied if a snapshot still shares them, the
+    /// side indexes follow, and the touched leaf's ancestors are
+    /// invalidated — unless only the `verified` bit changed, which the tree
+    /// does not hash.
     fn put(&mut self, prefix: &[u8], entry: VersionedEntry) {
         let hash = fnv1a(prefix);
         let shard = Arc::make_mut(&mut self.shards[shard_of_hash(hash)]);
@@ -442,6 +445,18 @@ impl SyncTable {
         entry.binding.is_some().then_some(entry)
     }
 
+    /// The least live name, in name order, whose binding satisfies `wanted`
+    /// — what `live_iter().find(..)` answers, from one unsorted pass over
+    /// the records instead of a sort of the whole table.
+    pub fn first_live_name(&self, mut wanted: impl FnMut(&SyncBinding) -> bool) -> Option<&[u8]> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.records())
+            .filter(|rec| rec.entry.binding.as_ref().is_some_and(&mut wanted))
+            .map(|rec| &*rec.name)
+            .min()
+    }
+
     /// Iterates live `(prefix, binding, verified)` entries in name order.
     pub fn live_iter(&self) -> impl Iterator<Item = (&[u8], &SyncBinding, bool)> {
         self.sorted_records().into_iter().filter_map(|rec| {
@@ -455,7 +470,7 @@ impl SyncTable {
     /// unverified index, not the table, so a steady-state round (nothing
     /// to promote) costs nothing. Not a content change (the tree excludes
     /// the verified bit), but snapshots serve it as the staleness flag —
-    /// the `put` copies any shard a snapshot shares, so it re-publishes.
+    /// the `put` copies any page a snapshot shares, so it re-publishes.
     pub fn mark_all_verified(&mut self) -> u32 {
         let mut promoted = 0;
         while let Some(rec) = self.unverified.first().and_then(|name| self.get(name)) {
@@ -1809,9 +1824,10 @@ mod tests {
     }
 
     /// The records live in hash order, but everything that leaves the
-    /// table as a list is in name order: directory listings and
-    /// `GetContextName`'s first match read `live_iter`, and the flat
-    /// oracle's digest must sort the way the old ordered map did.
+    /// table as a list is in name order: directory listings read
+    /// `live_iter`, `GetContextName` answers the first match in that order
+    /// (`first_live_name`, without the sort), and the flat oracle's digest
+    /// must sort the way the old ordered map did.
     #[test]
     fn listings_and_digests_iterate_in_name_order() {
         let mut t = SyncTable::new();
@@ -1837,6 +1853,15 @@ mod tests {
             first_of_target_3.map(|(name, _, _)| name),
             smallest.copied()
         );
+        for target in 0..8 {
+            assert_eq!(
+                t.first_live_name(|b| b.target == target),
+                t.live_iter()
+                    .find(|(_, b, _)| b.target == target)
+                    .map(|(name, _, _)| name),
+                "target {target}"
+            );
+        }
         let digest = t.digest();
         assert_eq!(digest.len(), t.live_len() + t.tombstone_len());
         assert!(digest.windows(2).all(|w| w[0].prefix < w[1].prefix));

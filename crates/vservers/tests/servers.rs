@@ -297,6 +297,32 @@ fn prefix_directory_lists_definitions_and_inverse_maps() {
     });
 }
 
+/// Several prefixes bound to one pair: the inverse mapping answers the
+/// first of them in name order, whatever order they were defined in, and
+/// the next one once that is deleted.
+#[test]
+fn inverse_mapping_answers_the_first_name_in_name_order() {
+    let (domain, host, fs, pfx) = boot();
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(fs, ContextId::DEFAULT));
+        let pair = ContextPair::new(fs, ContextId::new(0x77));
+        for prefix in ["gamma", "beta", "alpha"] {
+            client.add_prefix(prefix, pair).unwrap();
+        }
+        let inverse = || {
+            let mut msg = Message::request(RequestCode::GetContextName);
+            msg.set_pid_at(fields::W_TARGET_PID_LO, pair.server);
+            msg.set_word32(fields::W_TARGET_CTX_LO, pair.context.raw());
+            let reply = ctx.send(pfx, msg, Bytes::new(), 256).unwrap();
+            assert_eq!(reply.msg.reply_code(), ReplyCode::Ok);
+            reply.data.to_vec()
+        };
+        assert_eq!(inverse(), b"[alpha]");
+        client.delete_prefix("alpha").unwrap();
+        assert_eq!(inverse(), b"[beta]");
+    });
+}
+
 #[test]
 fn reverse_mapping_of_current_context() {
     let (domain, host, fs, _) = boot();
