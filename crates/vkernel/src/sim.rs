@@ -10,6 +10,17 @@
 //! and repeated runs produce identical timings — which is what lets the
 //! `vsim` experiments regenerate the paper's milliseconds.
 //!
+//! The baton (see DESIGN.md §3.3) moves one wake at a time. Each process
+//! thread records its `Thread` handle in its `ProcState` before it first
+//! waits. Whoever puts the baton down picks the next holder under the state
+//! lock (`SimCore::schedule` returns a `Wake`), drops the lock, unparks
+//! that one thread, and parks until `current` names it again. Parked
+//! bystanders are never touched, so a transaction costs the same with 0 or
+//! 512 idle processes. The `Condvar` is only for threads inside
+//! [`SimDomain::run`]: they are woken when the baton is put down with
+//! nothing ready, and at shutdown. Shutdown unparks every thread through its
+//! `JoinHandle`, which also reaches processes killed while parked.
+//!
 //! Cost accounting rules (see DESIGN.md §4):
 //!
 //! * `Send`/`Forward`: one hop (CPU + wire + payload copy), arrival at the
@@ -26,10 +37,11 @@ use crate::group::GroupTable;
 use crate::invariants::{InvariantLedger, TxnKind};
 use crate::registry::{LookupPath, Registry};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 use vnet::{
     Exhausted, FaultConfig, FaultPlane, FaultStats, NetModel, Params1984, Partition, SimTime,
@@ -69,6 +81,22 @@ struct ProcState {
     /// Transactions received but not yet replied/forwarded — failed over to
     /// the blocked senders if this process dies while holding them.
     holding: Vec<u64>,
+    /// The process's own thread, recorded under the state lock before it
+    /// first waits; `None` until then, and then nobody needs a wake: the
+    /// thread looks at `current` before it ever parks.
+    thread: Option<Thread>,
+}
+
+/// Whom a scheduling decision must wake. Decided under the state lock,
+/// issued by [`SimCore::wake`] after the lock is dropped.
+#[must_use = "issue it with `SimCore::wake` once the state lock is dropped"]
+enum Wake {
+    /// The new holder of the baton has not started waiting yet.
+    Nobody,
+    /// The thread of the process that now holds the baton.
+    Process(Thread),
+    /// The baton was put down with nothing ready: `run()` must look.
+    Drivers,
 }
 
 struct SimState {
@@ -112,7 +140,7 @@ impl SimState {
 
     /// Picks the ready process with the smallest resume time and makes it
     /// current; clears `current` when nothing is ready.
-    fn schedule_next(&mut self, cv: &Condvar) {
+    fn schedule_next(&mut self) -> Wake {
         loop {
             match self.ready.pop() {
                 Some(Reverse((t, _, pid_raw))) => {
@@ -123,8 +151,7 @@ impl SimState {
                             p.local_time = p.local_time.max(t);
                             self.clock_max = self.clock_max.max(p.local_time);
                             self.current = Some(pid);
-                            cv.notify_all();
-                            return;
+                            return p.thread.clone().map_or(Wake::Nobody, Wake::Process);
                         }
                         // Stale entry (process died); keep popping.
                         _ => continue,
@@ -132,8 +159,7 @@ impl SimState {
                 }
                 None => {
                     self.current = None;
-                    cv.notify_all();
-                    return;
+                    return Wake::Drivers;
                 }
             }
         }
@@ -295,7 +321,7 @@ impl SimCore {
     /// Executes every scheduled crash that precedes the next ready
     /// process (crashes happen in virtual-time order, like any other
     /// event), then picks the next process to run.
-    fn schedule(&self, st: &mut SimState) {
+    fn schedule(&self, st: &mut SimState) -> Wake {
         loop {
             let due = match (st.crashes.peek(), st.ready.peek()) {
                 (Some(&Reverse((ct, _, _))), Some(&Reverse((rt, _, _)))) => ct <= rt,
@@ -308,16 +334,53 @@ impl SimCore {
             let Reverse((at, _, pid_raw)) = st.crashes.pop().expect("peeked above");
             self.execute_kill(st, Pid::from_raw(pid_raw), at);
         }
-        st.schedule_next(&self.cv);
+        st.schedule_next()
+    }
+
+    /// Issues a wake decided under the state lock. Call it without the lock.
+    fn wake(&self, wake: Wake) {
+        match wake {
+            Wake::Nobody => {}
+            Wake::Process(thread) => thread.unpark(),
+            Wake::Drivers => self.cv.notify_all(),
+        }
+    }
+
+    /// Parks until `pid` holds the baton; `Err(Shutdown)` once the domain
+    /// is shutting down. Park tokens are per thread, so a stray one (from
+    /// shutdown, or from a wake that found the thread already running)
+    /// costs one more look at `current`.
+    fn wait_for_baton(&self, st: &mut MutexGuard<'_, SimState>, pid: Pid) -> Result<(), IpcError> {
+        while st.current != Some(pid) && !st.shutdown {
+            MutexGuard::unlocked(st, std::thread::park);
+        }
+        if st.shutdown {
+            Err(IpcError::Shutdown)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `pid` puts the baton down: picks the next holder, wakes it with the
+    /// lock dropped, and parks until `pid` holds the baton again. When the
+    /// scheduler picks `pid` itself, nothing is woken and nothing parks.
+    fn pass_baton(&self, st: &mut MutexGuard<'_, SimState>, pid: Pid) -> Result<(), IpcError> {
+        let wake = self.schedule(st);
+        if st.current != Some(pid) {
+            MutexGuard::unlocked(st, || self.wake(wake));
+        }
+        self.wait_for_baton(st, pid)
     }
 
     fn shutdown_and_join(&self) {
-        {
-            let mut st = self.state.lock();
-            st.shutdown = true;
-            self.cv.notify_all();
-        }
+        self.state.lock().shutdown = true;
+        self.cv.notify_all();
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
+        // Through the handles, not `ProcState`: a process killed while
+        // parked has no `ProcState` left, and still has to see `shutdown`.
+        for h in &handles {
+            h.thread().unpark();
+        }
         let me = std::thread::current().id();
         for h in handles {
             if h.thread().id() != me {
@@ -365,7 +428,6 @@ impl Drop for SimPath {
                     st.resume_sender(self.txn_id, Err(IpcError::ProcessDied), at);
                 }
             }
-            core.cv.notify_all();
         }
     }
 }
@@ -501,6 +563,7 @@ impl SimDomain {
                 mailbox: BTreeMap::new(),
                 resume: None,
                 holding: Vec::new(),
+                thread: None,
             },
         );
         let seq = st.seq();
@@ -521,10 +584,10 @@ impl SimDomain {
                 // Wait until scheduled for the first time.
                 {
                     let mut st = core.state.lock();
-                    while st.current != Some(pid) && !st.shutdown {
-                        core.cv.wait(&mut st);
+                    if let Some(p) = st.procs.get_mut(&pid) {
+                        p.thread = Some(std::thread::current());
                     }
-                    if st.shutdown {
+                    if core.wait_for_baton(&mut st, pid).is_err() {
                         return;
                     }
                 }
@@ -532,7 +595,13 @@ impl SimDomain {
                 ctx.exit();
             })
             .expect("spawn sim process thread");
-        self.core.threads.lock().push(handle);
+        let mut threads = self.core.threads.lock();
+        // Reap the processes that have exited, so a long-lived domain
+        // keeps only its live threads' stacks mapped.
+        for done in threads.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        threads.push(handle);
         pid
     }
 
@@ -540,14 +609,17 @@ impl SimDomain {
     /// and returns the high-water virtual clock.
     pub fn run(&self) -> SimTime {
         let mut st = self.core.state.lock();
-        loop {
-            if st.current.is_none() {
-                self.core.schedule(&mut st);
-            }
-            if st.shutdown || (st.quiescent() && st.crashes.is_empty()) {
+        while !st.shutdown {
+            if st.current.is_some() {
+                // A process holds the baton; it wakes the drivers when it
+                // puts the baton down with nothing ready.
+                self.core.cv.wait(&mut st);
+            } else if st.quiescent() && st.crashes.is_empty() {
                 break;
+            } else {
+                let wake = self.core.schedule(&mut st);
+                MutexGuard::unlocked(&mut st, || self.core.wake(wake));
             }
-            self.core.cv.wait(&mut st);
         }
         let procs_max = st.procs.values().map(|p| p.local_time).max().unwrap_or(0);
         st.clock_max = st.clock_max.max(procs_max);
@@ -577,7 +649,6 @@ impl SimDomain {
         let mut st = self.core.state.lock();
         let at = st.clock_max;
         self.core.execute_kill(&mut st, pid, at);
-        self.core.cv.notify_all();
     }
 
     /// Schedules a transient crash: `pid` is killed when virtual time
@@ -590,7 +661,6 @@ impl SimDomain {
         let mut st = self.core.state.lock();
         let seq = st.seq();
         st.crashes.push(Reverse((at.as_nanos(), seq, pid.raw())));
-        self.core.cv.notify_all();
     }
 
     /// Schedules a network partition: a directed (or symmetric) host-pair
@@ -801,23 +871,9 @@ impl SimCtx {
             }
         }
         if st.current == Some(self.pid) {
-            self.core.schedule(&mut st);
-        }
-        self.core.cv.notify_all();
-    }
-
-    /// Blocks the calling thread until this process is scheduled again.
-    fn wait_scheduled(
-        &self,
-        st: &mut parking_lot::MutexGuard<'_, SimState>,
-    ) -> Result<(), IpcError> {
-        while st.current != Some(self.pid) && !st.shutdown {
-            self.core.cv.wait(st);
-        }
-        if st.shutdown {
-            Err(IpcError::Shutdown)
-        } else {
-            Ok(())
+            let wake = self.core.schedule(&mut st);
+            drop(st);
+            self.core.wake(wake);
         }
     }
 
@@ -922,8 +978,7 @@ impl Ipc for SimCtx {
         if let Some(p) = st.procs.get_mut(&self.pid) {
             p.status = Status::BlockedSend;
         }
-        self.core.schedule(&mut st);
-        let waited = self.wait_scheduled(&mut st);
+        let waited = self.core.pass_baton(&mut st, self.pid);
         // The transaction is over for the sender either way — normally, or
         // because the whole domain is shutting down.
         self.core.ledger.on_sender_resolved(txn_id);
@@ -1019,8 +1074,7 @@ impl Ipc for SimCtx {
         if let Some(p) = st.procs.get_mut(&self.pid) {
             p.status = Status::BlockedSend;
         }
-        self.core.schedule(&mut st);
-        let waited = self.wait_scheduled(&mut st);
+        let waited = self.core.pass_baton(&mut st, self.pid);
         self.core.ledger.on_sender_resolved(txn_id);
         let result = st
             .procs
@@ -1077,8 +1131,7 @@ impl Ipc for SimCtx {
                     if let Some(p) = st.procs.get_mut(&self.pid) {
                         p.status = Status::BlockedRecv;
                     }
-                    self.core.schedule(&mut st);
-                    self.wait_scheduled(&mut st)?;
+                    self.core.pass_baton(&mut st, self.pid)?;
                 }
             }
         }
@@ -1357,8 +1410,7 @@ impl Ipc for SimCtx {
         }
         let seq = st.seq();
         st.ready.push(Reverse((t, seq, self.pid.raw())));
-        self.core.schedule(&mut st);
-        let _ = self.wait_scheduled(&mut st);
+        let _ = self.core.pass_baton(&mut st, self.pid);
     }
 
     fn now(&self) -> Duration {
@@ -1368,5 +1420,24 @@ impl Ipc for SimCtx {
 
     fn net(&self) -> Option<NetModel> {
         Some(self.core.net.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exited_processes_are_reaped_at_spawn() {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let mut most = 0;
+        for i in 0..10_000u32 {
+            assert_eq!(domain.client(host, move |_| i), Some(i));
+            most = most.max(domain.core.threads.lock().len());
+        }
+        // The last client may still be unwinding when the next one spawns;
+        // without reaping, every handle ever spawned would be kept.
+        assert!(most <= 8, "{most} thread handles retained");
     }
 }

@@ -515,3 +515,264 @@ fn send_to_self_is_rejected() {
         .unwrap_err();
     assert_eq!(err, IpcError::BadOperation("send to self would deadlock"));
 }
+
+// ---- The baton's wake paths --------------------------------------------
+//
+// A baton pass wakes exactly one thread: the next holder. Nothing else is
+// woken when a process is killed, a crash is scheduled or a `Received` is
+// dropped, because none of those changes who holds the baton. Each test
+// below runs under a watchdog, so a lost wake-up fails it instead of
+// stalling the run, and ends by dropping its domain, which joins every
+// process thread and, in debug builds, asserts that the invariant ledger
+// holds no open transaction.
+
+fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    const LIMIT: Duration = Duration::from_secs(20);
+    let (done_tx, done_rx) = channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(LIMIT) {
+        Ok(()) => worker.join().unwrap(),
+        // The sender was dropped unsent: the body panicked.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("the sim kernel hung for {LIMIT:?}"),
+    }
+}
+
+/// Sends a message on `tx` when dropped: when the process body owning it
+/// returns, or its thread ends without running it.
+struct OnDrop(std::sync::mpsc::Sender<()>);
+
+impl Drop for OnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
+}
+
+fn echo_once(
+    domain: &SimDomain,
+    host: vproto::LogicalHost,
+    to: vproto::Pid,
+) -> Result<(), IpcError> {
+    domain
+        .client(host, move |ctx| {
+            ctx.send(to, Message::request(RequestCode::Echo), Bytes::new(), 0)
+                .map(drop)
+        })
+        .expect("client ran")
+}
+
+#[test]
+fn killing_a_process_parked_in_receive() {
+    with_watchdog(|| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let (gone_tx, gone_rx) = std::sync::mpsc::channel();
+        let server = domain.spawn(host, "echo", move |ctx| {
+            let _gone = OnDrop(gone_tx);
+            echo_server(ctx);
+        });
+        let other = domain.spawn(host, "other", echo_server);
+        assert_eq!(echo_once(&domain, host, server), Ok(()));
+        // The server is parked in `receive`; killing it wakes nobody.
+        domain.kill(server);
+        assert_eq!(echo_once(&domain, host, server), Err(IpcError::NoProcess));
+        assert_eq!(echo_once(&domain, host, other), Ok(()));
+        assert!(gone_rx.try_recv().is_err(), "parked until shutdown");
+        drop(domain);
+        gone_rx
+            .try_recv()
+            .expect("shutdown reached the killed thread");
+    });
+}
+
+#[test]
+fn killing_a_process_that_was_never_scheduled() {
+    with_watchdog(|| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let ran = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = std::sync::Arc::clone(&ran);
+        let (gone_tx, gone_rx) = std::sync::mpsc::channel();
+        let gone = OnDrop(gone_tx);
+        let doomed = domain.spawn(host, "doomed", move |_| {
+            let _gone = gone;
+            flag.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        domain.kill(doomed);
+        let server = domain.spawn(host, "echo", echo_server);
+        assert_eq!(echo_once(&domain, host, server), Ok(()));
+        assert_eq!(echo_once(&domain, host, doomed), Err(IpcError::NoProcess));
+        drop(domain);
+        // Its thread was parked waiting for a first turn that never came;
+        // shutdown ended it without running the body.
+        gone_rx.try_recv().expect("the unstarted thread ended");
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst));
+    });
+}
+
+#[test]
+fn a_crash_behind_a_killed_ready_process_still_fires() {
+    with_watchdog(|| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let server = domain.spawn(host, "echo", echo_server);
+        let t0 = domain.run();
+        // The killed process leaves a stale entry in the ready queue, ahead
+        // of the crash; `run()` must skip it and still execute the crash.
+        let doomed = domain.spawn(host, "doomed", |_| {});
+        domain.kill(doomed);
+        domain.schedule_crash(server, t0 + Duration::from_millis(5));
+        domain.run();
+        assert_eq!(echo_once(&domain, host, server), Err(IpcError::NoProcess));
+    });
+}
+
+#[test]
+fn scheduled_crash_of_a_parked_server_while_run_drives_a_client() {
+    with_watchdog(|| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let (a, b) = (domain.add_host(), domain.add_host());
+        let server = domain.spawn(b, "echo", echo_server);
+        domain.run();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (result_tx, result_rx) = std::sync::mpsc::channel();
+        domain.spawn(a, "client", move |ctx| {
+            let mut answered = 0u32;
+            let err = loop {
+                match ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0) {
+                    Ok(_) => answered += 1,
+                    Err(e) => break e,
+                }
+                if answered == 1 {
+                    let _ = started_tx.send(());
+                }
+                // Between sends the server is parked in `receive`.
+                ctx.sleep(Duration::from_millis(1));
+            };
+            let _ = result_tx.send((answered, err));
+        });
+        let driver = {
+            let domain = domain.clone();
+            std::thread::spawn(move || domain.run())
+        };
+        started_rx.recv().expect("the client is running");
+        domain.schedule_crash(server, domain.virtual_now() + Duration::from_millis(5));
+        driver
+            .join()
+            .expect("run() returned once the client gave up");
+        let (answered, err) = result_rx.recv().expect("the client finished");
+        assert!(answered >= 1);
+        assert!(
+            matches!(err, IpcError::NoProcess | IpcError::ProcessDied),
+            "{err:?}"
+        );
+        drop(domain);
+    });
+}
+
+#[test]
+fn received_dropped_on_a_foreign_thread_resumes_the_sender_on_next_run() {
+    with_watchdog(|| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let server = domain.spawn(host, "smuggler", move |ctx| {
+            while let Ok(rx) = ctx.receive() {
+                let _ = held_tx.send(rx);
+            }
+        });
+        let (result_tx, result_rx) = std::sync::mpsc::channel();
+        domain.spawn(host, "client", move |ctx| {
+            let r = ctx.send(server, Message::request(RequestCode::Echo), Bytes::new(), 0);
+            let _ = result_tx.send(r.map(drop));
+        });
+        domain.run();
+        let rx = held_rx.recv().expect("the server handed the request out");
+        assert!(result_rx.try_recv().is_err(), "the sender is blocked");
+        // Dropped on this thread, outside the simulation: the sender is
+        // made ready, and nobody is woken until a driver runs the domain.
+        std::thread::spawn(move || drop(rx)).join().unwrap();
+        domain.run();
+        assert_eq!(result_rx.recv(), Ok(Err(IpcError::ProcessDied)));
+        drop(domain);
+    });
+}
+
+#[test]
+fn dropping_a_domain_with_killed_parked_threads() {
+    with_watchdog(|| {
+        const SERVERS: usize = 16;
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        let (gone_tx, gone_rx) = std::sync::mpsc::channel();
+        let servers: Vec<_> = (0..SERVERS)
+            .map(|_| {
+                let gone = OnDrop(gone_tx.clone());
+                domain.spawn(host, "echo", move |ctx| {
+                    let _gone = gone;
+                    echo_server(ctx);
+                })
+            })
+            .collect();
+        drop(gone_tx);
+        domain.run();
+        for &server in &servers {
+            domain.kill(server);
+        }
+        drop(domain);
+        assert_eq!(gone_rx.try_iter().count(), SERVERS);
+    });
+}
+
+/// Wall time per echo transaction to `to`, over one round of a few
+/// transactions: short enough that a kernel paying milliseconds per pass
+/// still fails the test below in seconds.
+fn wall_ns_per_txn(domain: &SimDomain, host: vproto::LogicalHost, to: vproto::Pid) -> f64 {
+    const PER_ROUND: u32 = 50;
+    domain
+        .client(host, move |ctx| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..PER_ROUND {
+                ctx.send(to, Message::request(RequestCode::Echo), Bytes::new(), 0)
+                    .unwrap();
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(PER_ROUND)
+        })
+        .expect("client ran")
+}
+
+#[test]
+fn transaction_wall_time_does_not_grow_with_parked_processes() {
+    const BYSTANDERS: usize = 512;
+    const ROUNDS: usize = 9;
+    let world = |bystanders: usize| {
+        let domain = SimDomain::new(Params1984::ethernet_3mbit());
+        let host = domain.add_host();
+        for _ in 0..bystanders {
+            domain.spawn(host, "bystander", echo_server);
+        }
+        let echo = domain.spawn(host, "echo", echo_server);
+        domain.run();
+        (domain, host, echo)
+    };
+    let (quiet, crowded) = (world(0), world(BYSTANDERS));
+    let (mut best_quiet, mut best_crowded) = (f64::MAX, f64::MAX);
+    // Alternate the two worlds so both see the same machine, and keep each
+    // one's fastest round so a preempted round does not count.
+    for _ in 0..ROUNDS {
+        best_quiet = best_quiet.min(wall_ns_per_txn(&quiet.0, quiet.1, quiet.2));
+        best_crowded = best_crowded.min(wall_ns_per_txn(&crowded.0, crowded.1, crowded.2));
+    }
+    let ratio = best_crowded / best_quiet;
+    assert!(
+        ratio <= 10.0,
+        "{BYSTANDERS} parked processes make a transaction {ratio:.1}x slower \
+         ({best_crowded:.0} vs {best_quiet:.0} ns): a baton pass wakes bystanders"
+    );
+}
