@@ -9,8 +9,9 @@
 //! * the kernel-level event-stream hash ([`vkernel::SimDomain::event_hash`]
 //!   — every delivery and sender resumption, with virtual times and
 //!   transaction ids) for a canned rendezvous/forward/multicast scenario;
-//! * an FNV hash of the full report (labels, values, notes) for a sample of
-//!   the `vsim` experiments.
+//! * an FNV hash of the full report (labels, values, notes) for every
+//!   experiment in [`vsim::EXPERIMENTS`] — every quantitative claim in
+//!   EXPERIMENTS.md must be reproducible bit for bit.
 
 use crate::Violation;
 use bytes::Bytes;
@@ -190,29 +191,6 @@ pub fn partitioned_scenario_event_hash(cut: bool) -> u64 {
     domain.event_hash()
 }
 
-/// The experiments sampled by the gate (report id, runner).
-type ExpRunner = (&'static str, fn() -> ExpReport);
-
-/// Experiments run twice by the gate: all of them, including EXP-11's
-/// fault plane — every quantitative claim in EXPERIMENTS.md must be
-/// reproducible bit for bit.
-pub const SAMPLED_EXPERIMENTS: &[ExpRunner] = &[
-    ("EXP-1", vsim::exp1::run),
-    ("EXP-2", vsim::exp2::run),
-    ("EXP-3", vsim::exp3::run),
-    ("EXP-4", vsim::exp4::run),
-    ("EXP-5", vsim::exp5::run),
-    ("EXP-6", vsim::exp6::run),
-    ("EXP-7", vsim::exp7::run),
-    ("EXP-8", vsim::exp8::run),
-    ("EXP-9", vsim::exp9::run),
-    ("EXP-10", vsim::exp10::run),
-    ("EXP-11", vsim::exp11::run),
-    ("EXP-12", vsim::exp12::run),
-    ("EXP-13", vsim::exp13::run),
-    ("EXP-14", vsim::exp14::run),
-];
-
 /// Runs the determinism gate: every workload twice, comparing hashes.
 pub fn run() -> Vec<Violation> {
     let mut out = Vec::new();
@@ -235,7 +213,7 @@ pub fn run() -> Vec<Violation> {
         out.push(v);
     }
 
-    for (id, runner) in SAMPLED_EXPERIMENTS {
+    for (id, runner) in vsim::EXPERIMENTS {
         let (r1, r2) = (report_hash(&runner()), report_hash(&runner()));
         if let Some(v) = compare(&format!("experiment {id}"), r1, r2) {
             out.push(v);

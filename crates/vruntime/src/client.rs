@@ -33,6 +33,25 @@ fn retryable(err: &IoError) -> bool {
     }
 }
 
+/// Reads a prefix server's `SyncStatus` record — its versioned-table
+/// summary (epoch, entry counts, table hash, watermark, GC horizon,
+/// sync/gossip counters) — in one transaction from `ipc`. `None` if the
+/// server cannot be reached or the record cannot be decoded.
+pub fn sync_status(ipc: &dyn Ipc, server: Pid) -> Option<SyncStatusRec> {
+    let reply = ipc
+        .send(
+            server,
+            Message::request(RequestCode::SyncStatus),
+            Bytes::new(),
+            4096,
+        )
+        .ok()?;
+    if !reply.msg.reply_code().is_ok() {
+        return None;
+    }
+    SyncStatusRec::decode(&reply.data).ok()
+}
+
 /// The standard run-time routines of paper §6, bound to one process and one
 /// current context.
 ///
@@ -334,26 +353,6 @@ impl<'a> NameClient<'a> {
     /// from gossip-adopted entries while the authority is down).
     pub fn set_prefix_server(&self, server: Pid) {
         self.prefix_server.set(Some(server));
-    }
-
-    /// Reads a prefix server's `SyncStatus` record — its versioned-table
-    /// summary (epoch, entry counts, table hash, watermark, GC horizon,
-    /// sync/gossip counters). `None` if the server cannot be reached or
-    /// the record cannot be decoded.
-    pub fn sync_status(&self, server: Pid) -> Option<SyncStatusRec> {
-        let reply = self
-            .ipc
-            .send(
-                server,
-                Message::request(RequestCode::SyncStatus),
-                Bytes::new(),
-                4096,
-            )
-            .ok()?;
-        if !reply.msg.reply_code().is_ok() {
-            return None;
-        }
-        SyncStatusRec::decode(&reply.data).ok()
     }
 
     /// Drives one anti-entropy round on a prefix replica. The server walks

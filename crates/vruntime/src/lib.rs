@@ -21,8 +21,8 @@
 mod client;
 
 pub use client::{
-    BatchOutcome, Binding, CacheStats, DegradedStats, NameClient, RetryStats, Staleness,
-    SyncPullSummary,
+    sync_status, BatchOutcome, Binding, CacheStats, DegradedStats, NameClient, RetryStats,
+    Staleness, SyncPullSummary,
 };
 pub use vio::IoError;
 pub use vnaming::{BackoffPolicy, RetryPolicy};

@@ -8,7 +8,7 @@ use vproto::{
     fields, ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, Message, OpenMode, Pid,
     ReplyCode, RequestCode, Scope, ServiceId,
 };
-use vruntime::NameClient;
+use vruntime::{sync_status, NameClient};
 use vservers::{
     file_server, mail_server, prefix_server, printer_server, program_manager, terminal_server,
     DegradedPrefixConfig, FileServerConfig, MailConfig, PrefixConfig, PrinterConfig, ProgramConfig,
@@ -703,7 +703,7 @@ fn sync_pull_summary_saturates_past_u16() {
             .expect("one round converges a cold replica");
         assert_eq!(summary.adopted, 65_535, "saturated, not truncated");
         assert_eq!((summary.dropped, summary.promoted), (0, 0));
-        let status = client.sync_status(replica).expect("status");
+        let status = sync_status(ctx, replica).expect("status");
         assert_eq!(
             status.adopted, NAMES,
             "the exact count is in the status record"
@@ -711,7 +711,7 @@ fn sync_pull_summary_saturates_past_u16() {
         assert_eq!(status.live_entries, NAMES);
         assert_eq!(
             Some(status.table_hash),
-            client.sync_status(authority).map(|s| s.table_hash)
+            sync_status(ctx, authority).map(|s| s.table_hash)
         );
     });
 }

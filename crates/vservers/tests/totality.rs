@@ -20,7 +20,7 @@ use vproto::{
     fields, ContextId, ContextPair, CsName, LogicalHost, Message, Pid, ReplyCode, RequestCode,
     Scope, ServiceId,
 };
-use vruntime::NameClient;
+use vruntime::sync_status;
 use vservers::{
     file_server, internet_server, mail_server, pipe_server, prefix_server, printer_server,
     program_manager, terminal_server, time_server, DegradedPrefixConfig, FileServerConfig,
@@ -354,8 +354,7 @@ fn a_spent_forward_budget_says_nothing_about_the_target() {
         ctx.sleep(Duration::from_millis(100));
         let lost = query(MAX_FORWARDS).map(|m| m.reply_code());
         ctx.sleep(Duration::from_secs(10));
-        let status =
-            NameClient::new(ctx, ContextPair::new(pfx, ContextId::DEFAULT)).sync_status(pfx);
+        let status = sync_status(ctx, pfx);
         let resolved =
             query(0).map(|m| ContextPair::new(m.pid_at(fields::W_PID_LO), m.context_id()));
         (answered, lost, status, resolved)

@@ -4,7 +4,7 @@
 //! messages between two processes on separate 10 MHz SUN workstations
 //! connected by a 3 Mbit Ethernet is 2.56 milliseconds."
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use bytes::Bytes;
 use std::time::Duration;
 use vkernel::{Ipc, SimDomain};
@@ -35,11 +35,6 @@ pub fn measure_txn(params: Params1984, same_host: bool, iters: u32) -> Duration 
             (ctx.now() - t0) / iters
         })
         .expect("client completed")
-}
-
-/// Placement helper used by the report rows.
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-1.

@@ -13,7 +13,7 @@
 //! the latency benefit on reuse, and the stale-binding failures after a
 //! server is restarted.
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use crate::world::boot_world;
 use std::time::Duration;
 use vkernel::SimDomain;
@@ -153,10 +153,6 @@ pub fn measure_cache(params: Params1984) -> CacheOutcome {
     }
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
-}
-
 /// Runs EXP-10.
 pub fn run() -> ExpReport {
     let mut rep = ExpReport::new(
@@ -208,7 +204,7 @@ mod tests {
         let (forwarded, iterated) = measure_forward_vs_iterate(Params1984::ethernet_3mbit());
         assert!(forwarded < iterated, "{forwarded:?} vs {iterated:?}");
         // The gap is roughly one transaction plus one prefix processing.
-        let gap_ms = (iterated - forwarded).as_nanos() as f64 / 1e6;
+        let gap_ms = ms(iterated - forwarded);
         assert!((0.5..8.0).contains(&gap_ms), "gap {gap_ms} ms");
     }
 

@@ -19,8 +19,8 @@
 //! counts and event hashes (enforced by the `vcheck` determinism gate).
 
 use crate::exp4::{measure_open, OpenCase};
-use crate::report::{ExpReport, ExpRow};
-use crate::world::boot_world_with;
+use crate::report::{ms, ExpReport, ExpRow};
+use crate::world::{boot_world_with, login_bindings, sleep_until};
 use std::time::Duration;
 use vnaming::BackoffPolicy;
 use vnet::{FaultConfig, Params1984};
@@ -102,29 +102,17 @@ pub fn measure_recovery(seed: u64, restart_delay: Duration) -> Recovery {
     // server with the standard bindings preloaded — soft state rebuilt
     // at boot, no re-add window (paper §6: prefixes come from the user's
     // profile, so a restart can replay them).
-    let (local_fs, remote_fs) = (world.local_fs, world.remote_fs);
+    let local_fs = world.local_fs;
+    let preload_direct = login_bindings(local_fs, world.remote_fs);
     let wake = t_restart.as_duration();
     world
         .domain
         .spawn(world.workstation, "prefix-standby", move |ctx| {
-            let now = ctx.now();
-            if wake > now {
-                ctx.sleep(wake - now);
-            }
+            sleep_until(ctx, wake);
             prefix_server(
                 ctx,
                 PrefixConfig {
-                    preload_direct: vec![
-                        (
-                            "local".into(),
-                            ContextPair::new(local_fs, ContextId::DEFAULT),
-                        ),
-                        (
-                            "remote".into(),
-                            ContextPair::new(remote_fs, ContextId::DEFAULT),
-                        ),
-                        ("home".into(), ContextPair::new(local_fs, ContextId::HOME)),
-                    ],
+                    preload_direct,
                     ..PrefixConfig::default()
                 },
             );
@@ -134,11 +122,7 @@ pub fn measure_recovery(seed: u64, restart_delay: Duration) -> Recovery {
     // backoff until the re-registered server answers the GetPid re-query.
     let crash_at = t_crash.as_duration();
     let (success_at, stats) = world.client(move |ctx| {
-        let start = crash_at + Duration::from_millis(1);
-        let now = ctx.now();
-        if start > now {
-            ctx.sleep(start - now);
-        }
+        sleep_until(ctx, crash_at + Duration::from_millis(1));
         let mut client = NameClient::new(ctx, ContextPair::new(local_fs, ContextId::DEFAULT));
         client.set_retry_policy(BackoffPolicy::recovery());
         client
@@ -153,10 +137,6 @@ pub fn measure_recovery(seed: u64, restart_delay: Duration) -> Recovery {
         retries: stats.retries,
         gave_up: stats.gave_up,
     }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-11.

@@ -37,8 +37,8 @@
 //! `vcheck` determinism gate.
 
 use crate::exp4::{measure_open, OpenCase};
-use crate::report::{ExpReport, ExpRow};
-use crate::world::{boot_world_cfg, boot_world_with, SimWorld, WorldConfig};
+use crate::report::{ms, ExpReport, ExpRow};
+use crate::world::{boot_world_cfg, boot_world_with, sleep_until, SimWorld, WorldConfig};
 use std::time::Duration;
 use vnaming::BackoffPolicy;
 use vnet::{FaultConfig, Params1984, Partition, RttConfig};
@@ -58,32 +58,21 @@ pub const PARTITION_WIDTHS: [Duration; 3] = [
 
 /// The standard world with degraded-mode resolution on the workstation
 /// prefix server, under a lossless seeded plane (partitions are scheduled
-/// per run; they draw no randomness).
-fn degraded_world(seed: u64, replica: bool) -> SimWorld {
+/// per run; they draw no randomness), with `replicas` prefix replicas.
+fn degraded_world(seed: u64, replicas: usize) -> SimWorld {
     boot_world_cfg(WorldConfig {
         faults: Some(FaultConfig::lossless(seed)),
         degraded: Some(DegradedPrefixConfig::default()),
-        replica,
+        replicas,
         ..WorldConfig::new(Params1984::ethernet_3mbit())
     })
-}
-
-fn sleep_until(ctx: &dyn vkernel::Ipc, at: Duration) {
-    let now = ctx.now();
-    if at > now {
-        ctx.sleep(at - now);
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// The control measurement: the degraded world with nothing scheduled.
 /// Returns the two prefix-route `Open` means (ms) — these must reproduce
 /// EXP-4, i.e. degraded mode costs nothing while the network is healthy.
 pub fn measure_control(seed: u64, iters: u32) -> (f64, f64) {
-    let world = degraded_world(seed, false);
+    let world = degraded_world(seed, 0);
     let local = ms(measure_open(&world, OpenCase::PrefixLocal, iters));
     let remote = ms(measure_open(&world, OpenCase::PrefixRemote, iters));
     (local, remote)
@@ -113,7 +102,7 @@ pub struct PartitionOutcome {
 /// after boot, and drives a degraded-mode client across the timeline:
 /// a warm resolve before the cut, one during, one `Open` after the heal.
 pub fn measure_partition(seed: u64, width: Duration) -> PartitionOutcome {
-    let world = degraded_world(seed, false);
+    let world = degraded_world(seed, 0);
     let t0 = world.domain.run();
     let cut_start = t0 + Duration::from_millis(20);
     world.domain.schedule_partition(Partition::between(
@@ -177,7 +166,7 @@ pub struct AsymmetricOutcome {
 /// do not. The prefix server's forward succeeds, so suspicion never arms —
 /// the client's name cache is the only degraded path that can answer.
 pub fn measure_asymmetric(seed: u64, width: Duration) -> AsymmetricOutcome {
-    let world = degraded_world(seed, false);
+    let world = degraded_world(seed, 0);
     let t0 = world.domain.run();
     let cut_start = t0 + Duration::from_millis(20);
     world.domain.schedule_partition(Partition::one_way(
@@ -235,7 +224,7 @@ pub struct ReplicaOutcome {
 /// multicast to the replica group is what answers — `Suspect`, because
 /// nobody authoritative vouched for it.
 pub fn measure_replica_rescue(seed: u64) -> ReplicaOutcome {
-    let world = degraded_world(seed, true);
+    let world = degraded_world(seed, 1);
     let t0 = world.domain.run();
     let t_crash = t0 + Duration::from_millis(10);
     world.domain.schedule_crash(world.prefix, t_crash);

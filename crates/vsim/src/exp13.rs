@@ -47,13 +47,12 @@
 //! latencies, counters and kernel event hashes (sync rounds are ordinary
 //! messages, so they fold into the hash like any other traffic).
 
-use crate::report::{ExpReport, ExpRow};
-use crate::world::{boot_world_cfg, SimWorld, WorldConfig};
-use bytes::Bytes;
+use crate::report::{ms, ExpReport, ExpRow};
+use crate::world::{boot_world_cfg, login_bindings, sleep_until, SimWorld, WorldConfig};
 use std::time::Duration;
 use vnet::{FaultConfig, Params1984, Partition};
-use vproto::{ContextId, ContextPair, Message, Pid, RequestCode, SyncBinding, SyncStatusRec};
-use vruntime::{NameClient, Staleness};
+use vproto::{ContextId, ContextPair, Message, RequestCode, SyncBinding};
+use vruntime::{sync_status, NameClient, Staleness};
 use vservers::{
     flat_round, merkle_round, prefix_server, DegradedPrefixConfig, PrefixConfig, RoundFate,
     RoundKind, RoundStats, SyncTable,
@@ -92,39 +91,10 @@ fn sync_world(seed: u64, flat_sync: bool) -> SimWorld {
             flat_sync,
             ..DegradedPrefixConfig::default()
         }),
-        replica: true,
-        sync_replica: true,
+        replicas: 1,
         flat_sync,
         ..WorldConfig::new(Params1984::ethernet_3mbit())
     })
-}
-
-fn sleep_until(ctx: &dyn vkernel::Ipc, at: Duration) {
-    let now = ctx.now();
-    if at > now {
-        ctx.sleep(at - now);
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
-}
-
-/// Reads a server's `SyncStatus` record (None if it cannot be reached or
-/// decoded).
-fn sync_status(ctx: &dyn vkernel::Ipc, server: Pid) -> Option<SyncStatusRec> {
-    let reply = ctx
-        .send(
-            server,
-            Message::request(RequestCode::SyncStatus),
-            Bytes::new(),
-            4096,
-        )
-        .ok()?;
-    if !reply.msg.reply_code().is_ok() {
-        return None;
-    }
-    SyncStatusRec::decode(&reply.data).ok()
 }
 
 /// Outcome of one partition→heal convergence run.
@@ -184,7 +154,7 @@ pub fn measure_convergence_with(
         cut_start,
         Some(heal),
     ));
-    let replica = world.replica.expect("sync world has a replica");
+    let replica = world.replicas[0];
     // Heal-triggered anti-entropy: the wiring reads the plane's partition
     // schedule and books one SyncPull per heal, 1 ms after connectivity
     // returns.
@@ -281,7 +251,7 @@ pub struct FreshRescueOutcome {
 pub fn measure_fresh_rescue(seed: u64) -> FreshRescueOutcome {
     let world = sync_world(seed, false);
     let t0 = world.domain.run();
-    let replica = world.replica.expect("sync world has a replica");
+    let replica = world.replicas[0];
     world.domain.notify_at(
         t0 + Duration::from_millis(5),
         replica,
@@ -334,11 +304,12 @@ pub struct RestartOutcome {
 pub fn measure_restart_recovery(seed: u64) -> RestartOutcome {
     let world = sync_world(seed, false);
     let t0 = world.domain.run();
-    let replica = world.replica.expect("sync world has a replica");
+    let replica = world.replicas[0];
     let t_crash = t0 + Duration::from_millis(10);
     let t_restart = t_crash + Duration::from_millis(5);
     world.domain.schedule_crash(replica, t_crash);
-    let (local_fs, remote_fs, authority) = (world.local_fs, world.remote_fs, world.prefix);
+    let authority = world.prefix;
+    let preload_direct = login_bindings(world.local_fs, world.remote_fs);
     let restart_at = t_restart.as_duration();
     // The supervisor: becomes the replacement replica after the crash. Its
     // preloads are the login-script bindings (epoch 0, unverified) — the
@@ -350,17 +321,7 @@ pub fn measure_restart_recovery(seed: u64) -> RestartOutcome {
             prefix_server(
                 ctx,
                 PrefixConfig {
-                    preload_direct: vec![
-                        (
-                            "local".into(),
-                            ContextPair::new(local_fs, ContextId::DEFAULT),
-                        ),
-                        (
-                            "remote".into(),
-                            ContextPair::new(remote_fs, ContextId::DEFAULT),
-                        ),
-                        ("home".into(), ContextPair::new(local_fs, ContextId::HOME)),
-                    ],
+                    preload_direct,
                     degraded: Some(DegradedPrefixConfig {
                         authoritative: false,
                         sync_peer: Some(authority),
@@ -415,7 +376,7 @@ pub fn measure_periodic(seed: u64) -> PeriodicOutcome {
     let period = Duration::from_millis(100);
     let world = sync_world(seed, false);
     let t0 = world.domain.run();
-    let replica = world.replica.expect("sync world has a replica");
+    let replica = world.replicas[0];
     for k in 1..=3u32 {
         world.domain.notify_at(
             t0 + period * k,

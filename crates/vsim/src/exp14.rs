@@ -35,12 +35,11 @@
 //! counters and kernel event hashes.
 
 use crate::report::{ExpReport, ExpRow};
-use crate::world::{boot_world_cfg, SimWorld, WorldConfig};
-use bytes::Bytes;
+use crate::world::{boot_world_cfg, sleep_until, SimWorld, WorldConfig};
 use std::time::Duration;
 use vnet::{FaultConfig, Params1984, Partition};
-use vproto::{ContextId, ContextPair, Message, Pid, RequestCode, SyncStatusRec};
-use vruntime::{NameClient, Staleness};
+use vproto::{ContextId, ContextPair, Message, RequestCode};
+use vruntime::{sync_status, NameClient, Staleness};
 use vservers::DegradedPrefixConfig;
 
 /// Default seed for the experiment's fault schedules.
@@ -57,35 +56,9 @@ fn gossip_world(seed: u64) -> SimWorld {
     boot_world_cfg(WorldConfig {
         faults: Some(FaultConfig::lossless(seed)),
         degraded: Some(DegradedPrefixConfig::default()),
-        replica: true,
-        sync_replica: true,
-        extra_replicas: 1,
+        replicas: 2,
         ..WorldConfig::new(Params1984::ethernet_3mbit())
     })
-}
-
-fn sleep_until(ctx: &dyn vkernel::Ipc, at: Duration) {
-    let now = ctx.now();
-    if at > now {
-        ctx.sleep(at - now);
-    }
-}
-
-/// Reads a server's `SyncStatus` record (None if it cannot be reached or
-/// decoded).
-fn sync_status(ctx: &dyn vkernel::Ipc, server: Pid) -> Option<SyncStatusRec> {
-    let reply = ctx
-        .send(
-            server,
-            Message::request(RequestCode::SyncStatus),
-            Bytes::new(),
-            4096,
-        )
-        .ok()?;
-    if !reply.msg.reply_code().is_ok() {
-        return None;
-    }
-    SyncStatusRec::decode(&reply.data).ok()
 }
 
 /// Outcome of the authority-down gossip-convergence scenario.
@@ -135,12 +108,7 @@ pub struct GossipOutcome {
 pub fn measure_gossip_convergence(seed: u64) -> GossipOutcome {
     let world = gossip_world(seed);
     let t0 = world.domain.run();
-    let peer = world.replica.expect("gossip world has a replica");
-    let cold = *world
-        .replicas
-        .last()
-        .expect("gossip world has a cold replica");
-    assert_ne!(peer, cold, "extra replica spawned");
+    let (peer, cold) = (world.replicas[0], world.replicas[1]);
     // Vouch the preloaded replica's table before the cut, so gossip has a
     // stamped (epoch > 0) table to spread — gossip deltas never carry
     // epoch-0 preloads.
@@ -272,11 +240,7 @@ pub struct TombstoneBoundOutcome {
 pub fn measure_tombstone_bound(seed: u64) -> TombstoneBoundOutcome {
     let world = gossip_world(seed);
     let t0 = world.domain.run();
-    let peer = world.replica.expect("gossip world has a replica");
-    let cold = *world
-        .replicas
-        .last()
-        .expect("gossip world has a cold replica");
+    let (peer, cold) = (world.replicas[0], world.replicas[1]);
     let (local_fs, remote_fs, authority) = (world.local_fs, world.remote_fs, world.prefix);
     let t0_d = t0.as_duration();
     // The churn: define + delete, so every pair leaves one tombstone.

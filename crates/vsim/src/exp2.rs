@@ -7,7 +7,7 @@
 //! 13 percent of the maximum speed at which a SUN workstation can write
 //! packets out to the network when there is no protocol overhead."
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use bytes::Bytes;
 use std::time::Duration;
 use vkernel::SimDomain;
@@ -51,7 +51,7 @@ pub fn run() -> ExpReport {
     rep.push(ExpRow::with_paper(
         "64 KB load, 3 Mbit Ethernet",
         338.0,
-        t.as_nanos() as f64 / 1e6,
+        ms(t),
         "ms",
     ));
     // The paper's "within 13% of maximum write speed" claim: compare with
@@ -72,7 +72,7 @@ pub fn run() -> ExpReport {
     let t10 = measure_load(Params1984::ethernet_10mbit(), 64 * 1024);
     rep.push(ExpRow::measured_only(
         "64 KB load, 10 Mbit Ethernet",
-        t10.as_nanos() as f64 / 1e6,
+        ms(t10),
         "ms",
     ));
     rep.note("paper states 'within 13 percent of the maximum speed', i.e. ≈87% efficiency");

@@ -5,7 +5,8 @@
 //! This is comparable to the performance of highly tuned special-purpose
 //! file access protocols."
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
+use crate::world::sleep_until;
 use std::time::Duration;
 use vkernel::SimDomain;
 use vnet::Params1984;
@@ -67,11 +68,7 @@ pub fn measure_read_ahead(params: Params1984, pages: usize) -> Duration {
         let mut next_page = 0u32;
         while let Ok(rx) = ctx.receive() {
             let start = *stream_start.get_or_insert_with(|| ctx.now());
-            let ready_at = start + disk_latency * (next_page + 1);
-            let now = ctx.now();
-            if ready_at > now {
-                ctx.sleep(ready_at - now);
-            }
+            sleep_until(ctx, start + disk_latency * (next_page + 1));
             next_page += 1;
             let mut m = Message::ok();
             m.set_word(fields::W_IO_COUNT, page as u16);
@@ -102,19 +99,19 @@ pub fn run() -> ExpReport {
     rep.push(ExpRow::with_paper(
         "per page, remote server, 3 Mbit",
         17.13,
-        per_page.as_nanos() as f64 / 1e6,
+        ms(per_page),
         "ms",
     ));
     let per_page_10 = measure_read(Params1984::ethernet_10mbit(), 64);
     rep.push(ExpRow::measured_only(
         "per page, remote server, 10 Mbit",
-        per_page_10.as_nanos() as f64 / 1e6,
+        ms(per_page_10),
         "ms",
     ));
     let ahead = measure_read_ahead(Params1984::ethernet_3mbit(), 64);
     rep.push(ExpRow::measured_only(
         "per page with server read-ahead",
-        ahead.as_nanos() as f64 / 1e6,
+        ms(ahead),
         "ms",
     ));
     rep.push(ExpRow::measured_only("disk floor", 15.0, "ms"));
@@ -142,8 +139,8 @@ mod tests {
 
     #[test]
     fn paper_value_bracketed_by_serial_and_readahead_models() {
-        let serial = measure_read(Params1984::ethernet_3mbit(), 32).as_nanos() as f64 / 1e6;
-        let ahead = measure_read_ahead(Params1984::ethernet_3mbit(), 32).as_nanos() as f64 / 1e6;
+        let serial = ms(measure_read(Params1984::ethernet_3mbit(), 32));
+        let ahead = ms(measure_read_ahead(Params1984::ethernet_3mbit(), 32));
         assert!(
             ahead <= 17.13 && 17.13 <= serial,
             "paper 17.13 not bracketed by [{ahead}, {serial}]"

@@ -10,7 +10,7 @@
 //! milliseconds), because it reflects the processing time in the context
 //! prefix server, which is always local."
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use crate::world::{boot_world, SimWorld};
 use std::time::Duration;
 use vnet::Params1984;
@@ -76,10 +76,6 @@ pub fn measure_open(world: &SimWorld, case: OpenCase, iters: u32) -> Duration {
         }
         (ctx.now() - t0) / iters
     })
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-4.

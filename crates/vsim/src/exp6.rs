@@ -7,7 +7,7 @@
 //! experiment measures both strategies over directories of growing size
 //! and reports the cost ratio and the message counts.
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use std::time::Duration;
 use vkernel::SimDomain;
 use vnet::Params1984;
@@ -96,10 +96,6 @@ pub fn measure_listing(params: Params1984, n: usize, remote: bool) -> ListCosts 
             }
         })
         .expect("listing completed")
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-6.

@@ -12,7 +12,7 @@
 //! * **Reliability**: "A name server ... represents a central failure
 //!   point."
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use std::time::Duration;
 use vcentral::{central_name_server, object_store, CentralClient, DeleteCrash};
 use vkernel::SimDomain;
@@ -153,10 +153,6 @@ pub fn measure_consistency(
     }
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
-}
-
 /// Runs EXP-7.
 pub fn run() -> ExpReport {
     let mut rep = ExpReport::new(
@@ -226,7 +222,7 @@ mod tests {
     #[test]
     fn centralized_pays_roughly_one_extra_transaction() {
         let (dist, central) = measure_open_latency(Params1984::ethernet_3mbit());
-        let extra = central.as_nanos() as f64 / 1e6 - dist.as_nanos() as f64 / 1e6;
+        let extra = ms(central) - ms(dist);
         // One extra remote transaction ≈ 2.56 ms (± name payload effects).
         assert!((1.5..4.0).contains(&extra), "extra {extra}");
     }

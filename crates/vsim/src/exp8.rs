@@ -6,7 +6,7 @@
 //! kernels on the network." The broadcast also has the §2.2 cost: every
 //! kernel on the network spends time filtering queries not meant for it.
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use std::time::Duration;
 use vkernel::SimDomain;
 use vnet::Params1984;
@@ -43,10 +43,6 @@ pub fn measure_getpid(params: Params1984, hosts: usize) -> (Duration, Duration) 
             ((t1 - t0) / 10, (t2 - t1) / 10)
         })
         .expect("getpid runs")
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-8.

@@ -11,7 +11,7 @@
 //! the owner replies, the others discard the request. Compared against the
 //! prefix-server indirection for the same mapping.
 
-use crate::report::{ExpReport, ExpRow};
+use crate::report::{ms, ExpReport, ExpRow};
 use bytes::Bytes;
 use std::time::Duration;
 use vkernel::{GroupId, Ipc, SimDomain};
@@ -84,10 +84,6 @@ pub fn measure_multicast_map(params: Params1984, members: usize) -> Duration {
             ctx.now() - t0
         })
         .expect("multicast map")
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1e6
 }
 
 /// Runs EXP-9.

@@ -3,12 +3,15 @@
 //! V-System* (ICDCS 1984).
 //!
 //! Each experiment is a pure function returning an [`report::ExpReport`]
-//! (paper value vs measured value per row), shared by:
+//! (paper value vs measured value per row), listed once in [`EXPERIMENTS`]
+//! and shared by:
 //!
-//! * the `exp*` binaries (`cargo run -p vsim --bin exp4_open_table`),
+//! * the `vsim` binary (`cargo run -p vsim -- EXP-4`, or `-- all
+//!   --markdown` for the tables of EXPERIMENTS.md),
 //! * the reproduction tests (`cargo test -p vsim`), which assert shape
-//!   fidelity against the paper, and
-//! * EXPERIMENTS.md, whose tables are these reports verbatim.
+//!   fidelity against the paper and pin EXPERIMENTS.md to these reports,
+//!   and
+//! * `vcheck`'s determinism gate, which runs every entry twice.
 //!
 //! All timing experiments run on the deterministic virtual-time kernel
 //! ([`vkernel::SimDomain`]) with the calibrated 1984 cost model
@@ -37,23 +40,23 @@ pub mod world;
 pub use report::{ExpReport, ExpRow};
 pub use world::SimWorld;
 
-/// Runs every experiment, in order. Used by the `all_experiments` binary
-/// and by EXPERIMENTS.md generation.
-pub fn run_all() -> Vec<ExpReport> {
-    vec![
-        exp1::run(),
-        exp2::run(),
-        exp3::run(),
-        exp4::run(),
-        exp5::run(),
-        exp6::run(),
-        exp7::run(),
-        exp8::run(),
-        exp9::run(),
-        exp10::run(),
-        exp11::run(),
-        exp12::run(),
-        exp13::run(),
-        exp14::run(),
-    ]
-}
+/// An experiment: its report id and the function that runs it.
+pub type Experiment = (&'static str, fn() -> ExpReport);
+
+/// Every experiment, in order, keyed by its report id.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("EXP-1", exp1::run),
+    ("EXP-2", exp2::run),
+    ("EXP-3", exp3::run),
+    ("EXP-4", exp4::run),
+    ("EXP-5", exp5::run),
+    ("EXP-6", exp6::run),
+    ("EXP-7", exp7::run),
+    ("EXP-8", exp8::run),
+    ("EXP-9", exp9::run),
+    ("EXP-10", exp10::run),
+    ("EXP-11", exp11::run),
+    ("EXP-12", exp12::run),
+    ("EXP-13", exp13::run),
+    ("EXP-14", exp14::run),
+];

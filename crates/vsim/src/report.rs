@@ -1,6 +1,12 @@
 //! Paper-vs-measured reporting shared by all experiments.
 
 use std::fmt;
+use std::time::Duration;
+
+/// A virtual-time span in milliseconds, the unit of every timing row.
+pub(crate) fn ms(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e6
+}
 
 /// One measured quantity, optionally paired with the paper's value.
 #[derive(Debug, Clone)]

@@ -2,7 +2,8 @@
 //! a diskless workstation (client + per-user prefix server + local file
 //! server) and a remote server machine, on one simulated Ethernet.
 
-use vkernel::{GroupId, SimDomain};
+use std::time::Duration;
+use vkernel::{GroupId, Ipc, SimDomain};
 use vnet::{FaultConfig, Params1984};
 use vproto::{ContextId, ContextPair, LogicalHost, Pid, Scope};
 use vruntime::NameClient;
@@ -23,12 +24,8 @@ pub struct SimWorld {
     pub local_fs: Pid,
     /// The network file server.
     pub remote_fs: Pid,
-    /// The non-authoritative prefix replica on the server machine, when
-    /// the world was booted with one ([`WorldConfig::replica`]).
-    pub replica: Option<Pid>,
-    /// Every prefix replica, preloaded first: `replica` followed by the
-    /// [`WorldConfig::extra_replicas`] cold ones, all members of
-    /// `replica_group`.
+    /// Every prefix replica ([`WorldConfig::replicas`]), the preloaded one
+    /// first, all members of `replica_group`.
     pub replicas: Vec<Pid>,
     /// The multicast group the replicas answer on, for
     /// [`vruntime::NameClient::set_replica_group`].
@@ -36,9 +33,9 @@ pub struct SimWorld {
 }
 
 /// Configuration for [`boot_world_cfg`]: the standard world plus the
-/// robustness knobs EXP-12 turns (degraded-mode prefix resolution and a
-/// prefix replica on the server machine). With `degraded: None` and
-/// `replica: false` the boot is identical to [`boot_world_with`].
+/// robustness knobs EXP-12…14 turn (degraded-mode prefix resolution and
+/// prefix replicas on the server machine). With `degraded: None` and
+/// `replicas: 0` the boot is identical to [`boot_world_with`].
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// The calibrated network cost model.
@@ -49,21 +46,14 @@ pub struct WorldConfig {
     /// Degraded-mode settings for the workstation's (authoritative)
     /// prefix server.
     pub degraded: Option<DegradedPrefixConfig>,
-    /// Also boot a non-authoritative prefix replica on the server
-    /// machine, preloaded with the standard bindings and joined to a
-    /// fresh multicast group.
-    pub replica: bool,
-    /// Point the replica's anti-entropy at the workstation's
-    /// authoritative prefix server (`sync_peer`), so a `SyncPull` runs a
-    /// digest → delta → apply round against it. Implies nothing unless
-    /// `replica` is also set.
-    pub sync_replica: bool,
-    /// Additional *cold* replicas on the server machine: same degraded
-    /// configuration as the preloaded one (group membership, `sync_peer`)
-    /// but an empty boot table — everything they know, they learned from
-    /// a sync or gossip round. Ignored unless `replica` is set (the cold
-    /// replicas join the group the preloaded replica created).
-    pub extra_replicas: usize,
+    /// Non-authoritative prefix replicas to boot on the server machine,
+    /// all joined to one fresh multicast group, with anti-entropy
+    /// (`sync_peer`) pointed at the workstation's authoritative prefix
+    /// server so a `SyncPull` runs a digest → delta → apply round against
+    /// it. The first is preloaded with the standard bindings; the rest are
+    /// *cold* — everything they know, they learned from a sync or gossip
+    /// round.
+    pub replicas: usize,
     /// Run every replica's anti-entropy over the legacy flat whole-table
     /// digest instead of the Merkle subtree walk — the test-only
     /// differential oracle ([`DegradedPrefixConfig::flat_sync`]). The
@@ -78,9 +68,7 @@ impl WorldConfig {
             params,
             faults: None,
             degraded: None,
-            replica: false,
-            sync_replica: false,
-            extra_replicas: 0,
+            replicas: 0,
             flat_sync: false,
         }
     }
@@ -150,85 +138,51 @@ pub fn boot_world_cfg(cfg: WorldConfig) -> SimWorld {
         )
     });
 
-    // The optional replica: a non-authoritative prefix server on the
-    // server machine, preloaded with the same bindings the user's login
-    // script defines below. It registers Scope::Local there, so the
-    // workstation's GetPid rebind never discovers it — the only road to
-    // it is the explicit multicast group, which is the point: it is a
-    // last-resort answerer, not a second authority.
-    let replica_group = cfg.replica.then(|| {
+    // The replicas: non-authoritative prefix servers on the server
+    // machine, the first preloaded with the same bindings the user's login
+    // script defines below. They register Scope::Local there, so the
+    // workstation's GetPid rebind never discovers them — the only road to
+    // them is the explicit multicast group, which is the point: they are
+    // last-resort answerers, not second authorities.
+    let replica_group = (cfg.replicas > 0).then(|| {
         domain
             .client(workstation, |ctx| ctx.create_group())
             .expect("replica group created")
     });
-    let sync_peer = cfg.sync_replica.then_some(prefix);
     let flat_sync = cfg.flat_sync;
-    let replica = replica_group.map(|group| {
-        domain.spawn(server_machine, "prefix-replica", move |ctx| {
-            prefix_server(
-                ctx,
-                PrefixConfig {
-                    preload_direct: vec![
-                        (
-                            "local".into(),
-                            ContextPair::new(local_fs, ContextId::DEFAULT),
-                        ),
-                        (
-                            "remote".into(),
-                            ContextPair::new(remote_fs, ContextId::DEFAULT),
-                        ),
-                        ("home".into(), ContextPair::new(local_fs, ContextId::HOME)),
-                    ],
-                    degraded: Some(DegradedPrefixConfig {
-                        authoritative: false,
-                        replica_group: Some(group),
-                        sync_peer,
-                        flat_sync,
-                        ..DegradedPrefixConfig::default()
-                    }),
-                    ..PrefixConfig::default()
-                },
-            )
+    let replicas: Vec<Pid> = (0..cfg.replicas)
+        .map(|i| {
+            let (name, preload_direct) = match i {
+                0 => (
+                    "prefix-replica".to_owned(),
+                    login_bindings(local_fs, remote_fs),
+                ),
+                _ => (format!("prefix-replica-{}", i + 1), Vec::new()),
+            };
+            let config = PrefixConfig {
+                preload_direct,
+                degraded: Some(DegradedPrefixConfig {
+                    authoritative: false,
+                    replica_group,
+                    sync_peer: Some(prefix),
+                    flat_sync,
+                    ..DegradedPrefixConfig::default()
+                }),
+                ..PrefixConfig::default()
+            };
+            domain.spawn(server_machine, &name, move |ctx| prefix_server(ctx, config))
         })
-    });
-    let mut replicas: Vec<Pid> = replica.into_iter().collect();
-    if let Some(group) = replica_group {
-        for i in 0..cfg.extra_replicas {
-            replicas.push(domain.spawn(
-                server_machine,
-                &format!("prefix-replica-{}", i + 2),
-                move |ctx| {
-                    prefix_server(
-                        ctx,
-                        PrefixConfig {
-                            degraded: Some(DegradedPrefixConfig {
-                                authoritative: false,
-                                replica_group: Some(group),
-                                sync_peer,
-                                flat_sync,
-                                ..DegradedPrefixConfig::default()
-                            }),
-                            ..PrefixConfig::default()
-                        },
-                    )
-                },
-            ));
-        }
-    }
+        .collect();
     domain.run();
 
     // Define the user's standard prefixes from a setup process.
     domain.client(workstation, move |ctx| {
         let client = NameClient::new(ctx, ContextPair::new(local_fs, ContextId::DEFAULT));
-        client
-            .add_prefix("local", ContextPair::new(local_fs, ContextId::DEFAULT))
-            .expect("define [local]");
-        client
-            .add_prefix("remote", ContextPair::new(remote_fs, ContextId::DEFAULT))
-            .expect("define [remote]");
-        client
-            .add_prefix("home", ContextPair::new(local_fs, ContextId::HOME))
-            .expect("define [home]");
+        for (name, pair) in login_bindings(local_fs, remote_fs) {
+            client
+                .add_prefix(&name, pair)
+                .unwrap_or_else(|e| panic!("define [{name}]: {e:?}"));
+        }
     });
 
     SimWorld {
@@ -238,9 +192,35 @@ pub fn boot_world_cfg(cfg: WorldConfig) -> SimWorld {
         prefix,
         local_fs,
         remote_fs,
-        replica,
         replicas,
         replica_group,
+    }
+}
+
+/// The user's login-script bindings, in definition order: `[local]` →
+/// local fs root, `[remote]` → remote fs root, `[home]` → local fs home.
+/// A prefix server preloaded with them comes back from a restart with its
+/// soft-state table already rebuilt.
+pub(crate) fn login_bindings(local_fs: Pid, remote_fs: Pid) -> Vec<(String, ContextPair)> {
+    vec![
+        (
+            "local".into(),
+            ContextPair::new(local_fs, ContextId::DEFAULT),
+        ),
+        (
+            "remote".into(),
+            ContextPair::new(remote_fs, ContextId::DEFAULT),
+        ),
+        ("home".into(), ContextPair::new(local_fs, ContextId::HOME)),
+    ]
+}
+
+/// Sleeps `ctx` until virtual time `at`; returns at once if `at` has
+/// passed.
+pub fn sleep_until(ctx: &dyn Ipc, at: Duration) {
+    let now = ctx.now();
+    if at > now {
+        ctx.sleep(at - now);
     }
 }
 
@@ -250,7 +230,7 @@ impl SimWorld {
     pub fn client<T, F>(&self, f: F) -> T
     where
         T: Send + 'static,
-        F: FnOnce(&dyn vkernel::Ipc) -> T + Send + 'static,
+        F: FnOnce(&dyn Ipc) -> T + Send + 'static,
     {
         self.domain
             .client(self.workstation, f)
