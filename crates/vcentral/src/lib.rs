@@ -19,18 +19,27 @@
 //! registry), [`object_store`] (an object server reachable only by
 //! low-level id), and [`CentralClient`] (the client-side protocol, with
 //! fault-injection hooks for the consistency experiment).
+//!
+//! Both servers run on `vservers::common::serve`, the one server loop of
+//! the distributed model (DESIGN.md §3.2), so EXP-7 compares two ways of
+//! naming, not two ways of writing a server: the name server is a CSname
+//! handler over its flat map, and the object store uses the shared I/O
+//! arms with the same 16 MiB object cap as the file server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use bytes::Bytes;
 use std::collections::HashMap;
-use vio::{serve_read, InstanceTable, IoError};
+use vio::{serve_write, InstanceTable, IoError};
 use vkernel::Ipc;
 use vnaming::{build_csname_request, CsRequest};
 use vproto::{
-    fields, ContextId, CsName, InstanceId, Message, ObjectId, OpenMode, Pid, ReplyCode,
+    fields, name_word, ContextId, CsName, InstanceId, Message, ObjectId, OpenMode, Pid, ReplyCode,
     RequestCode, Scope, ServiceId,
+};
+use vservers::common::{
+    open_reply, read, release, serve, written, Answer, Call, Handle, Handled, Server,
 };
 
 /// Runs the centralized name server: a flat map from full CSnames to
@@ -42,58 +51,44 @@ use vproto::{
 /// * `DeleteContextName name` — unregister.
 /// * `QueryName name` — look up; reply carries the pair.
 pub fn central_name_server(ctx: &dyn Ipc) {
-    let mut names: HashMap<Vec<u8>, (Pid, ObjectId)> = HashMap::new();
     ctx.set_pid(ServiceId::CENTRAL_NAME_SERVER, Scope::Both);
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        if !msg.is_csname_request() {
-            let _ = ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new());
-            continue;
-        }
-        let payload = match ctx.move_from(&rx) {
-            Ok(p) => p,
-            Err(_) => continue,
-        };
-        let req = match CsRequest::parse(&msg, &payload) {
-            Ok(r) => r,
-            Err(code) => {
-                let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
-                continue;
-            }
-        };
-        let name = req.remaining().to_vec();
-        match msg.request_code() {
+    serve(
+        ctx,
+        &mut NameServer {
+            names: HashMap::new(),
+        },
+    );
+}
+
+struct NameServer {
+    names: HashMap<Vec<u8>, (Pid, ObjectId)>,
+}
+
+impl Server for NameServer {
+    fn name_op(&mut self, call: &mut Call, req: CsRequest) -> Handled {
+        let name = req.remaining();
+        match call.msg.request_code() {
             Some(RequestCode::AddContextName) => {
-                let server = msg.pid_at(fields::W_TARGET_PID_LO);
-                let oid = ObjectId(msg.word32(fields::W_TARGET_CTX_LO));
-                names.insert(name, (server, oid));
-                let _ = ctx.reply(rx, Message::ok(), Bytes::new());
+                let server = call.msg.pid_at(fields::W_TARGET_PID_LO);
+                let oid = ObjectId(call.msg.word32(fields::W_TARGET_CTX_LO));
+                self.names.insert(name.to_vec(), (server, oid));
+                Ok(Answer::Reply(Message::ok()))
             }
             Some(RequestCode::DeleteContextName) => {
-                let code = if names.remove(&name).is_some() {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::NotFound
-                };
-                let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
+                self.names.remove(name).ok_or(ReplyCode::NotFound)?;
+                Ok(Answer::Reply(Message::ok()))
             }
-            Some(RequestCode::QueryName) => match names.get(&name) {
-                Some((server, oid)) => {
-                    // Same reply schema as the distributed QueryName: the
-                    // implementing server in the pid field, the low-level
-                    // id in the object-id field.
-                    let mut m = Message::ok();
-                    m.set_pid_at(fields::W_PID_LO, *server);
-                    m.set_word32(fields::W_OBJECT_ID_LO, oid.0);
-                    let _ = ctx.reply(rx, m, Bytes::new());
-                }
-                None => {
-                    let _ = ctx.reply(rx, Message::reply(ReplyCode::NotFound), Bytes::new());
-                }
-            },
-            _ => {
-                let _ = ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new());
+            Some(RequestCode::QueryName) => {
+                let (server, oid) = self.names.get(name).ok_or(ReplyCode::NotFound)?;
+                // Same reply schema as the distributed QueryName: the
+                // implementing server in the pid field, the low-level id in
+                // the object-id field.
+                let mut m = Message::ok();
+                m.set_pid_at(fields::W_PID_LO, *server)
+                    .set_word32(fields::W_OBJECT_ID_LO, oid.0);
+                Ok(Answer::Reply(m))
             }
+            _ => Err(ReplyCode::UnknownRequest),
         }
     }
 }
@@ -105,110 +100,78 @@ pub fn central_name_server(ctx: &dyn Ipc) {
 /// the returned instance. `CreateInstance` with an empty name creates an
 /// anonymous object (the creator must register its name centrally).
 pub fn object_store(ctx: &dyn Ipc) {
-    let mut objects: HashMap<ObjectId, Vec<u8>> = HashMap::new();
-    let mut next = 0u32;
-    let mut instances: InstanceTable<ObjectId> = InstanceTable::new();
-    while let Ok(rx) = ctx.receive() {
-        let msg = rx.msg;
-        match msg.request_code() {
-            Some(RequestCode::CreateInstance) => {
-                // Anonymous creation: allocate an object, return its id.
-                next += 1;
-                let oid = ObjectId(next);
-                objects.insert(oid, Vec::new());
-                let inst = instances.open(rx.from, OpenMode::Create, oid);
-                let mut m = Message::ok();
-                m.set_word(fields::W_INSTANCE, inst.0)
-                    .set_word32(fields::W_OBJECT_ID_LO, oid.0)
-                    .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                let _ = ctx.reply(rx, m, Bytes::new());
-            }
+    serve(
+        ctx,
+        &mut ObjectStore {
+            objects: HashMap::new(),
+            next: 0,
+            instances: InstanceTable::new(),
+        },
+    );
+}
+
+struct ObjectStore {
+    objects: HashMap<ObjectId, Vec<u8>>,
+    next: u32,
+    instances: InstanceTable<Handle<ObjectId>>,
+}
+
+impl Server for ObjectStore {
+    /// `CreateInstance` is a CSname operation, so the anonymous create
+    /// arrives here, its (empty) name already fetched.
+    fn name_op(&mut self, call: &mut Call, _req: CsRequest) -> Handled {
+        if call.msg.request_code() != Some(RequestCode::CreateInstance) {
+            return Err(ReplyCode::UnknownRequest);
+        }
+        self.next += 1;
+        let oid = ObjectId(self.next);
+        self.objects.insert(oid, Vec::new());
+        let inst = self
+            .instances
+            .open(call.from, OpenMode::Create, Handle::Object(oid));
+        let mut answer = open_reply(call, inst, 0)?;
+        if let Answer::Reply(m) = &mut answer {
+            m.set_word32(fields::W_OBJECT_ID_LO, oid.0);
+        }
+        Ok(answer)
+    }
+
+    fn op(&mut self, call: &mut Call) -> Handled {
+        match call.msg.request_code() {
             Some(RequestCode::OpenById) => {
-                let oid = ObjectId(msg.word32(fields::W_INVERT_ID_LO));
-                match objects.get(&oid) {
-                    Some(data) => {
-                        let size = data.len() as u64;
-                        let inst = instances.open(rx.from, OpenMode::Write, oid);
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_INSTANCE, inst.0)
-                            .set_word32(fields::W_SIZE_LO, size as u32)
-                            .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                        let _ = ctx.reply(rx, m, Bytes::new());
-                    }
-                    None => {
-                        // The dangling-name outcome: the central server said
-                        // this id exists, but the object is gone.
-                        let _ = ctx.reply(rx, Message::reply(ReplyCode::NotFound), Bytes::new());
-                    }
-                }
+                let oid = ObjectId(call.msg.word32(fields::W_INVERT_ID_LO));
+                // A missing id is the dangling-name outcome: the central
+                // server said this id exists, but the object is gone.
+                let size = self.objects.get(&oid).ok_or(ReplyCode::NotFound)?.len();
+                let inst = self
+                    .instances
+                    .open(call.from, OpenMode::Write, Handle::Object(oid));
+                open_reply(call, inst, size as u64)
             }
             Some(RequestCode::RemoveById) => {
-                let oid = ObjectId(msg.word32(fields::W_INVERT_ID_LO));
-                let code = if objects.remove(&oid).is_some() {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::NotFound
-                };
-                let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
+                let oid = ObjectId(call.msg.word32(fields::W_INVERT_ID_LO));
+                self.objects.remove(&oid).ok_or(ReplyCode::NotFound)?;
+                Ok(Answer::Reply(Message::ok()))
             }
-            Some(RequestCode::ReadInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                let count = msg.word(fields::W_IO_COUNT) as usize;
-                let window: Result<Vec<u8>, ReplyCode> =
-                    instances.check(id, false).and_then(|inst| {
-                        objects
-                            .get(&inst.state)
-                            .ok_or(ReplyCode::InvalidInstance)
-                            .and_then(|data| serve_read(data, offset, count).map(|w| w.to_vec()))
-                    });
-                match window {
-                    Ok(w) => {
-                        let mut m = Message::ok();
-                        m.set_word(fields::W_IO_COUNT, w.len() as u16);
-                        let _ = ctx.reply(rx, m, Bytes::from(w));
-                    }
-                    Err(code) => {
-                        let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
-                    }
-                }
-            }
+            Some(RequestCode::ReadInstance) => read(call, &self.instances, |oid| {
+                self.objects.get(oid).map(Vec::as_slice)
+            }),
             Some(RequestCode::WriteInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let offset = msg.word32(fields::W_IO_OFFSET_LO) as usize;
-                let data = match ctx.move_from(&rx) {
-                    Ok(d) => d,
-                    Err(_) => continue,
+                let data = call.data()?;
+                let Handle::Object(oid) = &self.instances.check(call.instance(), true)?.state
+                else {
+                    return Err(ReplyCode::BadMode);
                 };
-                let code = match instances.check(id, true) {
-                    Ok(inst) => match objects.get_mut(&inst.state) {
-                        Some(content) => {
-                            if content.len() < offset + data.len() {
-                                content.resize(offset + data.len(), 0);
-                            }
-                            content[offset..offset + data.len()].copy_from_slice(&data);
-                            ReplyCode::Ok
-                        }
-                        None => ReplyCode::InvalidInstance,
-                    },
-                    Err(c) => c,
-                };
-                let mut m = Message::reply(code);
-                m.set_word(fields::W_IO_COUNT, data.len() as u16);
-                let _ = ctx.reply(rx, m, Bytes::new());
+                let content = self
+                    .objects
+                    .get_mut(oid)
+                    .ok_or(ReplyCode::InvalidInstance)?;
+                let offset = u64::from(call.msg.word32(fields::W_IO_OFFSET_LO));
+                serve_write(content, offset, &data)?;
+                written(data.len())
             }
-            Some(RequestCode::ReleaseInstance) => {
-                let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                let code = if instances.release(id).is_some() {
-                    ReplyCode::Ok
-                } else {
-                    ReplyCode::InvalidInstance
-                };
-                let _ = ctx.reply(rx, Message::reply(code), Bytes::new());
-            }
-            _ => {
-                let _ = ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new());
-            }
+            Some(RequestCode::ReleaseInstance) => release(call, &mut self.instances),
+            _ => Err(ReplyCode::UnknownRequest),
         }
     }
 }
@@ -225,6 +188,15 @@ pub enum DeleteCrash {
     /// Crash after unregistering but before deleting: leaks the object
     /// (unreachable garbage).
     AfterUnregister,
+}
+
+/// A request to the central name server about `name`. A name longer than
+/// a name-length word can say is refused with `IllegalName` before
+/// anything is sent.
+fn name_request(op: RequestCode, name: &str) -> Result<(Message, Bytes), IoError> {
+    name_word(name.len())?;
+    let name = CsName::from(name);
+    Ok(build_csname_request(op, ContextId::DEFAULT, &name, &[]))
 }
 
 /// Client-side protocol for the centralized model.
@@ -250,12 +222,7 @@ impl<'a> CentralClient<'a> {
     ///
     /// Propagates transport failures and server refusals.
     pub fn register(&self, name: &str, server: Pid, oid: ObjectId) -> Result<(), IoError> {
-        let (mut msg, payload) = build_csname_request(
-            RequestCode::AddContextName,
-            ContextId::DEFAULT,
-            &CsName::from(name),
-            &[],
-        );
+        let (mut msg, payload) = name_request(RequestCode::AddContextName, name)?;
         msg.set_pid_at(fields::W_TARGET_PID_LO, server);
         msg.set_word32(fields::W_TARGET_CTX_LO, oid.0);
         let reply = self.ipc.send(self.name_server, msg, payload, 0)?;
@@ -273,12 +240,7 @@ impl<'a> CentralClient<'a> {
     /// [`ReplyCode::NotFound`] when unregistered; transport failures when
     /// the name server is down (the paper's reliability point).
     pub fn lookup(&self, name: &str) -> Result<(Pid, ObjectId), IoError> {
-        let (msg, payload) = build_csname_request(
-            RequestCode::QueryName,
-            ContextId::DEFAULT,
-            &CsName::from(name),
-            &[],
-        );
+        let (msg, payload) = name_request(RequestCode::QueryName, name)?;
         let reply = self.ipc.send(self.name_server, msg, payload, 0)?;
         if !reply.msg.reply_code().is_ok() {
             return Err(IoError::Server(reply.msg.reply_code()));
@@ -295,6 +257,7 @@ impl<'a> CentralClient<'a> {
     ///
     /// Propagates failures from either server.
     pub fn create(&self, store: Pid, name: &str, data: &[u8]) -> Result<ObjectId, IoError> {
+        name_word(name.len())?;
         let mut msg = Message::request(RequestCode::CreateInstance);
         msg.set_mode(OpenMode::Create);
         let reply = self.ipc.send(store, msg, Bytes::new(), 0)?;
@@ -373,12 +336,7 @@ impl<'a> CentralClient<'a> {
     }
 
     fn unregister_step(&self, name: &str) -> Result<(), IoError> {
-        let (msg, payload) = build_csname_request(
-            RequestCode::DeleteContextName,
-            ContextId::DEFAULT,
-            &CsName::from(name),
-            &[],
-        );
+        let (msg, payload) = name_request(RequestCode::DeleteContextName, name)?;
         let reply = self.ipc.send(self.name_server, msg, payload, 0)?;
         if reply.msg.reply_code().is_ok() {
             Ok(())
@@ -466,6 +424,57 @@ mod tests {
             msg.set_word32(fields::W_INVERT_ID_LO, oid.0);
             let reply = ctx.send(store, msg, Bytes::new(), 0).unwrap();
             assert!(reply.msg.reply_code().is_ok(), "object leaked");
+        });
+    }
+
+    #[test]
+    fn an_object_store_write_past_16_mib_is_refused_and_changes_nothing() {
+        let (domain, host, store) = boot();
+        domain.client(host, move |ctx| {
+            let client = CentralClient::new(ctx).unwrap();
+            client.create(store, "obj", b"head").unwrap();
+            let (server, inst, _) = client.open("obj").unwrap();
+            let past = vio::MAX_FILE_BYTES as u64 + 1;
+            let err = vio::write_at(ctx, server, inst, past, b"x").unwrap_err();
+            assert_eq!(err.reply_code(), Some(ReplyCode::NoServerResources));
+            assert_eq!(client.read("obj").unwrap(), b"head");
+        });
+    }
+
+    #[test]
+    fn a_refused_object_store_write_reports_no_byte_count() {
+        let (domain, host, store) = boot();
+        domain.client(host, move |ctx| {
+            let client = CentralClient::new(ctx).unwrap();
+            client.create(store, "obj", b"head").unwrap();
+            let (server, inst, _) = client.open("obj").unwrap();
+            vio::release(ctx, server, inst).unwrap();
+            let mut msg = Message::request(RequestCode::WriteInstance);
+            msg.set_word(fields::W_IO_INSTANCE, inst.0)
+                .set_word(fields::W_IO_COUNT, 6);
+            let reply = ctx
+                .send(server, msg, Bytes::from_static(b"denied"), 0)
+                .unwrap();
+            assert_eq!(reply.msg.reply_code(), ReplyCode::InvalidInstance);
+            assert_eq!(reply.msg.word(fields::W_IO_COUNT), 0);
+        });
+    }
+
+    #[test]
+    fn an_overlong_name_is_refused_before_it_is_sent() {
+        let (domain, host, store) = boot();
+        domain.client(host, move |ctx| {
+            let client = CentralClient::new(ctx).unwrap();
+            let long = "a".repeat(usize::from(u16::MAX) + 1);
+            for err in [
+                client.lookup(&long).unwrap_err(),
+                client.create(store, &long, b"x").unwrap_err(),
+                client
+                    .delete(&long, DeleteCrash::AfterUnregister)
+                    .unwrap_err(),
+            ] {
+                assert_eq!(err.reply_code(), Some(ReplyCode::IllegalName));
+            }
         });
     }
 

@@ -16,8 +16,9 @@
 //!      die;
 //!    * `opcode-coverage` — every op code declared in `vproto::codes`
 //!      appears in a wire round-trip test;
-//!    * `wire-narrowing` — no silent `as u16`/`as u8` truncation in vproto
-//!      encode paths;
+//!    * `wire-narrowing` — no silent `as u16`/`as u8` truncation of a
+//!      `len()` or into a message word anywhere, nor in vproto encode
+//!      paths;
 //!    * `wire-symmetry` — every field of a vproto wire record is both
 //!      encoded and decoded;
 //!    * `guard-across-send` — no lock guard held across blocking IPC in the

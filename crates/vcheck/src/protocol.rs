@@ -3,12 +3,16 @@
 //!
 //! Four rules, all sharing the `vcheck: allow(<rule>)` escape hatch:
 //!
-//! * `wire-narrowing` — inside `crates/vproto/src/`, flag `len()` narrowed
-//!   through `as u16`/`as u8` anywhere, and *any* `as u16`/`as u8` cast
+//! * `wire-narrowing` — in every crate, flag `len()` narrowed through
+//!   `as u16`/`as u8`, and any `as u16`/`as u8` cast on a line that puts a
+//!   value into a message word (`set_word(`, `set_name_length(`,
+//!   `set_name_index(`); inside `crates/vproto/src/`, also *any* such cast
 //!   inside an encode-path function (one named `encode*`/`write*`, taking
 //!   a `WireWriter`, or living in an `impl` of a `*Writer` type). This is
 //!   the PR-5 digest-count truncation class: a length that silently wraps
-//!   on the wire.
+//!   on the wire. A count goes through `Message::set_count`, which
+//!   saturates; a word the server parses by goes through `name_word` or
+//!   `try_from`, which refuse.
 //! * `wire-symmetry` — for every named-field struct in `crates/vproto/src/`
 //!   that has both encode- and decode-shaped functions, every field must be
 //!   mentioned by both sides. A field written but never read back (or read
@@ -32,6 +36,9 @@ use crate::Finding;
 
 /// Workspace-relative prefix of the wire-encoding crate.
 const VPROTO_SRC: &str = "crates/vproto/src/";
+
+/// Calls that put a value into a 16-bit message word.
+const WORD_SETTERS: &[&str] = &["set_word(", "set_name_length(", "set_name_index("];
 
 /// Paths covered by the `guard-across-send` rule.
 const GUARD_PATHS: &[&str] = &["crates/vservers/src/", "crates/vruntime/src/"];
@@ -89,16 +96,19 @@ fn finding(fs: &FileSource, rule: &'static str, line0: usize, message: String) -
     }
 }
 
-/// The `wire-narrowing` rule over one vproto source file.
-fn wire_narrowing(fs: &FileSource, map: &ScopeMap) -> Vec<Finding> {
-    let mut out = Vec::new();
-    // Line → enclosing encode-path fn (if any), by span containment.
-    let encode_spans: Vec<(usize, usize)> = map
-        .fns
+/// The line spans of the encode-path fns in `map`.
+fn encode_spans(map: &ScopeMap) -> Vec<(usize, usize)> {
+    map.fns
         .iter()
         .filter(|f| is_encode_path(f))
         .map(|f| (f.start_line, f.end_line))
-        .collect();
+        .collect()
+}
+
+/// The `wire-narrowing` rule over one source file; `encode_spans` are its
+/// encode-path fns (vproto only).
+fn wire_narrowing(fs: &FileSource, encode_spans: &[(usize, usize)]) -> Vec<Finding> {
+    let mut out = Vec::new();
     for (n, line) in fs.stripped.lines().enumerate() {
         if fs.in_test_region(n) {
             continue;
@@ -113,6 +123,18 @@ fn wire_narrowing(fs: &FileSource, map: &ScopeMap) -> Vec<Finding> {
                         "`len() as {ty}` silently truncates payloads past {ty}::MAX \
                          (the PR-5 digest-count bug class); use `{ty}::try_from` with an \
                          explicit overflow path"
+                    ),
+                ));
+            } else if has_cast_to(line, ty) && WORD_SETTERS.iter().any(|s| line.contains(s)) {
+                out.push(finding(
+                    fs,
+                    "wire-narrowing",
+                    n,
+                    format!(
+                        "narrowing `as {ty}` cast into a message word; a value past \
+                         {ty}::MAX wraps to a small one — use `Message::set_count` for a \
+                         count, `name_word`/`try_from` with a refusal for a word the server \
+                         parses by"
                     ),
                 ));
             } else if has_cast_to(line, ty) && encode_spans.iter().any(|&(s, e)| s <= n && n <= e) {
@@ -307,8 +329,10 @@ pub fn scan(fs: &FileSource) -> Vec<Finding> {
     let mut out = Vec::new();
     if fs.rel.starts_with(VPROTO_SRC) {
         let map = ScopeMap::build_stripped(&fs.stripped);
-        out.extend(wire_narrowing(fs, &map));
+        out.extend(wire_narrowing(fs, &encode_spans(&map)));
         out.extend(wire_symmetry(fs, &map));
+    } else {
+        out.extend(wire_narrowing(fs, &[]));
     }
     if GUARD_PATHS.iter().any(|p| fs.rel.starts_with(p)) {
         let map = ScopeMap::build_stripped(&fs.stripped);
@@ -431,12 +455,28 @@ mod tests {
             "impl Pid {\n    pub fn host(self) -> u16 { (self.0 >> 16) as u16 }\n}\n",
         );
         assert!(scan(&fs).is_empty());
-        // And outside vproto entirely.
+        // And outside vproto, away from message words.
         let fs = fsrc(
             "crates/vservers/src/file.rs",
-            "fn f(w: &[u8]) -> u16 { w.len() as u16 }\n",
+            "fn f(x: u32) -> u16 { x as u16 }\n",
         );
         assert!(scan(&fs).is_empty());
+    }
+
+    #[test]
+    fn narrowing_into_a_message_word_flagged_in_every_crate() {
+        for line in [
+            "fn f(m: &mut Message, n: usize) { m.set_word(fields::W_IO_COUNT, n as u16); }\n",
+            "fn f(m: &mut Message, i: usize) { m.set_name_index(i as u16); }\n",
+            "fn f(w: &[u8]) -> u16 { w.len() as u16 }\n",
+        ] {
+            let v = scan(&fsrc("crates/vruntime/src/client.rs", line));
+            assert_eq!(v.len(), 1, "{line}: {v:?}");
+            assert_eq!(v[0].rule, "wire-narrowing");
+        }
+        let saturating =
+            "fn f(m: &mut Message, n: usize) { m.set_count(fields::W_IO_COUNT, n); }\n";
+        assert!(scan(&fsrc("crates/vio/src/client.rs", saturating)).is_empty());
     }
 
     #[test]

@@ -125,6 +125,29 @@ fn lint_pass_rejects_a_planted_len_narrowing() {
 }
 
 #[test]
+fn lint_pass_rejects_a_narrowed_count_outside_vproto() {
+    // A count put into a message word with `as u16` wraps where
+    // `Message::set_count` saturates — in any crate, not only vproto.
+    let root = synthetic_workspace(
+        "wire-narrowing-word",
+        &[
+            (
+                "crates/vio/src/client.rs",
+                "pub fn f(m: &mut Message, n: usize) {\n    \
+                     m.set_word(fields::W_IO_COUNT, n as u16);\n\
+                 }\n",
+            ),
+            ("crates/vproto/src/codes.rs", ""),
+        ],
+    );
+    let violations = lints::run(&root);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].rule, "wire-narrowing");
+    assert_eq!(violations[0].file, "crates/vio/src/client.rs");
+    assert_eq!(violations[0].line, 2);
+}
+
+#[test]
 fn lint_pass_rejects_a_dropped_decode_field() {
     // The other acceptance case: deleting a field's decode line in a wire
     // record must fail, pointing at the field declaration.

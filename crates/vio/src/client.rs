@@ -5,8 +5,8 @@ use bytes::Bytes;
 use vkernel::Ipc;
 use vnaming::build_csname_request;
 use vproto::{
-    fields, ContextId, CsName, InstanceId, Message, ObjectDescriptor, OpenMode, Pid, ReplyCode,
-    RequestCode,
+    fields, name_word, ContextId, CsName, InstanceId, Message, ObjectDescriptor, OpenMode, Pid,
+    ReplyCode, RequestCode,
 };
 
 /// Default read window used by [`FileHandle`] streaming (one 512-byte disk
@@ -32,7 +32,9 @@ pub struct OpenOutcome {
 /// # Errors
 ///
 /// Transport failures surface as [`IoError::Ipc`]; server refusals
-/// (unknown name, bad mode, ...) as [`IoError::Server`].
+/// (unknown name, bad mode, ...) as [`IoError::Server`]. A name longer
+/// than a name-length word can say is refused with
+/// [`ReplyCode::IllegalName`] before anything is sent.
 pub fn open_at(
     ipc: &dyn Ipc,
     server: Pid,
@@ -40,6 +42,7 @@ pub fn open_at(
     name: &CsName,
     mode: OpenMode,
 ) -> Result<OpenOutcome, IoError> {
+    name_word(name.len())?;
     let (mut msg, payload) = build_csname_request(RequestCode::CreateInstance, ctx, name, &[]);
     msg.set_mode(mode);
     let reply = ipc.send(server, msg, payload, 0)?;
@@ -51,7 +54,8 @@ pub fn open_at(
     })
 }
 
-/// Reads up to `count` bytes at byte `offset` from an open instance.
+/// Reads up to `count` bytes at byte `offset` from an open instance. One
+/// reply carries at most 65 535 bytes, the most a count word can ask for.
 ///
 /// # Errors
 ///
@@ -67,14 +71,16 @@ pub fn read_at(
     let mut msg = Message::request(RequestCode::ReadInstance);
     msg.set_word(fields::W_IO_INSTANCE, instance.0)
         .set_word32(fields::W_IO_OFFSET_LO, offset as u32)
-        .set_word(fields::W_IO_COUNT, count as u16);
+        .set_count(fields::W_IO_COUNT, count);
     let reply = ipc.send(server, msg, Bytes::new(), count)?;
     check(reply.msg.reply_code())?;
     Ok(reply.data)
 }
 
 /// Writes `data` at byte `offset` of an open instance; returns bytes
-/// written.
+/// written, which is all of `data`: every server accepts a write whole or
+/// refuses it. (The reply's count word is advisory and saturates at
+/// 65 535.)
 ///
 /// # Errors
 ///
@@ -89,10 +95,10 @@ pub fn write_at(
     let mut msg = Message::request(RequestCode::WriteInstance);
     msg.set_word(fields::W_IO_INSTANCE, instance.0)
         .set_word32(fields::W_IO_OFFSET_LO, offset as u32)
-        .set_word(fields::W_IO_COUNT, data.len() as u16);
+        .set_count(fields::W_IO_COUNT, data.len());
     let reply = ipc.send(server, msg, Bytes::copy_from_slice(data), 0)?;
     check(reply.msg.reply_code())?;
-    Ok(reply.msg.word(fields::W_IO_COUNT) as usize)
+    Ok(data.len())
 }
 
 /// Releases (closes) an open instance.
@@ -275,13 +281,12 @@ impl std::io::Read for HandleReader<'_> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let count = buf.len().min(u16::MAX as usize);
         match read_at(
             self.ipc,
             self.handle.server,
             self.handle.instance,
             self.handle.pos,
-            count,
+            buf.len(),
         ) {
             Ok(data) => {
                 buf[..data.len()].copy_from_slice(&data);
@@ -311,11 +316,8 @@ pub struct HandleWriter<'h> {
 
 impl std::io::Write for HandleWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let count = buf.len().min(u16::MAX as usize);
-        self.handle
-            .write_next(self.ipc, &buf[..count])
-            .map_err(to_std_io)?;
-        Ok(count)
+        self.handle.write_next(self.ipc, buf).map_err(to_std_io)?;
+        Ok(buf.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -329,91 +331,78 @@ mod tests {
     use super::*;
     use vkernel::Domain;
     use vproto::LogicalHost;
+    use vservers::{file_server, FileServerConfig};
 
-    /// A minimal in-memory I/O server for exercising the client helpers:
-    /// one pre-existing object named "data" containing 0..=255 twice.
-    pub(super) fn spawn_byte_server(domain: &Domain, host: LogicalHost) -> Pid {
-        domain.spawn(host, "byteserver", |ctx| {
-            let mut store: Vec<u8> = (0u16..512).map(|i| (i % 256) as u8).collect();
-            let mut instances: crate::InstanceTable<()> = crate::InstanceTable::new();
-            while let Ok(rx) = ctx.receive() {
-                let msg = rx.msg;
-                match msg.request_code() {
-                    Some(RequestCode::CreateInstance) => {
-                        let payload = ctx.move_from(&rx).unwrap();
-                        let req = vnaming::CsRequest::parse(&msg, &payload).unwrap();
-                        if req.remaining() == b"data" {
-                            let id = instances.open(rx.from, msg.mode().unwrap(), ());
-                            let mut m = Message::ok();
-                            m.set_word(fields::W_INSTANCE, id.0)
-                                .set_word32(fields::W_SIZE_LO, store.len() as u32)
-                                .set_pid_at(fields::W_PID_LO, ctx.my_pid());
-                            ctx.reply(rx, m, Bytes::new()).ok();
-                        } else {
-                            ctx.reply(rx, Message::reply(ReplyCode::NotFound), Bytes::new())
-                                .ok();
-                        }
-                    }
-                    Some(RequestCode::ReadInstance) => {
-                        let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                        let offset = msg.word32(fields::W_IO_OFFSET_LO) as u64;
-                        let count = msg.word(fields::W_IO_COUNT) as usize;
-                        let result = instances
-                            .check(id, false)
-                            .and_then(|_| crate::serve_read(&store, offset, count));
-                        match result {
-                            Ok(window) => {
-                                let mut m = Message::ok();
-                                m.set_word(fields::W_IO_COUNT, window.len() as u16);
-                                let data = Bytes::copy_from_slice(window);
-                                ctx.reply(rx, m, data).ok();
-                            }
-                            Err(code) => {
-                                ctx.reply(rx, Message::reply(code), Bytes::new()).ok();
-                            }
-                        }
-                    }
-                    Some(RequestCode::WriteInstance) => {
-                        let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                        let offset = msg.word32(fields::W_IO_OFFSET_LO) as usize;
-                        let data = ctx.move_from(&rx).unwrap();
-                        let code = match instances.check(id, true) {
-                            Ok(_) => {
-                                if store.len() < offset + data.len() {
-                                    store.resize(offset + data.len(), 0);
-                                }
-                                store[offset..offset + data.len()].copy_from_slice(&data);
-                                ReplyCode::Ok
-                            }
-                            Err(c) => c,
-                        };
-                        let mut m = Message::reply(code);
-                        m.set_word(fields::W_IO_COUNT, data.len() as u16);
-                        ctx.reply(rx, m, Bytes::new()).ok();
-                    }
-                    Some(RequestCode::ReleaseInstance) => {
-                        let id = InstanceId(msg.word(fields::W_IO_INSTANCE));
-                        let code = if instances.release(id).is_some() {
-                            ReplyCode::Ok
-                        } else {
-                            ReplyCode::InvalidInstance
-                        };
-                        ctx.reply(rx, Message::reply(code), Bytes::new()).ok();
-                    }
-                    _ => {
-                        ctx.reply(rx, Message::reply(ReplyCode::UnknownRequest), Bytes::new())
-                            .ok();
-                    }
-                }
-            }
+    /// The 70 000 bytes of the preloaded object "big".
+    fn big() -> Vec<u8> {
+        (0..70_000u32).map(|i| i as u8).collect()
+    }
+
+    /// A file server holding "data" (0..=255 twice) and "big".
+    pub(super) fn spawn_file_server(domain: &Domain, host: LogicalHost) -> Pid {
+        domain.spawn(host, "fileserver", |ctx| {
+            let data = (0..=255).chain(0..=255).collect();
+            file_server(
+                ctx,
+                FileServerConfig {
+                    preload: vec![("data".into(), data), ("big".into(), big())],
+                    ..FileServerConfig::default()
+                },
+            )
         })
+    }
+
+    fn open(ctx: &dyn Ipc, server: Pid, name: &str, mode: OpenMode) -> FileHandle {
+        let name = CsName::from(name);
+        FileHandle::new(open_at(ctx, server, ContextId::DEFAULT, &name, mode).unwrap())
+    }
+
+    #[test]
+    fn a_block_of_65_536_reads_the_whole_object() {
+        // A count word cannot say 65 536; it once wrapped to 0, which the
+        // stream read as end of file.
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let server = spawn_file_server(&domain, host);
+        let back = domain.client(host, move |ctx| {
+            let mut handle = open(ctx, server, "big", OpenMode::Read).with_block(65_536);
+            handle.read_to_end(ctx).unwrap()
+        });
+        assert!(back == big(), "read {} of 70 000 bytes", back.len());
+    }
+
+    #[test]
+    fn writes_past_65_535_bytes_advance_the_stream_by_their_length() {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let server = spawn_file_server(&domain, host);
+        domain.client(host, move |ctx| {
+            let mut handle = open(ctx, server, "new", OpenMode::Create);
+            handle.write_next(ctx, &[1; 70_000]).unwrap();
+            handle.write_next(ctx, &[2; 70_000]).unwrap();
+            assert_eq!(handle.position(), 140_000);
+            let size = query_instance(ctx, server, handle.instance()).unwrap().size;
+            assert_eq!(size, 140_000);
+        });
+    }
+
+    #[test]
+    fn an_overlong_name_is_refused_before_it_is_sent() {
+        let domain = Domain::new();
+        let host = domain.add_host();
+        let server = spawn_file_server(&domain, host);
+        domain.client(host, move |ctx| {
+            let name = CsName::from(vec![b'a'; usize::from(u16::MAX) + 1]);
+            let err = open_at(ctx, server, ContextId::DEFAULT, &name, OpenMode::Read).unwrap_err();
+            assert_eq!(err.reply_code(), Some(ReplyCode::IllegalName));
+        });
     }
 
     #[test]
     fn open_read_close_session() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let out = open_at(
                 ctx,
@@ -438,7 +427,7 @@ mod tests {
     fn open_unknown_name_fails() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let err = open_at(
                 ctx,
@@ -456,7 +445,7 @@ mod tests {
     fn stream_reads_whole_object_in_blocks() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let out = open_at(
                 ctx,
@@ -478,7 +467,7 @@ mod tests {
     fn write_then_read_back() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let out = open_at(
                 ctx,
@@ -498,7 +487,7 @@ mod tests {
     fn read_only_instance_rejects_write() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let out = open_at(
                 ctx,
@@ -517,7 +506,7 @@ mod tests {
     fn seek_and_partial_reads() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = spawn_byte_server(&domain, host);
+        let server = spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let out = open_at(
                 ctx,
@@ -545,7 +534,7 @@ mod io_adapter_tests {
     fn std_io_copy_between_v_files() {
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = super::tests::spawn_byte_server(&domain, host);
+        let server = super::tests::spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let src = open_at(
                 ctx,
@@ -569,7 +558,7 @@ mod io_adapter_tests {
         use std::io::Write;
         let domain = Domain::new();
         let host = domain.add_host();
-        let server = super::tests::spawn_byte_server(&domain, host);
+        let server = super::tests::spawn_file_server(&domain, host);
         domain.client(host, move |ctx| {
             let h = open_at(
                 ctx,

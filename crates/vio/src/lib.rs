@@ -9,8 +9,9 @@
 //! cohesiveness of V" and models the name-handling protocol on its success.
 //!
 //! * Server side: [`InstanceTable`] manages the 16-bit object instance
-//!   identifiers of paper §4.3 (temporary names, reuse-delayed) and
-//!   [`serve_read`] implements the common read-window logic.
+//!   identifiers of paper §4.3 (temporary names, reuse-delayed), and
+//!   [`serve_read`] and [`serve_write`] implement the common read window
+//!   and the capped write ([`MAX_FILE_BYTES`]).
 //! * Client side: [`open_at`], [`read_at`], [`write_at`], [`release`],
 //!   [`query_instance`] are the raw operations; [`FileHandle`] layers a
 //!   sequential stream on top (the paper's §3.1 file-reading scenario).
@@ -27,4 +28,4 @@ pub use client::{
     OpenOutcome,
 };
 pub use error::IoError;
-pub use instance::{serve_read, Instance, InstanceTable};
+pub use instance::{serve_read, serve_write, Instance, InstanceTable, MAX_FILE_BYTES};

@@ -8,7 +8,7 @@
 //! process (and forward) requests whose operation it does not understand.
 
 use bytes::Bytes;
-use vproto::{ContextId, CsName, Message, ReplyCode, RequestCode};
+use vproto::{name_word, ContextId, CsName, Message, ReplyCode, RequestCode};
 
 /// Forwarding budget per request: a name that crosses more servers than
 /// this is assumed to be looping (paper §7 discusses how hard failures deep
@@ -20,6 +20,13 @@ pub const MAX_FORWARDS: u16 = 8;
 ///
 /// `extra` is appended to the payload after the name (descriptor templates,
 /// second names, write data, ...).
+///
+/// Precondition: `name` is at most `u16::MAX` bytes, since its length
+/// travels in one 16-bit word. Client entry points check it with
+/// [`vproto::name_word`] and refuse a longer name with `IllegalName` before
+/// building a request. A longer name that gets here anyway builds a request
+/// every server refuses with `BadArgs` (its name index lies past its name),
+/// never one that names a shorter name.
 ///
 /// # Examples
 ///
@@ -43,9 +50,11 @@ pub fn build_csname_request(
     extra: &[u8],
 ) -> (Message, Bytes) {
     let mut msg = Message::request(op);
-    msg.set_context_id(ctx)
-        .set_name_index(0)
-        .set_name_length(name.len() as u16);
+    msg.set_context_id(ctx);
+    match name_word(name.len()) {
+        Ok(len) => msg.set_name_index(0).set_name_length(len),
+        Err(_) => msg.set_name_index(1).set_name_length(0),
+    };
     let mut payload = Vec::with_capacity(name.len() + extra.len());
     payload.extend_from_slice(name.as_bytes());
     payload.extend_from_slice(extra);
@@ -211,6 +220,14 @@ mod tests {
             assert!(check_forward_budget(&mut msg).is_ok());
         }
         assert_eq!(check_forward_budget(&mut msg), Err(ReplyCode::ForwardLoop));
+    }
+
+    #[test]
+    fn an_overlong_name_builds_a_request_every_server_refuses() {
+        let name = CsName::from(vec![b'a'; usize::from(u16::MAX) + 1]);
+        let (msg, payload) =
+            build_csname_request(RequestCode::QueryName, ContextId::DEFAULT, &name, &[]);
+        assert_eq!(CsRequest::parse(&msg, &payload), Err(ReplyCode::BadArgs));
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //! let mut msg = Message::request(RequestCode::CreateInstance);
 //! msg.set_context_id(ContextId::DEFAULT);
 //! msg.set_name_index(0);
-//! msg.set_name_length(name.len() as u16);
+//! // A server parses the name by this word: a name too long for it is
+//! // refused (`IllegalName`), never truncated.
+//! msg.set_name_length(vproto::name_word(name.len())?);
 //! assert_eq!(msg.request_code(), Some(RequestCode::CreateInstance));
+//! # Ok::<(), vproto::ReplyCode>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,7 +62,7 @@ pub use descriptor::{
     Permissions,
 };
 pub use fnv::{fnv1a, Fnv1a};
-pub use message::{fields, ContextId, Message, OpenMode, MSG_WORDS};
+pub use message::{fields, name_word, ContextId, Message, OpenMode, MSG_WORDS};
 pub use pid::{LogicalHost, Pid};
 pub use service::{Scope, ServiceId};
 pub use sync::{

@@ -294,6 +294,21 @@ impl Message {
         self
     }
 
+    /// Writes a length or count into the 16-bit word at `index`, saturating
+    /// at `u16::MAX`. This is the one setter for *advisory* counts — the
+    /// I/O byte count, the failure index, the sync counts — whose exact
+    /// value travels elsewhere (the segment's own length, or a 32-bit count
+    /// inside it), so a value that does not fit reads "at least 65 535"
+    /// instead of wrapping to a small one. Words a server parses by never
+    /// saturate: see [`name_word`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= MSG_WORDS`.
+    pub fn set_count(&mut self, index: usize, n: usize) -> &mut Self {
+        self.set_word(index, u16::try_from(n).unwrap_or(u16::MAX))
+    }
+
     /// Reads a 32-bit little-word-endian value at words `lo`, `lo + 1`.
     ///
     /// # Panics
@@ -425,6 +440,19 @@ impl Message {
         self.words[fields::W_MODE] = mode as u16;
         self
     }
+}
+
+/// A name length or name index as its 16-bit message word. A server parses
+/// the name by these words, so a value that does not fit is refused with
+/// [`ReplyCode::IllegalName`]; it never saturates the way an advisory count
+/// does ([`Message::set_count`]), which would make the request name a
+/// different, shorter name.
+///
+/// # Errors
+///
+/// [`ReplyCode::IllegalName`] when `n > u16::MAX`.
+pub fn name_word(n: usize) -> Result<u16, ReplyCode> {
+    u16::try_from(n).map_err(|_| ReplyCode::IllegalName)
 }
 
 impl fmt::Display for Message {

@@ -1,11 +1,119 @@
 //! Property-based tests for the wire-level types (FIG-2 and FIG-3 of the
-//! experiment index in DESIGN.md).
+//! experiment index in DESIGN.md), and the totality of every decoder over
+//! bytes from outside the program.
 
 use proptest::prelude::*;
+use vnaming::CsRequest;
 use vproto::{
     ContextId, ContextPair, CsName, DescriptorExt, DescriptorTag, Message, ObjectDescriptor,
-    ObjectId, Permissions, Pid, WireWriter,
+    ObjectId, Permissions, Pid, ResolveBatchMsg, ResolveBatchReply, SyncDeltaMsg, SyncDigestMsg,
+    SyncLeafDigest, SyncNodeRec, SyncProbeMsg, SyncProbeReply, SyncStatusRec, WireReader,
+    WireWriter,
 };
+
+/// Runs every public decoder and parser over `bytes`: each may refuse, none
+/// may panic.
+fn decode_all(bytes: &[u8]) {
+    let _ = SyncDigestMsg::decode(bytes);
+    let _ = SyncDeltaMsg::decode(bytes);
+    let _ = SyncProbeMsg::decode(bytes);
+    let _ = SyncProbeReply::decode(bytes);
+    let _ = SyncStatusRec::decode(bytes);
+    let _ = ResolveBatchMsg::decode(bytes);
+    let _ = ResolveBatchReply::decode(bytes);
+    let _ = ObjectDescriptor::decode_one(bytes);
+    let _ = ObjectDescriptor::decode_from(&mut WireReader::new(bytes));
+    let _ = ObjectDescriptor::decode_directory(bytes);
+    let _ = CsName::from(bytes.to_vec()).parse_prefix();
+}
+
+/// One `count.min(1024)` allocation clamp: a payload that decodes whole,
+/// whose 32-bit count at byte `at` is 0 and read by that clamp.
+struct Clamp {
+    decode: fn(&[u8]) -> bool,
+    zero: Vec<u8>,
+    at: usize,
+}
+
+fn clamp(decode: fn(&[u8]) -> bool, zero: Vec<u8>, at: usize) -> Clamp {
+    Clamp { decode, zero, at }
+}
+
+/// Every clamp site in `sync` and `batch`, in source order.
+fn clamps() -> Vec<Clamp> {
+    let one_leaf = SyncProbeMsg {
+        leaves: vec![SyncLeafDigest {
+            node: 0,
+            entries: Vec::new(),
+        }],
+        ..SyncProbeMsg::default()
+    };
+    let one_node = SyncProbeReply {
+        nodes: vec![SyncNodeRec {
+            node: 0,
+            children: Vec::new(),
+        }],
+        ..SyncProbeReply::default()
+    };
+    let probe = SyncProbeMsg::default().encode();
+    let probe_reply = SyncProbeReply::default().encode();
+    vec![
+        clamp(
+            |b| SyncDigestMsg::decode(b).is_ok(),
+            SyncDigestMsg::default().encode(),
+            8,
+        ),
+        clamp(
+            |b| SyncDeltaMsg::decode(b).is_ok(),
+            SyncDeltaMsg::default().encode(),
+            16,
+        ),
+        clamp(|b| SyncProbeMsg::decode(b).is_ok(), probe.clone(), 8),
+        clamp(|b| SyncProbeMsg::decode(b).is_ok(), probe, 12),
+        clamp(|b| SyncProbeMsg::decode(b).is_ok(), one_leaf.encode(), 20),
+        clamp(
+            |b| SyncProbeReply::decode(b).is_ok(),
+            probe_reply.clone(),
+            24,
+        ),
+        clamp(|b| SyncProbeReply::decode(b).is_ok(), one_node.encode(), 32),
+        clamp(|b| SyncProbeReply::decode(b).is_ok(), probe_reply, 28),
+        clamp(
+            |b| ResolveBatchMsg::decode(b).is_ok(),
+            ResolveBatchMsg::default().encode(),
+            0,
+        ),
+        clamp(
+            |b| ResolveBatchReply::decode(b).is_ok(),
+            ResolveBatchReply::default().encode(),
+            0,
+        ),
+    ]
+}
+
+/// `zero` with `count` written at byte `at` and `tail` appended.
+fn with_count(c: &Clamp, count: u32, tail: &[u8]) -> Vec<u8> {
+    let mut bytes = c.zero.clone();
+    bytes[c.at..c.at + 4].copy_from_slice(&count.to_le_bytes());
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+#[test]
+fn every_clamp_site_is_reached_by_its_count() {
+    // The zero payload decodes whole, so every byte before `at` is a valid
+    // header and the decoder reads the count at `at`; a nonzero count there
+    // changes the outcome, so it is that clamp that read it.
+    let sites = clamps();
+    assert_eq!(sites.len(), 10, "one case per `count.min(1024)` site");
+    for (i, c) in sites.iter().enumerate() {
+        assert_eq!(&c.zero[c.at..c.at + 4], &[0; 4], "site {i}");
+        assert!((c.decode)(&c.zero), "site {i}: the zero payload decodes");
+        for hostile in [1, 1025, u32::MAX] {
+            assert!(!(c.decode)(&with_count(c, hostile, &[])), "site {i}");
+        }
+    }
+}
 
 fn arb_csname() -> impl Strategy<Value = CsName> {
     proptest::collection::vec(any::<u8>(), 0..64).prop_map(CsName::from)
@@ -147,6 +255,52 @@ proptest! {
         let parse = name.parse_prefix().expect("composed prefix parses");
         prop_assert_eq!(parse.prefix, &prefix[..]);
         prop_assert_eq!(name.suffix(parse.rest_index), &rest[..]);
+    }
+
+    /// Arbitrary bytes: every decoder refuses or decodes, none panics.
+    #[test]
+    fn decoders_are_total_over_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        decode_all(&bytes);
+    }
+
+    /// A well-formed header with a hostile 32-bit count at each clamp
+    /// site, followed by arbitrary bytes: no panic, and no allocation sized
+    /// by the count (a count of 2³² would abort the test).
+    #[test]
+    fn hostile_counts_reach_the_clamps_without_panicking(
+        site in 0usize..10,
+        count in prop_oneof![Just(u32::MAX), 1025u32..=u32::MAX, 0u32..1025],
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let sites = clamps();
+        let bytes = with_count(&sites[site], count, &tail);
+        let _ = (sites[site].decode)(&bytes);
+        decode_all(&bytes);
+    }
+
+    /// `CsRequest::parse` over arbitrary message words and payloads —
+    /// mostly arbitrary name fields, sometimes small ones that point into
+    /// the payload — refuses or yields an index inside its name.
+    #[test]
+    fn csname_parse_is_total(
+        words in proptest::collection::vec(any::<u16>(), 16),
+        (small, len, index) in (any::<bool>(), 0u16..80, 0u16..80),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut msg = Message::new();
+        for (i, w) in words.iter().enumerate() {
+            msg.set_word(i, *w);
+        }
+        if small {
+            msg.set_name_length(len).set_name_index(index);
+        }
+        if let Ok(req) = CsRequest::parse(&msg, &payload) {
+            prop_assert!(req.index <= req.name.len());
+            prop_assert_eq!(req.name.len() + req.extra.len(), payload.len());
+            let _ = req.remaining();
+        }
     }
 
     /// Truncating an encoded descriptor anywhere strictly inside it never

@@ -6,8 +6,8 @@ use vio::{FileHandle, IoError, OpenOutcome};
 use vkernel::{GroupId, Ipc, IpcError};
 use vnaming::{build_csname_request, BackoffPolicy, RetryPolicy, RetryTimer};
 use vproto::{
-    fields, ContextId, ContextPair, CsName, Message, ObjectDescriptor, OpenMode, Pid, ReplyCode,
-    RequestCode, ResolveBatchMsg, ResolveBatchReply, Scope, ServiceId, SyncStatusRec,
+    fields, name_word, ContextId, ContextPair, CsName, Message, ObjectDescriptor, OpenMode, Pid,
+    ReplyCode, RequestCode, ResolveBatchMsg, ResolveBatchReply, Scope, ServiceId, SyncStatusRec,
     RESOLVE_NO_SERVER, RESOLVE_OK,
 };
 
@@ -418,10 +418,13 @@ impl<'a> NameClient<'a> {
         recv_cap: usize,
         use_cache: bool,
     ) -> Result<(Message, Bytes), IoError> {
+        // A name too long for its length word is refused here, not sent
+        // truncated to some other name.
+        name_word(name.len())?;
         // Cached route first (EXP-10 ablation; off by default).
         if let Some((server, ctx, index)) = self.cached_route_maybe(name, use_cache)? {
             let (mut msg, payload) = build_csname_request(op, ctx, name, extra);
-            msg.set_name_index(index as u16);
+            msg.set_name_index(name_word(index)?);
             tune(&mut msg);
             match self.ipc.send(server, msg, payload, recv_cap) {
                 Ok(reply) => {
@@ -789,18 +792,22 @@ impl<'a> NameClient<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates server reply codes ([`ReplyCode::NameInUse`], ...).
+    /// Propagates server reply codes ([`ReplyCode::NameInUse`], ...); a
+    /// name longer than a name-length word can say is refused with
+    /// [`ReplyCode::IllegalName`] before anything is sent.
     pub fn rename(&self, old: &str, new: &str) -> Result<(), IoError> {
         let old_name = CsName::from(old);
         let new_bytes = new.as_bytes().to_vec();
-        let old_len = old_name.len();
+        // The new name follows the old one in the segment.
+        let new_index = name_word(old_name.len())?;
+        let new_len = name_word(new_bytes.len())?;
         self.csname_transaction(
             RequestCode::RenameObject,
             &old_name,
             &new_bytes,
             |m| {
-                m.set_word(fields::W_NAME2_INDEX, old_len as u16);
-                m.set_word(fields::W_NAME2_LEN, new_bytes.len() as u16);
+                m.set_word(fields::W_NAME2_INDEX, new_index)
+                    .set_word(fields::W_NAME2_LEN, new_len);
             },
             0,
         )?;

@@ -6,40 +6,42 @@
 //! crate's only `receive` and makes every `reply` and `forward`. A server
 //! supplies the handlers of [`Server`], and what a handler returns — an
 //! [`Answer`] or a bare failure code — says how the transaction ends.
+//!
+//! The module is public for the one other crate that runs servers: the §2
+//! baseline, `vcentral`, uses the loop and the I/O arms, so EXP-7 compares
+//! two naming models on one server loop.
 
 use bytes::Bytes;
 use vio::{serve_read, InstanceTable};
 use vkernel::{Ipc, IpcError, Received};
 use vnaming::{check_forward_budget, CsRequest, FailReason};
 use vproto::{
-    fields, ContextId, ContextPair, InstanceId, Message, ObjectDescriptor, OpenMode, Pid,
-    ReplyCode, RequestCode,
+    fields, name_word, ContextId, ContextPair, InstanceId, Message, ObjectDescriptor, OpenMode,
+    Pid, ReplyCode, RequestCode,
 };
 
-/// A length or count as a 16-bit message word: saturates at `u16::MAX`
-/// instead of silently truncating. Every such word is advisory — the
-/// payload's own length (or the 32-bit count inside it) is authoritative.
-pub(crate) fn count_word(n: usize) -> u16 {
-    u16::try_from(n).unwrap_or(u16::MAX)
-}
-
 /// How a handler ends the transaction it was given.
-pub(crate) enum Answer {
+pub enum Answer {
     /// Reply with this message and no data.
     Reply(Message),
     /// Reply with this message and a data segment.
     Data(Message, Vec<u8>),
     /// Forward the CSname request to the server of context `to`, where
     /// interpretation continues at byte `index` of the name (paper §5.4).
-    Forward { to: ContextPair, index: usize },
-    /// Leave the sender blocked: the transaction waits under
-    /// [`Call::token`] until a later handler [`Call::resume`]s it (the pipe
-    /// server's read of an empty pipe).
+    Forward {
+        /// The context whose server interprets the rest of the name.
+        to: ContextPair,
+        /// Where in the name interpretation continues.
+        index: usize,
+    },
+    /// Leave the sender blocked: the transaction waits under its call's
+    /// token until a later handler resumes it (the pipe server's read of an
+    /// empty pipe).
     Park,
 }
 
 /// A handler's result: an answer, or the failure code to reply with.
-pub(crate) type Handled = Result<Answer, ReplyCode>;
+pub type Handled = Result<Answer, ReplyCode>;
 
 /// Replies with a bare code, success or not.
 pub(crate) fn reply(code: ReplyCode) -> Handled {
@@ -50,7 +52,7 @@ pub(crate) fn reply(code: ReplyCode) -> Handled {
 /// which interpretation stopped (paper §7's error-reporting problem).
 pub(crate) fn reply_fail(fail: FailReason) -> Handled {
     let mut m = Message::reply(fail.code);
-    m.set_word(fields::W_FAIL_INDEX, count_word(fail.index));
+    m.set_count(fields::W_FAIL_INDEX, fail.index);
     Ok(Answer::Reply(m))
 }
 
@@ -61,10 +63,12 @@ pub(crate) fn reply_descriptor(d: &ObjectDescriptor) -> Handled {
 
 /// One received request as its handler sees it: everything except the
 /// right to answer it, which stays with [`serve`].
-pub(crate) struct Call<'a> {
+pub struct Call<'a> {
     pub(crate) ctx: &'a dyn Ipc,
-    pub(crate) msg: Message,
-    pub(crate) from: Pid,
+    /// The request message.
+    pub msg: Message,
+    /// The sender.
+    pub from: Pid,
     rx: &'a Received,
     token: u64,
     resumed: Vec<(u64, Message, Vec<u8>)>,
@@ -73,12 +77,16 @@ pub(crate) struct Call<'a> {
 impl Call<'_> {
     /// The sender's segment (`MoveFrom`). On the virtual-time kernel this
     /// advances the clock, so handlers fetch it where the protocol reads it.
-    pub(crate) fn data(&self) -> Result<Bytes, ReplyCode> {
+    ///
+    /// # Errors
+    ///
+    /// [`ReplyCode::BadArgs`] when the segment cannot be read.
+    pub fn data(&self) -> Result<Bytes, ReplyCode> {
         self.ctx.move_from(self.rx).map_err(|_| ReplyCode::BadArgs)
     }
 
     /// The instance an I/O request names.
-    pub(crate) fn instance(&self) -> InstanceId {
+    pub fn instance(&self) -> InstanceId {
         InstanceId(self.msg.word(fields::W_IO_INSTANCE))
     }
 
@@ -96,7 +104,7 @@ impl Call<'_> {
 }
 
 /// A CSNH server: its handlers and hooks, run by [`serve`].
-pub(crate) trait Server {
+pub trait Server {
     /// A CSname request, its name already fetched and parsed — paper §5.3:
     /// interpretation begins with the name, not the operation code.
     fn name_op(&mut self, _call: &mut Call, _req: CsRequest) -> Handled {
@@ -125,7 +133,7 @@ pub(crate) trait Server {
 /// Runs `server` until the domain shuts down or the process is killed.
 /// Every request gets exactly one answer, except those parked until a
 /// later handler resumes them.
-pub(crate) fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
+pub fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
     let mut parked: Vec<(u64, Received)> = Vec::new();
     let mut token = 0u64;
     loop {
@@ -159,11 +167,11 @@ pub(crate) fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
             }
             Ok(Answer::Forward { to, index }) => {
                 let mut msg = rx.msg;
-                match check_forward_budget(&mut msg) {
+                match check_forward_budget(&mut msg).and_then(|()| name_word(index)) {
                     Err(code) => Some((rx, Message::reply(code), Vec::new())),
-                    Ok(()) => {
+                    Ok(index) => {
                         msg.set_context_id(to.context);
-                        msg.set_name_index(count_word(index));
+                        msg.set_name_index(index);
                         let verdict = ctx.forward(rx, to.server, msg);
                         server.forwarded(ctx, verdict);
                         None
@@ -185,14 +193,21 @@ pub(crate) fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
 
 /// What an open instance refers to: one of the server's objects, or a
 /// context directory image fabricated when it was opened (paper §5.6).
-pub(crate) enum Handle<T> {
+pub enum Handle<T> {
+    /// One of the server's objects, as the server keys it.
     Object(T),
-    Directory { image: Vec<u8>, ctx: ContextId },
+    /// A listing of a context, fixed when the instance was opened.
+    Directory {
+        /// The encoded descriptor records.
+        image: Vec<u8>,
+        /// The context listed.
+        ctx: ContextId,
+    },
 }
 
 /// The reply to a successful `CreateInstance`: the instance, the object's
 /// size and the pid of the server that will serve it.
-pub(crate) fn open_reply(call: &Call, inst: InstanceId, size: u64) -> Handled {
+pub fn open_reply(call: &Call, inst: InstanceId, size: u64) -> Handled {
     let mut m = Message::ok();
     m.set_word(fields::W_INSTANCE, inst.0)
         .set_word32(fields::W_SIZE_LO, size as u32)
@@ -218,7 +233,7 @@ pub(crate) fn open_directory<T>(
 
 /// `ReadInstance`: the requested window of the instance's bytes — an
 /// object's, as `object` finds them, or a directory's image.
-pub(crate) fn read<'a, T>(
+pub fn read<'a, T>(
     call: &Call,
     instances: &'a InstanceTable<Handle<T>>,
     object: impl FnOnce(&'a T) -> Option<&'a [u8]>,
@@ -231,20 +246,20 @@ pub(crate) fn read<'a, T>(
     let count = usize::from(call.msg.word(fields::W_IO_COUNT));
     let window = serve_read(bytes, offset, count)?.to_vec();
     let mut m = Message::ok();
-    m.set_word(fields::W_IO_COUNT, count_word(window.len()));
+    m.set_count(fields::W_IO_COUNT, window.len());
     Ok(Answer::Data(m, window))
 }
 
 /// The reply to an accepted `WriteInstance` of `n` bytes. A refused write
 /// is a bare failure code: its count word stays 0.
-pub(crate) fn written(n: usize) -> Handled {
+pub fn written(n: usize) -> Handled {
     let mut m = Message::ok();
-    m.set_word(fields::W_IO_COUNT, count_word(n));
+    m.set_count(fields::W_IO_COUNT, n);
     Ok(Answer::Reply(m))
 }
 
 /// `ReleaseInstance`.
-pub(crate) fn release<T>(call: &Call, instances: &mut InstanceTable<T>) -> Handled {
+pub fn release<T>(call: &Call, instances: &mut InstanceTable<T>) -> Handled {
     match instances.release(call.instance()) {
         Some(_) => reply(ReplyCode::Ok),
         None => Err(ReplyCode::InvalidInstance),

@@ -16,7 +16,7 @@ use crate::common::{
 };
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use vio::InstanceTable;
+use vio::{serve_write, InstanceTable};
 use vkernel::Ipc;
 use vnaming::{
     resolve, ComponentSpace, ContextTable, CsRequest, DirectoryBuilder, Outcome, ResolvedTarget,
@@ -29,12 +29,6 @@ use vproto::{
 
 /// Component separator used by the file server's hierarchical names.
 const SEP: u8 = b'/';
-
-/// The most bytes a file may hold: 16 MiB. A write names its offset with a
-/// client-chosen 32-bit word, so without a cap a single 1-byte write at
-/// `0xFFFF_0000` makes the server allocate 4 GiB. A write that would end
-/// past the cap is refused with `NoServerResources` and changes nothing.
-const MAX_FILE_BYTES: usize = 16 << 20;
 
 /// Configuration for a [`file_server`] process.
 #[derive(Debug, Clone)]
@@ -537,7 +531,7 @@ impl Server for FileServer {
                 Ok(answer)
             }
             Some(RequestCode::WriteInstance) => {
-                let offset = call.msg.word32(fields::W_IO_OFFSET_LO) as usize;
+                let offset = u64::from(call.msg.word32(fields::W_IO_OFFSET_LO));
                 let data = call.data()?;
                 self.write(id, offset, &data)?;
                 if self.simulate_disk {
@@ -580,8 +574,11 @@ impl Server for FileServer {
                 Ok(Answer::Data(Message::ok(), self.fs.path_of(dir)))
             }
             Some(RequestCode::GetInstanceName) => {
-                let id = InstanceId(call.msg.word32(fields::W_INVERT_ID_LO) as u16);
-                match self.instances.get(id).map(|i| &i.state) {
+                // Instance ids are 16-bit: a wider id names no instance; it
+                // must not wrap onto one.
+                let id = u16::try_from(call.msg.word32(fields::W_INVERT_ID_LO))
+                    .map_err(|_| ReplyCode::InvalidInstance)?;
+                match self.instances.get(InstanceId(id)).map(|i| &i.state) {
                     Some(Handle::Object(node)) => {
                         Ok(Answer::Data(Message::ok(), self.fs.path_of(*node)))
                     }
@@ -619,7 +616,7 @@ impl Server for FileServer {
 
 impl FileServer {
     /// `WriteInstance` of `data` at `offset`.
-    fn write(&mut self, id: InstanceId, offset: usize, data: &[u8]) -> Result<(), ReplyCode> {
+    fn write(&mut self, id: InstanceId, offset: u64, data: &[u8]) -> Result<(), ReplyCode> {
         // Directory instances accept descriptor writes in Directory mode
         // (paper §5.6); file writes need a writable mode.
         let inst = self.instances.check(id, false)?;
@@ -628,11 +625,6 @@ impl FileServer {
                 if !inst.mode.writes() {
                     return Err(ReplyCode::BadMode);
                 }
-                let end = offset.saturating_add(data.len());
-                if end > MAX_FILE_BYTES {
-                    return Err(ReplyCode::NoServerResources);
-                }
-                let t = self.fs.clock.tick();
                 let node = self
                     .fs
                     .nodes
@@ -641,11 +633,8 @@ impl FileServer {
                 let NodeKind::File(content) = &mut node.kind else {
                     return Err(ReplyCode::BadMode);
                 };
-                if content.len() < end {
-                    content.resize(end, 0);
-                }
-                content[offset..end].copy_from_slice(data);
-                node.modified = t;
+                serve_write(content, offset, data)?;
+                node.modified = self.fs.clock.tick();
                 Ok(())
             }
             Handle::Directory { ctx, .. } => {

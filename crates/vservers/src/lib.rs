@@ -28,11 +28,13 @@
 //! and hands it to one loop, `common::serve`: the crate's only `receive`,
 //! which fetches and parses a CSname request's name before the server sees
 //! the operation, and makes every `reply` and `forward` (DESIGN.md §3.2).
+//! The loop and the shared I/O arms are public in [`common`], because the
+//! §2 baseline servers in `vcentral` run on them too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod common;
+pub mod common;
 mod file;
 mod internet;
 mod mail;

@@ -8,7 +8,7 @@
 //! `Send`) and keeps serving other requests; the eventual `Reply` releases
 //! the reader. No special kernel support is involved.
 
-use crate::common::{count_word, open_reply, reply, serve, written, Answer, Call, Handled, Server};
+use crate::common::{open_reply, reply, serve, written, Answer, Call, Handled, Server};
 use std::collections::{BTreeMap, VecDeque};
 use vio::InstanceTable;
 use vkernel::Ipc;
@@ -85,7 +85,7 @@ fn drain_pending(call: &mut Call, pipe: &mut Pipe) {
         let take = p.count.min(pipe.buffer.len());
         let data: Vec<u8> = pipe.buffer.drain(..take).collect();
         let mut m = Message::ok();
-        m.set_word(fields::W_IO_COUNT, count_word(data.len()));
+        m.set_count(fields::W_IO_COUNT, data.len());
         call.resume(p.token, m, data);
     }
 }

@@ -23,8 +23,8 @@
 //! multicast replica group, which is the client's last-resort fallback.
 
 use crate::common::{
-    count_word, open_directory, read, release, reply, reply_descriptor, serve, Answer, Call,
-    Handle, Handled, Server,
+    open_directory, read, release, reply, reply_descriptor, serve, Answer, Call, Handle, Handled,
+    Server,
 };
 use crate::shard::ShardedTable;
 use crate::suspect::SuspectSet;
@@ -103,17 +103,14 @@ impl PrefixTarget {
 
 /// The reply to a `SyncPull`/`SyncGossip` whose round completed. The three
 /// counts are advisory message words and saturate like every other sync
-/// count ([`count_word`]) — a cold replica adopting 70 000 entries reports
-/// 65 535, not 4 464; the exact cumulative figures are the u32 fields of
-/// `SyncStatusRec`.
+/// count ([`Message::set_count`]) — a cold replica adopting 70 000 entries
+/// reports 65 535, not 4 464; the exact cumulative figures are the u32
+/// fields of `SyncStatusRec`.
 fn round_reply(out: ApplyOutcome, table: &SyncTable, via_gossip: bool) -> Message {
     let mut m = Message::ok();
-    m.set_word(fields::W_SYNC_ADOPTED, count_word(out.adopted as usize))
-        .set_word(
-            fields::W_SYNC_DROPPED,
-            count_word(out.dropped_live as usize),
-        )
-        .set_word(fields::W_SYNC_PROMOTED, count_word(out.promoted as usize))
+    m.set_count(fields::W_SYNC_ADOPTED, out.adopted as usize)
+        .set_count(fields::W_SYNC_DROPPED, out.dropped_live as usize)
+        .set_count(fields::W_SYNC_PROMOTED, out.promoted as usize)
         .set_word32(fields::W_SYNC_EPOCH_LO, table.max_epoch() as u32)
         .set_word(fields::W_SYNC_GOSSIP, u16::from(via_gossip));
     m
@@ -511,7 +508,7 @@ impl Server for PrefixServer {
                 );
                 self.counters.gc_dropped += gc_dropped;
                 let mut m = Message::ok();
-                m.set_word(fields::W_SYNC_COUNT, count_word(delta.entries.len()));
+                m.set_count(fields::W_SYNC_COUNT, delta.entries.len());
                 Ok(Answer::Data(m, delta.encode()))
             }
             Some(RequestCode::SyncProbe) => {
@@ -534,8 +531,8 @@ impl Server for PrefixServer {
                 );
                 self.counters.gc_dropped += gc_dropped;
                 let mut m = Message::ok();
-                m.set_word(fields::W_SYNC_COUNT, count_word(reply.entries.len()))
-                    .set_word(fields::W_SYNC_NODES, count_word(reply.nodes.len()));
+                m.set_count(fields::W_SYNC_COUNT, reply.entries.len())
+                    .set_count(fields::W_SYNC_NODES, reply.nodes.len());
                 Ok(Answer::Data(m, reply.encode()))
             }
             Some(RequestCode::SyncStatus) => {
@@ -630,7 +627,7 @@ impl PrefixServer {
             .collect();
         let reply = ResolveBatchReply { answers };
         let mut m = Message::ok();
-        m.set_word(fields::W_SYNC_COUNT, count_word(reply.answers.len()));
+        m.set_count(fields::W_SYNC_COUNT, reply.answers.len());
         Ok(Answer::Data(m, reply.encode()))
     }
 
@@ -793,17 +790,14 @@ fn fetch_delta(
             entries: table.digest(),
         };
         let mut req = Message::request(RequestCode::SyncDigest);
-        req.set_word(fields::W_SYNC_COUNT, count_word(digest.entries.len()));
+        req.set_count(fields::W_SYNC_COUNT, digest.entries.len());
         let delta = SyncDeltaMsg::decode(&sync_call(ctx, peer, req, digest.encode())?).ok()?;
         return Some((delta.entries, delta.epoch, delta.horizon));
     }
     let mut walk = MerkleWalk::start();
     while let Some(probe) = walk.next_probe(table) {
         let mut req = Message::request(RequestCode::SyncProbe);
-        req.set_word(
-            fields::W_SYNC_NODES,
-            count_word(probe.nodes.len() + probe.leaves.len()),
-        );
+        req.set_count(fields::W_SYNC_NODES, probe.nodes.len() + probe.leaves.len());
         let reply = SyncProbeReply::decode(&sync_call(ctx, peer, req, probe.encode())?).ok()?;
         counters.probe_rounds += 1;
         walk.absorb(table, &reply);

@@ -1,6 +1,7 @@
-//! Regressions for four server defects: a rename that hung the file
+//! Regressions for server and client defects: a rename that hung the file
 //! server, instance ids that collided within one server, an unbounded file
-//! write, and a byte count on refused writes.
+//! write, a byte count on refused writes, an instance id truncated to 16
+//! bits, and over-long names sent as some other name.
 
 use bytes::Bytes;
 use std::sync::mpsc;
@@ -178,8 +179,8 @@ fn internet_instances_never_alias() {
     object_and_directory_never_alias(world, "10.0.0.1:25", OpenMode::Create, b"HELO", b"HELO");
 }
 
-/// The file server's size cap, as documented on `MAX_FILE_BYTES`.
-const MAX_FILE_BYTES: u64 = 16 << 20;
+/// The file server's size cap.
+const MAX_FILE_BYTES: u64 = vio::MAX_FILE_BYTES as u64;
 
 #[test]
 fn a_file_write_past_16_mib_is_refused_and_changes_nothing() {
@@ -205,6 +206,63 @@ fn a_file_write_past_16_mib_is_refused_and_changes_nothing() {
         assert_eq!(client.query("f").expect("query").size, MAX_FILE_BYTES);
         let head = vio::read_at(ctx, fs, file.instance(), 0, 4).expect("read");
         assert_eq!(&head[..], b"head");
+    });
+}
+
+#[test]
+fn get_instance_name_refuses_an_id_wider_than_16_bits() {
+    let (domain, host, fs) = boot(ServiceId::FILE_SERVER, |ctx| {
+        file_server(
+            ctx,
+            FileServerConfig {
+                preload: vec![("f".into(), b"body".to_vec())],
+                ..FileServerConfig::default()
+            },
+        )
+    });
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(fs, ContextId::DEFAULT));
+        let file = client.open("f", OpenMode::Read).expect("open");
+        let instance_name = |id: u32| {
+            let mut msg = Message::request(RequestCode::GetInstanceName);
+            msg.set_word32(fields::W_INVERT_ID_LO, id);
+            let reply = ctx.send(fs, msg, Bytes::new(), 4096).expect("an answer");
+            (reply.msg.reply_code(), reply.data.to_vec())
+        };
+        let id = u32::from(file.instance().0);
+        assert_eq!(instance_name(id), (ReplyCode::Ok, b"/f".to_vec()));
+        assert_eq!(
+            instance_name(id | 0x1_0000),
+            (ReplyCode::InvalidInstance, Vec::new())
+        );
+    });
+}
+
+#[test]
+fn an_overlong_name_is_refused_before_it_is_sent() {
+    // Its length word once wrapped to 0, so the server answered for the
+    // empty name: the context itself.
+    let (domain, host, fs) = boot(ServiceId::FILE_SERVER, |ctx| {
+        file_server(
+            ctx,
+            FileServerConfig {
+                preload: vec![("f".into(), b"body".to_vec())],
+                ..FileServerConfig::default()
+            },
+        )
+    });
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(fs, ContextId::DEFAULT));
+        let long = "a".repeat(usize::from(u16::MAX) + 1);
+        for err in [
+            client.query(&long).expect_err("query"),
+            client.open(&long, OpenMode::Read).expect_err("open"),
+            client.rename("f", &long).expect_err("rename to"),
+            client.rename(&long, "g").expect_err("rename from"),
+        ] {
+            assert_eq!(err.reply_code(), Some(ReplyCode::IllegalName));
+        }
+        assert_eq!(client.read_file("f").expect("read"), b"body");
     });
 }
 

@@ -1,5 +1,6 @@
-//! Every message gets an answer. All nine servers run on the thread kernel
-//! and receive arbitrary requests — known and unknown operation codes,
+//! Every message gets an answer. All nine servers, and the §2 baseline's
+//! central name server and object store, run on the thread kernel and
+//! receive arbitrary requests — known and unknown operation codes,
 //! arbitrary words and payloads, CSname requests with arbitrary names and
 //! indices — and every `send` must return, `Ok` or `Err`, before a watchdog
 //! fires. The one request allowed to wait is a pipe read with nothing to
@@ -13,6 +14,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::time::Duration;
+use vcentral::{central_name_server, object_store};
 use vkernel::{Domain, Ipc, SimDomain};
 use vnaming::{build_csname_request, MAX_FORWARDS};
 use vnet::{Params1984, Partition};
@@ -120,7 +122,7 @@ fn spawn(
     pid
 }
 
-/// Eight servers in one domain, so requests forward between them. The
+/// Ten servers in one domain, so requests forward between them. The
 /// pipe server gets a domain of its own: nothing can forward into it, so
 /// every pipe a case creates is one the case itself named.
 struct World {
@@ -192,6 +194,14 @@ impl World {
                     time_server(ctx, TimeConfig::default())
                 }),
             ),
+            (
+                "central name",
+                spawn(&domain, host, ServiceId::CENTRAL_NAME_SERVER, |ctx| {
+                    central_name_server(ctx)
+                }),
+            ),
+            // The object store registers no service; nothing to wait for.
+            ("object store", domain.spawn(host, "store", object_store)),
         ];
         let pipes = Domain::new();
         let pipe_host = pipes.add_host();

@@ -71,7 +71,7 @@ pub fn measure_read_ahead(params: Params1984, pages: usize) -> Duration {
             sleep_until(ctx, start + disk_latency * (next_page + 1));
             next_page += 1;
             let mut m = Message::ok();
-            m.set_word(fields::W_IO_COUNT, page as u16);
+            m.set_count(fields::W_IO_COUNT, page);
             ctx.reply(rx, m, Bytes::from(vec![0u8; page])).ok();
         }
     });
@@ -80,7 +80,7 @@ pub fn measure_read_ahead(params: Params1984, pages: usize) -> Duration {
             let t0 = ctx.now();
             for _ in 0..pages {
                 let mut msg = Message::request(RequestCode::ReadInstance);
-                msg.set_word(fields::W_IO_COUNT, page as u16);
+                msg.set_count(fields::W_IO_COUNT, page);
                 let r = ctx.send(server, msg, Bytes::new(), page).unwrap();
                 assert_eq!(r.data.len(), page);
             }

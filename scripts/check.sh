@@ -14,10 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p vcheck -- --json vcheck-report.json   (lints + ratchet + determinism gate + invariant gate)"
 cargo run -p vcheck -- --json vcheck-report.json
 
-# One server loop: `vservers::common::serve` owns the crate's only receive
-# and makes every reply and forward, so a server cannot drift from it.
+# One server loop: `vservers::common::serve` owns the only receive of every
+# server outside the kernels and the experiment fixtures — the §2 baseline
+# in vcentral included — and makes every reply and forward, so a server
+# cannot drift from it.
 echo "==> one server loop: receive/reply/forward only in crates/vservers/src/common.rs"
-if grep -nE '\.receive\(\)|\.try_receive\(|\.reply\(|ctx\.forward\(' crates/vservers/src/*.rs |
+if grep -nE '\.receive\(\)|\.try_receive\(|\.reply\(|ctx\.forward\(' \
+    crates/vservers/src/*.rs crates/vcentral/src/*.rs crates/vio/src/*.rs |
     grep -v '^crates/vservers/src/common\.rs:'; then
     echo "error: the lines above bypass vservers::common::serve" >&2
     exit 1
