@@ -677,7 +677,7 @@ impl SimDomain {
 
     /// The largest smoothed round-trip estimate across all destinations
     /// the adaptive fault plane has sampled (the RTT picture is kept per
-    /// destination host; see [`srtt_to`](Self::srtt_to) for one link).
+    /// destination host).
     pub fn srtt(&self) -> Option<Duration> {
         self.core
             .state
@@ -685,39 +685,6 @@ impl SimDomain {
             .faults
             .as_ref()
             .and_then(|p| p.rtt_estimators().filter_map(|(_, e)| e.srtt()).max())
-    }
-
-    /// The largest per-destination retransmission timeout across all
-    /// destinations the adaptive fault plane has sampled.
-    pub fn rto(&self) -> Option<Duration> {
-        self.core
-            .state
-            .lock()
-            .faults
-            .as_ref()
-            .and_then(|p| p.rtt_estimators().map(|(_, e)| e.rto()).max())
-    }
-
-    /// The smoothed round-trip estimate towards one destination host, if
-    /// the adaptive plane has accepted a sample for that destination.
-    pub fn srtt_to(&self, to: LogicalHost) -> Option<Duration> {
-        self.core
-            .state
-            .lock()
-            .faults
-            .as_ref()
-            .and_then(|p| p.rtt_to(to).and_then(|e| e.srtt()))
-    }
-
-    /// The current retransmission timeout towards one destination host,
-    /// if the adaptive plane has state for that destination.
-    pub fn rto_to(&self, to: LogicalHost) -> Option<Duration> {
-        self.core
-            .state
-            .lock()
-            .faults
-            .as_ref()
-            .and_then(|p| p.rtt_to(to).map(|e| e.rto()))
     }
 
     /// The sorted, deduplicated heal times of every partition scheduled on
@@ -781,19 +748,6 @@ impl SimDomain {
                 ctx.sleep(target - now);
             }
             let _ = ctx.send(to, msg, Bytes::new(), 256);
-        });
-    }
-
-    /// Like [`notify_at`](Self::notify_at), but multicasts `msg` to a
-    /// process group from a notifier spawned on `host`.
-    pub fn notify_group_at(&self, host: LogicalHost, at: SimTime, group: GroupId, msg: Message) {
-        self.spawn(host, "notify-group", move |ctx| {
-            let target = Duration::from_nanos(at.as_nanos());
-            let now = ctx.now();
-            if target > now {
-                ctx.sleep(target - now);
-            }
-            let _ = ctx.send_group(group, msg, Bytes::new());
         });
     }
 

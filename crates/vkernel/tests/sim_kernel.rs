@@ -349,8 +349,8 @@ fn sleep_orders_processes_by_wake_time() {
 fn send_under_certain_loss_times_out_with_exact_ladder_cost() {
     // loss_p = 1.0: every remote transmission is lost; the kernel walks
     // its whole retransmission ladder and surfaces Timeout, charging the
-    // sender exactly the ladder's give-up cost.
-    use vnet::{FaultConfig, RetransmitPolicy};
+    // sender exactly the ladder's give-up cost: 5 + 10 + 20 + 40 + 80 ms.
+    use vnet::FaultConfig;
     let cfg = FaultConfig::lossless(7).with_loss(1.0);
     let domain = SimDomain::with_faults(Params1984::ethernet_3mbit(), cfg);
     let (a, b) = (domain.add_host(), domain.add_host());
@@ -365,7 +365,7 @@ fn send_under_certain_loss_times_out_with_exact_ladder_cost() {
         })
         .unwrap();
     assert_eq!(err, IpcError::Timeout);
-    assert_eq!(elapsed, RetransmitPolicy::default().give_up_cost());
+    assert_eq!(elapsed, Duration::from_millis(155));
     let stats = domain.fault_stats();
     assert_eq!(stats.exhausted, 1);
     assert_eq!(stats.retransmits, 0);

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use vkernel::SimDomain;
-use vnet::{FaultConfig, Params1984, Partition, SimTime};
+use vnet::{FaultConfig, Params1984, Partition, SimTime, RETRANSMIT};
 use vproto::{LogicalHost, Message, RequestCode};
 
 /// One step of a generated client script.
@@ -159,17 +159,18 @@ fn arb_faults() -> impl Strategy<Value = FaultConfig> {
         0.0f64..0.2,
         0u64..2000,
         proptest::collection::vec(arb_partition(), 0..3),
+        any::<bool>(),
     )
-        .prop_map(|(seed, loss, dup, jitter_us, partitions)| {
-            let mut cfg = FaultConfig::lossless(seed)
-                .with_loss(loss)
-                .with_dup(dup)
-                .with_jitter(Duration::from_micros(jitter_us));
-            for p in partitions {
-                cfg = cfg.with_partition(p);
-            }
-            cfg
-        })
+        .prop_map(
+            |(seed, loss, dup, jitter_us, partitions, adaptive)| FaultConfig {
+                adaptive,
+                partitions,
+                ..FaultConfig::lossless(seed)
+                    .with_loss(loss)
+                    .with_dup(dup)
+                    .with_jitter(Duration::from_micros(jitter_us))
+            },
+        )
 }
 
 proptest! {
@@ -200,7 +201,7 @@ proptest! {
     /// swallowed by the plane, partitions included.
     #[test]
     fn fault_accounting_is_conserved(w in arb_workload(), cfg in arb_faults()) {
-        let max = cfg.retransmit.max_attempts as u64;
+        let max = u64::from(RETRANSMIT.max_attempts);
         let (_, _, stats) = execute_with(&w, Some(cfg));
         prop_assert_eq!(
             stats.drops + stats.partition_drops,

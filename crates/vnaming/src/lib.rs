@@ -57,13 +57,11 @@ mod context;
 mod directory;
 mod request;
 mod resolve;
-mod retry;
 
 pub use context::ContextTable;
 pub use directory::{match_pattern, DirectoryBuilder};
 pub use request::{build_csname_request, check_forward_budget, CsRequest, MAX_FORWARDS};
 pub use resolve::{resolve, ComponentSpace, FailReason, Outcome, ResolvedTarget, Step};
-pub use retry::{BackoffPolicy, RetryPolicy};
-// Re-exported so client crates can build adaptive retry policies without
-// depending on `vnet` directly.
-pub use vnet::{AdaptiveTimer, RetryTimer, RttConfig, RttEstimator};
+// The client's retry ladder is the kernel's ladder type, re-exported so
+// client crates name it without depending on `vnet` directly.
+pub use vnet::BackoffPolicy;

@@ -1,8 +1,8 @@
 //! The deterministic fault plane: seeded message loss, duplication, and
 //! delay jitter for remote links, scheduled network partitions (symmetric
-//! or one-way, with heal times), per-direction link overrides, and the
-//! kernel's bounded retransmission policy — static ladder or adaptive
-//! RTT-estimated ([`RttEstimator`]).
+//! or one-way, with heal times), and the kernel's bounded retransmission
+//! ladder — the constant [`RETRANSMIT`], or per destination an adaptive
+//! RTT-estimated one ([`RttEstimator`]) bounded by it.
 //!
 //! The paper leans on the V kernel's *reliable* `Send`: "the kernel
 //! retransmits the request until it receives a reply or decides the
@@ -24,72 +24,24 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
-use crate::retry::{ExpBackoff, RetryTimer};
-use crate::rtt::{RttConfig, RttEstimator};
+use crate::retry::BackoffPolicy;
+use crate::rtt::RttEstimator;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::time::Duration;
 use vproto::LogicalHost;
 
-/// The kernel's bounded retransmission ladder for lost remote packets.
-///
-/// Attempt `k` (1-based) that goes unanswered costs the sender
-/// [`RetransmitPolicy::timeout`]`(k)` of virtual time before the next
-/// transmission; after `max_attempts` consecutive losses the kernel gives
-/// up and the operation fails with a timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetransmitPolicy {
-    /// Total transmissions allowed per packet (first send + retries).
-    pub max_attempts: u32,
-    /// Timeout charged for the first unanswered transmission.
-    pub base_timeout: Duration,
-    /// Multiplier applied to the timeout after each loss (exponential
-    /// backoff).
-    pub backoff_factor: u32,
-    /// Ceiling on any single retransmission timeout.
-    pub max_timeout: Duration,
-}
-
-impl Default for RetransmitPolicy {
-    fn default() -> Self {
-        RetransmitPolicy {
-            max_attempts: 5,
-            base_timeout: Duration::from_millis(5),
-            backoff_factor: 2,
-            max_timeout: Duration::from_millis(80),
-        }
-    }
-}
-
-impl RetransmitPolicy {
-    /// The ladder this policy climbs, as shared backoff math.
-    pub const fn ladder(&self) -> ExpBackoff {
-        ExpBackoff::new(self.base_timeout, self.backoff_factor, self.max_timeout)
-    }
-
-    /// The timeout charged when transmission `attempt` (1-based) is lost:
-    /// `base_timeout * backoff_factor^(attempt-1)`, capped at
-    /// `max_timeout`.
-    pub fn timeout(&self, attempt: u32) -> Duration {
-        self.ladder().nth(attempt)
-    }
-
-    /// Virtual time spent before the kernel declares a timeout: the sum of
-    /// every per-attempt timeout. This bounds how long any single `Send`
-    /// can stall on a dead link.
-    pub fn give_up_cost(&self) -> Duration {
-        self.ladder().total(self.max_attempts)
-    }
-}
-
-impl RetryTimer for RetransmitPolicy {
-    /// Kernel budget convention: every lost transmission — including the
-    /// last — costs its timeout, so `failure_delay(max_attempts)` is still
-    /// `Some` and the budget runs out only *after* it.
-    fn failure_delay(&self, failed_attempts: u32) -> Option<Duration> {
-        (failed_attempts <= self.max_attempts).then(|| self.timeout(failed_attempts))
-    }
-}
+/// The kernel's retransmission ladder for lost remote packets: a lost
+/// transmission `k` (1-based) costs the sender rung `k` of virtual time —
+/// 5, 10, 20, 40, 80 ms — and after five consecutive losses the kernel
+/// gives up and the operation fails with a timeout, having charged
+/// [`give_up_cost`](BackoffPolicy::give_up_cost) = 155 ms.
+pub const RETRANSMIT: BackoffPolicy = BackoffPolicy {
+    max_attempts: 5,
+    base: Duration::from_millis(5),
+    factor: 2,
+    cap: Duration::from_millis(80),
+};
 
 /// A scheduled cut of a directed host pair: from `start` until `heal`
 /// (forever if `None`), transmissions `from → to` are dropped — and
@@ -151,23 +103,6 @@ impl Partition {
     }
 }
 
-/// Per-direction probabilistic overrides: faults for the directed link
-/// `from → to` that differ from the plane-wide defaults (e.g. a noisy
-/// uplink with a clean downlink).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaults {
-    /// Source host of the overridden direction.
-    pub from: LogicalHost,
-    /// Destination host of the overridden direction.
-    pub to: LogicalHost,
-    /// Loss probability on this direction.
-    pub loss_p: f64,
-    /// Duplication probability on this direction.
-    pub dup_p: f64,
-    /// Jitter bound on this direction.
-    pub jitter_max: Duration,
-}
-
 /// Configuration of the fault plane for one simulated domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
@@ -183,17 +118,13 @@ pub struct FaultConfig {
     /// Upper bound on uniformly drawn extra delivery delay for remote
     /// packets; `Duration::ZERO` disables jitter.
     pub jitter_max: Duration,
-    /// The kernel's retransmission ladder for lost packets.
-    pub retransmit: RetransmitPolicy,
     /// Scheduled partitions (symmetric or one-way host-pair cuts).
     pub partitions: Vec<Partition>,
-    /// Per-direction overrides of the probabilistic fault parameters.
-    pub links: Vec<LinkFaults>,
-    /// When set, the retransmission timeouts come from an adaptive
+    /// When set, the retransmission timeouts come from a per-destination
     /// SRTT/RTTVAR estimator (fed by the kernel's measured round trips)
-    /// instead of the static ladder; `max_attempts` still bounds the
-    /// budget.
-    pub adaptive: Option<RttConfig>,
+    /// instead of [`RETRANSMIT`]'s rungs; its `max_attempts` still bounds
+    /// the budget.
+    pub adaptive: bool,
 }
 
 impl FaultConfig {
@@ -205,10 +136,8 @@ impl FaultConfig {
             loss_p: 0.0,
             dup_p: 0.0,
             jitter_max: Duration::ZERO,
-            retransmit: RetransmitPolicy::default(),
             partitions: Vec::new(),
-            links: Vec::new(),
-            adaptive: None,
+            adaptive: false,
         }
     }
 
@@ -230,28 +159,16 @@ impl FaultConfig {
         self
     }
 
-    /// Sets the retransmission policy (builder style).
-    pub fn with_retransmit(mut self, policy: RetransmitPolicy) -> Self {
-        self.retransmit = policy;
-        self
-    }
-
     /// Adds a scheduled partition (builder style).
     pub fn with_partition(mut self, p: Partition) -> Self {
         self.partitions.push(p);
         self
     }
 
-    /// Adds a per-direction link override (builder style).
-    pub fn with_link(mut self, l: LinkFaults) -> Self {
-        self.links.push(l);
-        self
-    }
-
     /// Drives retransmission timeouts from an adaptive RTT estimator
     /// (builder style).
-    pub fn with_adaptive(mut self, cfg: RttConfig) -> Self {
-        self.adaptive = Some(cfg);
+    pub fn with_adaptive(mut self) -> Self {
+        self.adaptive = true;
         self
     }
 }
@@ -367,13 +284,9 @@ impl FaultPlane {
     /// destination's adaptive estimator (no-op on a static plane).
     /// `retransmitted` applies Karn's rule.
     pub fn observe_rtt(&mut self, to: LogicalHost, rtt: Duration, retransmitted: bool) {
-        let Some(rc) = self.cfg.adaptive else {
-            return;
-        };
-        self.ests
-            .entry(to)
-            .or_insert_with(|| RttEstimator::new(rc))
-            .observe(rtt, retransmitted);
+        if self.cfg.adaptive {
+            self.ests.entry(to).or_default().observe(rtt, retransmitted);
+        }
     }
 
     /// SplitMix64 — the same generator the vendored proptest uses; chosen
@@ -397,34 +310,26 @@ impl FaultPlane {
         p > 0.0 && self.unit() < p
     }
 
-    /// The probabilistic parameters governing the directed link
-    /// `from → to`: a [`LinkFaults`] override if one matches, else the
-    /// plane-wide defaults.
-    fn link_params(&self, from: LogicalHost, to: LogicalHost) -> (f64, f64, Duration) {
-        match self.cfg.links.iter().find(|l| l.from == from && l.to == to) {
-            Some(l) => (l.loss_p, l.dup_p, l.jitter_max),
-            None => (self.cfg.loss_p, self.cfg.dup_p, self.cfg.jitter_max),
-        }
-    }
-
     /// The timeout the kernel charges for lost transmission `attempt`
     /// towards `to`: the destination's adaptive backed-off RTO when
-    /// configured (an unobserved destination uses a fresh estimator's
-    /// initial RTO), else the static ladder.
+    /// configured (an unobserved destination uses a fresh estimator, which
+    /// climbs the static ladder), else [`RETRANSMIT`]'s rung.
     fn attempt_timeout(&self, to: LogicalHost, attempt: u32) -> Duration {
-        match self.cfg.adaptive {
-            Some(rc) => match self.ests.get(&to) {
-                Some(est) => est.ladder(attempt),
-                None => RttEstimator::new(rc).ladder(attempt),
-            },
-            None => self.cfg.retransmit.timeout(attempt),
+        if self.cfg.adaptive {
+            self.ests
+                .get(&to)
+                .copied()
+                .unwrap_or_default()
+                .ladder(attempt)
+        } else {
+            RETRANSMIT.nth(attempt)
         }
     }
 
     /// Virtual time an exhausted ladder towards `to` costs right now
     /// (adaptive planes change this per destination as estimates move).
     pub fn give_up_cost(&self, to: LogicalHost) -> Duration {
-        (1..=self.cfg.retransmit.max_attempts)
+        (1..=RETRANSMIT.max_attempts)
             .map(|k| self.attempt_timeout(to, k))
             .sum()
     }
@@ -432,7 +337,7 @@ impl FaultPlane {
     /// Runs one remote unicast transmission `from → to` starting at
     /// virtual time `at`: each attempt is first checked against the
     /// partition schedule (at the attempt's own start time, so a ladder
-    /// can ride through a heal), then against the link's probabilistic
+    /// can ride through a heal), then against the plane's probabilistic
     /// loss. `Ok` carries the extra delay, duplicate flag, and how many
     /// attempts a partition severed; `Err` carries the virtual time
     /// wasted before the kernel declared a timeout.
@@ -442,10 +347,15 @@ impl FaultPlane {
         to: LogicalHost,
         at: SimTime,
     ) -> Result<Transmit, Exhausted> {
-        let (loss_p, dup_p, jitter_max) = self.link_params(from, to);
+        let FaultConfig {
+            loss_p,
+            dup_p,
+            jitter_max,
+            ..
+        } = self.cfg;
         let mut waited = Duration::ZERO;
         let mut partition_drops = 0u32;
-        for attempt in 1..=self.cfg.retransmit.max_attempts {
+        for attempt in 1..=RETRANSMIT.max_attempts {
             if self.severed(from, to, at + waited) {
                 partition_drops += 1;
                 self.stats.partition_drops += 1;
@@ -474,11 +384,8 @@ impl FaultPlane {
             waited += self.attempt_timeout(to, attempt);
         }
         self.stats.exhausted += 1;
-        if let Some(rc) = self.cfg.adaptive {
-            self.ests
-                .entry(to)
-                .or_insert_with(|| RttEstimator::new(rc))
-                .on_timeout();
+        if self.cfg.adaptive {
+            self.ests.entry(to).or_default().on_timeout();
         }
         Err(Exhausted {
             wasted: waited,
@@ -494,8 +401,7 @@ impl FaultPlane {
             self.stats.multicast_drops += 1;
             return false;
         }
-        let (loss_p, _, _) = self.link_params(from, to);
-        if self.chance(loss_p) {
+        if self.chance(self.cfg.loss_p) {
             self.stats.multicast_drops += 1;
             false
         } else {
@@ -515,23 +421,36 @@ mod tests {
         SimTime::ZERO + Duration::from_millis(ms)
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
     #[test]
     fn timeout_ladder_doubles_and_caps() {
-        let p = RetransmitPolicy::default();
-        assert_eq!(p.timeout(1), Duration::from_millis(5));
-        assert_eq!(p.timeout(2), Duration::from_millis(10));
-        assert_eq!(p.timeout(3), Duration::from_millis(20));
-        assert_eq!(p.timeout(4), Duration::from_millis(40));
-        assert_eq!(p.timeout(5), Duration::from_millis(80));
-        assert_eq!(p.timeout(6), Duration::from_millis(80)); // capped
-        assert_eq!(p.give_up_cost(), Duration::from_millis(155));
+        let rungs: Vec<_> = (1..=6).map(|k| RETRANSMIT.nth(k)).collect();
+        assert_eq!(rungs, [ms(5), ms(10), ms(20), ms(40), ms(80), ms(80)]);
+        assert_eq!(RETRANSMIT.nth(9), ms(80));
+        assert_eq!(RETRANSMIT.give_up_cost(), ms(155));
     }
 
     #[test]
     fn kernel_budget_charges_the_final_loss_too() {
-        let p = RetransmitPolicy::default();
-        assert_eq!(p.failure_delay(5), Some(Duration::from_millis(80)));
-        assert_eq!(p.failure_delay(6), None);
+        // The client rule stops pausing after the fourth failure; the
+        // kernel charges the fifth rung too.
+        assert_eq!(RETRANSMIT.delay(5), None);
+        assert_eq!(RETRANSMIT.worst_case_total(), ms(75));
+        assert_eq!(
+            RETRANSMIT.give_up_cost(),
+            RETRANSMIT.worst_case_total() + RETRANSMIT.nth(5)
+        );
+    }
+
+    #[test]
+    fn an_unobserved_destination_costs_the_static_ladder() {
+        let adaptive = FaultPlane::new(FaultConfig::lossless(1).with_adaptive());
+        let fixed = FaultPlane::new(FaultConfig::lossless(1));
+        assert_eq!(adaptive.give_up_cost(B), ms(155));
+        assert_eq!(adaptive.give_up_cost(B), fixed.give_up_cost(B));
     }
 
     #[test]
@@ -549,16 +468,15 @@ mod tests {
 
     #[test]
     fn certain_loss_exhausts_the_ladder() {
-        let cfg = FaultConfig::lossless(7).with_loss(1.0);
-        let mut plane = FaultPlane::new(cfg.clone());
+        let mut plane = FaultPlane::new(FaultConfig::lossless(7).with_loss(1.0));
         let e = plane
             .transmit(A, B, SimTime::ZERO)
             .expect_err("always lost");
-        assert_eq!(e.wasted, cfg.retransmit.give_up_cost());
+        assert_eq!(e.wasted, ms(155));
         assert_eq!(e.partition_drops, 0);
         let s = plane.stats();
         assert_eq!(s.exhausted, 1);
-        assert_eq!(s.drops, u64::from(cfg.retransmit.max_attempts));
+        assert_eq!(s.drops, 5);
         assert_eq!(s.retransmits, 0);
     }
 
@@ -627,7 +545,7 @@ mod tests {
         assert!(s.retransmits > 0);
         assert_eq!(
             s.drops + s.partition_drops,
-            s.retransmits + s.exhausted * u64::from(RetransmitPolicy::default().max_attempts)
+            s.retransmits + s.exhausted * u64::from(RETRANSMIT.max_attempts)
         );
     }
 
@@ -658,7 +576,7 @@ mod tests {
         let cfg = FaultConfig::lossless(4).with_partition(cut);
         let mut plane = FaultPlane::new(cfg);
         let e = plane.transmit(A, B, SimTime::ZERO).expect_err("severed");
-        assert_eq!(e.partition_drops, RetransmitPolicy::default().max_attempts);
+        assert_eq!(e.partition_drops, RETRANSMIT.max_attempts);
         assert!(
             plane.transmit(B, A, SimTime::ZERO).is_ok(),
             "reverse delivers"
@@ -690,30 +608,8 @@ mod tests {
     }
 
     #[test]
-    fn link_overrides_apply_per_direction() {
-        let cfg = FaultConfig::lossless(6).with_link(LinkFaults {
-            from: A,
-            to: B,
-            loss_p: 1.0,
-            dup_p: 0.0,
-            jitter_max: Duration::ZERO,
-        });
-        let mut plane = FaultPlane::new(cfg);
-        assert!(
-            plane.transmit(A, B, SimTime::ZERO).is_err(),
-            "overridden lossy"
-        );
-        assert!(
-            plane.transmit(B, A, SimTime::ZERO).is_ok(),
-            "default lossless"
-        );
-    }
-
-    #[test]
     fn adaptive_ladder_tracks_the_estimator() {
-        let cfg = FaultConfig::lossless(8)
-            .with_loss(1.0)
-            .with_adaptive(RttConfig::default());
+        let cfg = FaultConfig::lossless(8).with_loss(1.0).with_adaptive();
         let mut plane = FaultPlane::new(cfg);
         plane.observe_rtt(B, Duration::from_millis(2), false); // rto = 2 + 4*1 = 6ms
         let e = plane
@@ -748,7 +644,7 @@ mod tests {
     #[test]
     fn estimators_are_kept_per_destination() {
         const C: LogicalHost = LogicalHost::new(3);
-        let cfg = FaultConfig::lossless(12).with_adaptive(RttConfig::default());
+        let cfg = FaultConfig::lossless(12).with_adaptive();
         let mut plane = FaultPlane::new(cfg);
         // A fast link to B, a slow link to C: samples must not bleed.
         for _ in 0..16 {
@@ -759,12 +655,7 @@ mod tests {
         let rto_c = plane.rtt_to(C).expect("C observed").rto();
         assert!(rto_b < rto_c, "rto_b={rto_b:?} rto_c={rto_c:?}");
         assert!(plane.give_up_cost(B) < plane.give_up_cost(C));
-        // An unobserved destination falls back to the fresh initial RTO.
-        const D: LogicalHost = LogicalHost::new(4);
-        assert!(plane.rtt_to(D).is_none());
-        let fresh: Duration = (1..=5)
-            .map(|k| RttEstimator::new(RttConfig::default()).ladder(k))
-            .sum();
-        assert_eq!(plane.give_up_cost(D), fresh);
+        // An unobserved destination has no estimator of its own.
+        assert!(plane.rtt_to(LogicalHost::new(4)).is_none());
     }
 }

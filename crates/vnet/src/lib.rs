@@ -41,12 +41,9 @@ mod retry;
 mod rtt;
 mod time;
 
-pub use fault::{
-    Exhausted, FaultConfig, FaultPlane, FaultStats, LinkFaults, Partition, RetransmitPolicy,
-    Transmit,
-};
+pub use fault::{Exhausted, FaultConfig, FaultPlane, FaultStats, Partition, Transmit, RETRANSMIT};
 pub use model::NetModel;
 pub use params::Params1984;
-pub use retry::{ExpBackoff, RetryTimer};
-pub use rtt::{AdaptiveTimer, RttConfig, RttEstimator};
+pub use retry::BackoffPolicy;
+pub use rtt::RttEstimator;
 pub use time::SimTime;

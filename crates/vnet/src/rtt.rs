@@ -2,11 +2,13 @@
 //! rule and exponential backoff, in the style of period BSD TCP
 //! (Jacobson's 1988 gains, Karn & Partridge 1987 sample discipline).
 //!
-//! The paper's kernel retransmits on a fixed ladder; ROADMAP lists
-//! "adaptive retry (paper-era BSD-style RTT estimation)" as the open
-//! refinement. This module supplies it for both retransmission layers:
-//! the kernel's packet ladder (via [`FaultConfig::with_adaptive`]) and
-//! the client's transaction backoff (via [`AdaptiveTimer`]).
+//! The paper's kernel retransmits on a fixed ladder; this estimator is
+//! the optional adaptive alternative for that one layer, switched on per
+//! plane by [`FaultConfig::with_adaptive`]. Its bounds come from the
+//! kernel's ladder [`RETRANSMIT`]: the RTO starts at its base and never
+//! exceeds its cap, and a floor of [`MIN_RTO`](RttEstimator::MIN_RTO)
+//! keeps a zero-variance estimate from spin-retransmitting. An estimator
+//! with no samples therefore climbs exactly the static ladder.
 //!
 //! All arithmetic is integer nanoseconds with shift-based gains
 //! (`err/8`, `|err|/4`), so the estimator is bit-deterministic and safe
@@ -14,33 +16,8 @@
 //!
 //! [`FaultConfig::with_adaptive`]: crate::FaultConfig::with_adaptive
 
-use crate::retry::RetryTimer;
+use crate::RETRANSMIT;
 use std::time::Duration;
-
-/// Bounds and initial value for the adaptive retransmission timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RttConfig {
-    /// RTO used before the first accepted sample.
-    pub initial_rto: Duration,
-    /// Floor under the computed RTO (a zero-variance estimator must not
-    /// spin-retransmit).
-    pub min_rto: Duration,
-    /// Ceiling over the computed RTO, shared with the static ladder's cap.
-    pub max_rto: Duration,
-}
-
-impl Default for RttConfig {
-    fn default() -> Self {
-        // Matches the static ladder's base/cap so the two policies are
-        // comparable: an adaptive timer with no samples behaves like the
-        // static ladder's first rung.
-        RttConfig {
-            initial_rto: Duration::from_millis(5),
-            min_rto: Duration::from_millis(1),
-            max_rto: Duration::from_millis(80),
-        }
-    }
-}
 
 /// SRTT/RTTVAR estimator with Karn's rule.
 ///
@@ -52,10 +29,9 @@ impl Default for RttConfig {
 ///   original).
 /// * `on_timeout()`: doubles the effective RTO (exponential backoff),
 ///   undone by the next accepted sample.
-/// * `rto()`: `SRTT + 4*RTTVAR`, clamped to `[min_rto, max_rto]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// * `rto()`: `SRTT + 4*RTTVAR`, clamped to `[MIN_RTO, RETRANSMIT.cap]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RttEstimator {
-    cfg: RttConfig,
     srtt_ns: Option<u64>,
     rttvar_ns: u64,
     /// Consecutive-timeout backoff exponent (Karn: keep the backed-off
@@ -63,25 +39,13 @@ pub struct RttEstimator {
     backoff: u32,
 }
 
-/// Cap on the backoff exponent: `80 ms << 6` already saturates any
-/// plausible `max_rto`, and bounding the shift keeps the arithmetic total.
+/// Cap on the backoff exponent: bounding the shift keeps the arithmetic
+/// total, and every shifted RTO is clamped to `RETRANSMIT.cap` anyway.
 const MAX_BACKOFF: u32 = 6;
 
 impl RttEstimator {
-    /// A fresh estimator with no samples.
-    pub fn new(cfg: RttConfig) -> Self {
-        RttEstimator {
-            cfg,
-            srtt_ns: None,
-            rttvar_ns: 0,
-            backoff: 0,
-        }
-    }
-
-    /// The configuration this estimator was built with.
-    pub fn config(&self) -> &RttConfig {
-        &self.cfg
-    }
+    /// Floor under the computed RTO.
+    pub const MIN_RTO: Duration = Duration::from_millis(1);
 
     /// Feeds one round-trip sample. Samples from retransmitted exchanges
     /// are discarded per Karn's rule.
@@ -122,66 +86,28 @@ impl RttEstimator {
         Duration::from_nanos(self.rttvar_ns)
     }
 
-    /// The base retransmission timeout `SRTT + 4*RTTVAR`, clamped to the
-    /// configured bounds; `initial_rto` before the first sample. The
+    /// The base retransmission timeout `SRTT + 4*RTTVAR`, clamped to
+    /// `[MIN_RTO, RETRANSMIT.cap]`; `RETRANSMIT.base` before the first
+    /// sample. The
     /// timeout-backoff exponent is *not* applied here — see
     /// [`ladder`](Self::ladder).
     pub fn rto(&self) -> Duration {
         let raw = match self.srtt_ns {
             Some(m) => Duration::from_nanos(m.saturating_add(self.rttvar_ns.saturating_mul(4))),
-            None => self.cfg.initial_rto,
+            None => RETRANSMIT.base,
         };
-        raw.clamp(self.cfg.min_rto, self.cfg.max_rto)
+        raw.clamp(Self::MIN_RTO, RETRANSMIT.cap)
     }
 
     /// The timeout for transmission `attempt` (1-based) of one exchange:
     /// the current RTO shifted left by the accumulated timeout backoff
-    /// plus the in-exchange attempt index, capped at `max_rto` — the
-    /// adaptive replacement for the static ladder's `timeout(attempt)`.
+    /// plus the in-exchange attempt index, capped at `RETRANSMIT.cap` — the
+    /// adaptive replacement for the static ladder's
+    /// [`nth`](crate::BackoffPolicy::nth).
     pub fn ladder(&self, attempt: u32) -> Duration {
         let shift = (self.backoff + attempt.saturating_sub(1)).min(MAX_BACKOFF);
         let rto = self.rto();
-        rto.saturating_mul(1u32 << shift).min(self.cfg.max_rto)
-    }
-}
-
-/// A client-level [`RetryTimer`] driven by an [`RttEstimator`]: the pause
-/// after the `n`-th failure is the estimator's backed-off RTO for attempt
-/// `n`, and the budget convention matches the static client policy (no
-/// pause after the final failure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveTimer {
-    /// Total attempts allowed (first try + retries).
-    pub max_attempts: u32,
-    est: RttEstimator,
-}
-
-impl AdaptiveTimer {
-    /// Builds an adaptive timer with the given attempt budget.
-    pub fn new(max_attempts: u32, cfg: RttConfig) -> Self {
-        AdaptiveTimer {
-            max_attempts,
-            est: RttEstimator::new(cfg),
-        }
-    }
-
-    /// Read access to the underlying estimator.
-    pub fn estimator(&self) -> &RttEstimator {
-        &self.est
-    }
-}
-
-impl RetryTimer for AdaptiveTimer {
-    fn failure_delay(&self, failed_attempts: u32) -> Option<Duration> {
-        (failed_attempts < self.max_attempts).then(|| self.est.ladder(failed_attempts))
-    }
-
-    fn observe_rtt(&mut self, rtt: Duration, retransmitted: bool) {
-        self.est.observe(rtt, retransmitted);
-    }
-
-    fn on_give_up(&mut self) {
-        self.est.on_timeout();
+        rto.saturating_mul(1u32 << shift).min(RETRANSMIT.cap)
     }
 }
 
@@ -195,7 +121,7 @@ mod tests {
 
     #[test]
     fn first_sample_initializes_srtt_and_var() {
-        let mut e = RttEstimator::new(RttConfig::default());
+        let mut e = RttEstimator::default();
         assert_eq!(e.rto(), ms(5));
         e.observe(ms(4), false);
         assert_eq!(e.srtt(), Some(ms(4)));
@@ -205,20 +131,20 @@ mod tests {
 
     #[test]
     fn constant_samples_shrink_variance_toward_zero() {
-        let mut e = RttEstimator::new(RttConfig::default());
+        let mut e = RttEstimator::default();
         for _ in 0..64 {
             e.observe(ms(3), false);
         }
         assert_eq!(e.srtt(), Some(ms(3)));
         assert!(e.rttvar() < Duration::from_micros(10), "{:?}", e.rttvar());
         // RTO collapses onto SRTT but respects the floor.
-        assert!(e.rto() >= RttConfig::default().min_rto);
+        assert!(e.rto() >= RttEstimator::MIN_RTO);
         assert!(e.rto() < ms(4));
     }
 
     #[test]
     fn karn_discards_retransmitted_samples() {
-        let mut a = RttEstimator::new(RttConfig::default());
+        let mut a = RttEstimator::default();
         let mut b = a;
         a.observe(ms(3), false);
         b.observe(ms(3), false);
@@ -228,7 +154,7 @@ mod tests {
 
     #[test]
     fn timeouts_double_the_rto_until_a_clean_sample() {
-        let mut e = RttEstimator::new(RttConfig::default());
+        let mut e = RttEstimator::default();
         e.observe(ms(2), false); // srtt 2, var 1 -> rto 6
         assert_eq!(e.ladder(1), ms(6));
         e.on_timeout();
@@ -242,13 +168,5 @@ mod tests {
         // rttvar 1 ms -> 0.75 ms, so RTO is 2 + 4*0.75 = 5 ms).
         e.observe(ms(2), false);
         assert_eq!(e.ladder(1), ms(5));
-    }
-
-    #[test]
-    fn adaptive_timer_budget_matches_client_convention() {
-        let t = AdaptiveTimer::new(3, RttConfig::default());
-        assert!(t.failure_delay(1).is_some());
-        assert!(t.failure_delay(2).is_some());
-        assert_eq!(t.failure_delay(3), None);
     }
 }

@@ -5,14 +5,14 @@
 //!
 //! * feeding a constant RTT converges SRTT to that RTT (and RTTVAR to 0),
 //!   so the adaptive RTO approaches the true round trip;
-//! * the RTO never leaves the configured `[min_rto, max_rto]` corridor,
+//! * the RTO never leaves the `[MIN_RTO, RETRANSMIT.cap]` corridor,
 //!   whatever the samples do;
 //! * Karn's rule: samples flagged as retransmitted leave the estimator
 //!   state bit-identical (they are ambiguous and must be discarded).
 
 use proptest::prelude::*;
 use std::time::Duration;
-use vnet::{FaultConfig, FaultPlane, RttConfig, RttEstimator};
+use vnet::{FaultConfig, FaultPlane, RttEstimator, RETRANSMIT};
 use vproto::LogicalHost;
 
 fn arb_sample() -> impl Strategy<Value = Duration> {
@@ -26,7 +26,7 @@ proptest! {
         rtt_us in 100u64..20_000,
         warmup in proptest::collection::vec(arb_sample(), 0..8),
     ) {
-        let mut e = RttEstimator::new(RttConfig::default());
+        let mut e = RttEstimator::default();
         for s in warmup {
             e.observe(s, false);
         }
@@ -47,9 +47,9 @@ proptest! {
         samples in proptest::collection::vec((arb_sample(), any::<bool>()), 1..64),
         timeouts in proptest::collection::vec(any::<bool>(), 0..16),
     ) {
-        let cfg = RttConfig::default();
-        let mut e = RttEstimator::new(cfg);
-        prop_assert!(e.rto() >= cfg.min_rto && e.rto() <= cfg.max_rto);
+        let (min_rto, max_rto) = (RttEstimator::MIN_RTO, RETRANSMIT.cap);
+        let mut e = RttEstimator::default();
+        prop_assert!(e.rto() >= min_rto && e.rto() <= max_rto);
         let mut t = timeouts.into_iter();
         for (s, retransmitted) in samples {
             e.observe(s, retransmitted);
@@ -57,15 +57,15 @@ proptest! {
                 e.on_timeout();
             }
             prop_assert!(
-                e.rto() >= cfg.min_rto && e.rto() <= cfg.max_rto,
+                e.rto() >= min_rto && e.rto() <= max_rto,
                 "rto {:?} outside [{:?}, {:?}]",
                 e.rto(),
-                cfg.min_rto,
-                cfg.max_rto
+                min_rto,
+                max_rto
             );
             // The backed-off ladder is clamped by the same ceiling.
             for attempt in 1..=6u32 {
-                prop_assert!(e.ladder(attempt) <= cfg.max_rto);
+                prop_assert!(e.ladder(attempt) <= max_rto);
             }
         }
     }
@@ -75,8 +75,8 @@ proptest! {
         clean in proptest::collection::vec(arb_sample(), 1..32),
         ambiguous in proptest::collection::vec(arb_sample(), 1..16),
     ) {
-        let mut with = RttEstimator::new(RttConfig::default());
-        let mut without = RttEstimator::new(RttConfig::default());
+        let mut with = RttEstimator::default();
+        let mut without = RttEstimator::default();
         let mut amb = ambiguous.iter().cycle();
         for s in &clean {
             with.observe(*s, false);
@@ -103,7 +103,7 @@ proptest! {
         let fast_dst = LogicalHost::new(2);
         let slow_dst = LogicalHost::new(3);
         let mut plane = FaultPlane::new(
-            FaultConfig::lossless(1).with_adaptive(RttConfig::default()),
+            FaultConfig::lossless(1).with_adaptive(),
         );
         let fast = Duration::from_micros(fast_us);
         let slow = Duration::from_micros(fast_us + gap_us);
@@ -120,9 +120,8 @@ proptest! {
         }
         let rto_fast = plane.rtt_to(fast_dst).expect("observed").rto();
         let rto_slow = plane.rtt_to(slow_dst).expect("observed").rto();
-        let cfg = RttConfig::default();
         // Unless both hit the same corridor wall, the estimates diverge.
-        if rto_slow < cfg.max_rto && rto_fast > cfg.min_rto {
+        if rto_slow < RETRANSMIT.cap && rto_fast > RttEstimator::MIN_RTO {
             prop_assert!(
                 rto_fast < rto_slow,
                 "fast {rto_fast:?} !< slow {rto_slow:?}"
@@ -130,7 +129,7 @@ proptest! {
         }
         // The fast destination's RTO is what a lone fast-only estimator
         // would compute: the slow link's samples never bled into it.
-        let mut lone = RttEstimator::new(cfg);
+        let mut lone = RttEstimator::default();
         for _ in 0..rounds {
             lone.observe(fast, false);
         }

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use std::cell::{Cell, RefCell};
 use vio::{FileHandle, IoError, OpenOutcome};
 use vkernel::{GroupId, Ipc, IpcError};
-use vnaming::{build_csname_request, BackoffPolicy, RetryPolicy, RetryTimer};
+use vnaming::{build_csname_request, BackoffPolicy};
 use vproto::{
     fields, name_word, ContextId, ContextPair, CsName, Message, ObjectDescriptor, OpenMode, Pid,
     ReplyCode, RequestCode, ResolveBatchMsg, ResolveBatchReply, Scope, ServiceId, SyncStatusRec,
@@ -20,15 +20,18 @@ fn check(code: ReplyCode) -> Result<(), IoError> {
 }
 
 /// Whether a failed name transaction is worth retrying: transport-level
-/// failures (loss timeouts, a crashed server, an unanswered multicast) and
-/// the transient server answers — "no server for this service" and the
-/// explicit `Retry` a sync round answers when its peer was unreachable —
-/// are; definitive server answers (not found, access, ...) and domain
-/// teardown are not.
+/// failures (a loss timeout, a vanished or crashed server, an unanswered
+/// multicast) and the transient server answers — "no server for this
+/// service" and the explicit `Retry` a sync round answers when its peer was
+/// unreachable — are. Definitive server answers (not found, access, ...),
+/// a reply too large for the receive buffer, and domain teardown are not:
+/// a retry would meet them again.
 fn retryable(err: &IoError) -> bool {
     match err {
-        IoError::Ipc(IpcError::Shutdown) | IoError::Ipc(IpcError::Killed) => false,
-        IoError::Ipc(_) => true,
+        IoError::Ipc(e) => matches!(
+            e,
+            IpcError::Timeout | IpcError::NoProcess | IpcError::ProcessDied | IpcError::NoReply
+        ),
         IoError::Server(code) => matches!(code, ReplyCode::NoServer | ReplyCode::Retry),
     }
 }
@@ -65,7 +68,7 @@ pub struct NameClient<'a> {
     prefix_server: Cell<Option<Pid>>,
     current: ContextPair,
     cache: Option<RefCell<NameCache>>,
-    retry: RefCell<RetryPolicy>,
+    retry: BackoffPolicy,
     retry_stats: Cell<RetryStats>,
     degraded: bool,
     replica_group: Cell<Option<GroupId>>,
@@ -208,7 +211,7 @@ impl<'a> NameClient<'a> {
             prefix_server: Cell::new(prefix_server),
             current,
             cache: None,
-            retry: RefCell::new(RetryPolicy::default()),
+            retry: BackoffPolicy::default(),
             retry_stats: Cell::new(RetryStats::default()),
             degraded: false,
             replica_group: Cell::new(None),
@@ -217,22 +220,9 @@ impl<'a> NameClient<'a> {
     }
 
     /// Replaces the client's retry policy (default: a modest bounded
-    /// exponential backoff; [`BackoffPolicy::disabled`] turns retries off).
+    /// exponential backoff; `max_attempts: 1` turns retries off).
     pub fn set_retry_policy(&mut self, policy: BackoffPolicy) {
-        *self.retry.borrow_mut() = RetryPolicy::Static(policy);
-    }
-
-    /// Replaces the retry policy with any [`RetryPolicy`] — in particular
-    /// the adaptive RTT-estimated timer, which paces retries off observed
-    /// round-trip times instead of a fixed ladder.
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        *self.retry.borrow_mut() = policy;
-    }
-
-    /// The retry policy currently in force (its adaptive estimator state,
-    /// if any, reflects the RTT samples observed so far).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.borrow()
+        self.retry = policy;
     }
 
     /// Counters from the bounded retry layer.
@@ -441,28 +431,19 @@ impl<'a> NameClient<'a> {
         }
         // The bounded retry loop: transport failures and transient
         // "no server" answers retransmit the whole transaction after a
-        // pause from the retry timer (static ladder or adaptive RTT
-        // estimator), rebinding the prefix server by broadcast re-query
-        // first. On success the path costs exactly one transaction — the
-        // retry layer is free when nothing fails.
+        // pause from the retry ladder, rebinding the prefix server by
+        // broadcast re-query first. On success the path costs exactly one
+        // transaction — the retry layer is free when nothing fails.
         let mut failed = 0u32;
         loop {
             self.bump(|s| s.attempts += 1);
-            let t_send = self.ipc.now();
             let err = match self.route(name) {
                 Ok((server, ctx)) => {
                     let (mut msg, payload) = build_csname_request(op, ctx, name, extra);
                     tune(&mut msg);
                     match self.ipc.send(server, msg, payload, recv_cap) {
                         Ok(reply) => match check(reply.msg.reply_code()) {
-                            Ok(()) => {
-                                // Karn's rule rides on `failed`: a reply to a
-                                // retried transaction is ambiguous, so the
-                                // adaptive estimator discards it.
-                                let rtt = self.ipc.now().saturating_sub(t_send);
-                                self.retry.borrow_mut().observe_rtt(rtt, failed > 0);
-                                return Ok((reply.msg, reply.data));
-                            }
+                            Ok(()) => return Ok((reply.msg, reply.data)),
                             Err(e) => e,
                         },
                         Err(e) => IoError::Ipc(e),
@@ -474,9 +455,7 @@ impl<'a> NameClient<'a> {
                 return Err(err);
             }
             failed += 1;
-            let delay = self.retry.borrow().failure_delay(failed);
-            let Some(delay) = delay else {
-                self.retry.borrow_mut().on_give_up();
+            let Some(delay) = self.retry.delay(failed) else {
                 self.bump(|s| s.gave_up += 1);
                 return Err(err);
             };

@@ -25,4 +25,4 @@ pub use client::{
     Staleness, SyncPullSummary,
 };
 pub use vio::IoError;
-pub use vnaming::{BackoffPolicy, RetryPolicy};
+pub use vnaming::BackoffPolicy;

@@ -1,17 +1,18 @@
 //! Regressions for server and client defects: a rename that hung the file
 //! server, instance ids that collided within one server, an unbounded file
 //! write, a byte count on refused writes, an instance id truncated to 16
-//! bits, and over-long names sent as some other name.
+//! bits, over-long names sent as some other name, and a client that
+//! retried a reply too large for its buffer.
 
 use bytes::Bytes;
 use std::sync::mpsc;
 use std::time::Duration;
-use vkernel::{Domain, Ipc};
+use vkernel::{Domain, Ipc, IpcError};
 use vproto::{
     fields, ContextId, ContextPair, LogicalHost, Message, ObjectDescriptor, OpenMode, Pid,
     ReplyCode, RequestCode, Scope, ServiceId,
 };
-use vruntime::NameClient;
+use vruntime::{IoError, NameClient, RetryStats};
 use vservers::{
     file_server, internet_server, mail_server, printer_server, terminal_server, FileServerConfig,
     InternetConfig, MailConfig, PrinterConfig, TerminalConfig,
@@ -284,5 +285,38 @@ fn a_refused_write_reports_no_byte_count() {
         assert_eq!(reply.msg.reply_code(), ReplyCode::BadMode);
         assert_eq!(reply.msg.word(fields::W_IO_COUNT), 0);
         assert_eq!(client.read_file("tty0").expect("read"), b"ready");
+    });
+}
+
+#[test]
+fn a_reply_too_large_for_the_buffer_is_not_retried() {
+    // A 5 000-byte name makes the descriptor overflow the client's
+    // 4 096-byte receive buffer on every attempt. The client once retried
+    // it four times, sleeping through its backoff ladder in between.
+    let name = "n".repeat(5_000);
+    let preload = vec![(name.clone(), b"body".to_vec())];
+    let (domain, host, fs) = boot(ServiceId::FILE_SERVER, move |ctx| {
+        file_server(
+            ctx,
+            FileServerConfig {
+                preload,
+                ..FileServerConfig::default()
+            },
+        )
+    });
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(fs, ContextId::DEFAULT));
+        let err = client.query(&name).expect_err("reply overflows");
+        assert!(
+            matches!(err, IoError::Ipc(IpcError::BufferOverflow)),
+            "{err:?}"
+        );
+        assert_eq!(
+            client.retry_stats(),
+            RetryStats {
+                attempts: 1,
+                ..RetryStats::default()
+            }
+        );
     });
 }

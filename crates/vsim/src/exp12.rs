@@ -41,7 +41,7 @@ use crate::report::{ms, ExpReport, ExpRow};
 use crate::world::{boot_world_cfg, boot_world_with, sleep_until, SimWorld, WorldConfig};
 use std::time::Duration;
 use vnaming::BackoffPolicy;
-use vnet::{FaultConfig, Params1984, Partition, RttConfig};
+use vnet::{FaultConfig, Params1984, Partition};
 use vproto::{ContextId, ContextPair, OpenMode};
 use vruntime::{NameClient, Staleness};
 use vservers::DegradedPrefixConfig;
@@ -277,7 +277,7 @@ pub fn measure_adaptive_gain(seed: u64, loss_p: f64, iters: u32) -> AdaptiveOutc
         Some(
             FaultConfig::lossless(seed)
                 .with_loss(loss_p)
-                .with_adaptive(RttConfig::default()),
+                .with_adaptive(),
         ),
     );
     let adaptive_ms = ms(measure_open(
