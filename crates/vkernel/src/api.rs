@@ -209,10 +209,12 @@ pub trait Ipc {
     /// Returns [`IpcError::NoSuchGroup`] if the group does not exist.
     fn leave_group(&self, group: GroupId) -> Result<(), IpcError>;
 
-    /// Accounts `work` of processing time to the calling process. A no-op
-    /// on the real-thread kernel; advances the local virtual clock on the
-    /// simulation kernel.
-    fn charge(&self, work: Duration);
+    /// Accounts `work` of processing time to the calling process. The
+    /// simulation kernel advances the local virtual clock; by default (the
+    /// real-thread kernel) the work is not modelled and this does nothing.
+    fn charge(&self, work: Duration) {
+        let _ = work;
+    }
 
     /// Sleeps for `d`: wall-clock on the thread kernel, virtual time (with a
     /// scheduling yield) on the simulation kernel.
@@ -221,9 +223,12 @@ pub trait Ipc {
     /// Time elapsed since the domain started (wall or virtual).
     fn now(&self) -> Duration;
 
-    /// The network cost model, when running under the simulation kernel.
-    /// Servers use this to charge protocol-specific processing costs.
-    fn net(&self) -> Option<NetModel>;
+    /// The network cost model: `Some` under the simulation kernel, `None`
+    /// by default (the real-thread kernel, which has none). Servers use it
+    /// to charge protocol-specific processing costs.
+    fn net(&self) -> Option<NetModel> {
+        None
+    }
 }
 
 /// Convenience helpers layered on [`Ipc`].

@@ -186,18 +186,23 @@ impl SimState {
         }
     }
 
+    /// Counts one delivery of transaction `txn_id` as never to be
+    /// answered. When no other delivery is outstanding (a group member may
+    /// still answer), the blocked sender resumes at `at` with `err`.
+    fn lose_delivery(&mut self, txn_id: u64, err: IpcError, at: u64) {
+        if let Some(txn) = self.txns.get_mut(&txn_id) {
+            txn.outstanding = txn.outstanding.saturating_sub(1);
+            if txn.outstanding == 0 {
+                self.resume_sender(txn_id, Err(err), at);
+            }
+        }
+    }
+
     /// Delivers an envelope to `to` at virtual time `arrival`; on a dead
     /// target, fails the transaction if no other member can still answer.
     fn deliver(&mut self, to: Pid, env: SimEnvelope, arrival: u64) -> bool {
-        let alive = self.procs.contains_key(&to);
-        if !alive {
-            let txn_id = env.txn_id;
-            if let Some(txn) = self.txns.get_mut(&txn_id) {
-                txn.outstanding = txn.outstanding.saturating_sub(1);
-                if txn.outstanding == 0 && !txn.done {
-                    self.resume_sender(txn_id, Err(IpcError::ProcessDied), arrival);
-                }
-            }
+        if !self.procs.contains_key(&to) {
+            self.lose_delivery(env.txn_id, IpcError::ProcessDied, arrival);
             return false;
         }
         self.note_event(
@@ -308,12 +313,7 @@ impl SimCore {
                 .chain(proc_state.holding)
                 .collect();
             for txn_id in pending {
-                if let Some(txn) = st.txns.get_mut(&txn_id) {
-                    txn.outstanding = txn.outstanding.saturating_sub(1);
-                    if txn.outstanding == 0 && !txn.done {
-                        st.resume_sender(txn_id, Err(IpcError::ProcessDied), at);
-                    }
-                }
+                st.lose_delivery(txn_id, IpcError::ProcessDied, at);
             }
         }
     }
@@ -421,13 +421,8 @@ impl Drop for SimPath {
             if let Some(p) = st.procs.get_mut(&self.holder) {
                 p.holding.retain(|&t| t != self.txn_id);
             }
-            if let Some(txn) = st.txns.get_mut(&self.txn_id) {
-                txn.outstanding = txn.outstanding.saturating_sub(1);
-                if txn.outstanding == 0 && !txn.done {
-                    let at = st.clock_max;
-                    st.resume_sender(self.txn_id, Err(IpcError::ProcessDied), at);
-                }
-            }
+            let at = st.clock_max;
+            st.lose_delivery(self.txn_id, IpcError::ProcessDied, at);
         }
     }
 }
@@ -816,12 +811,7 @@ impl SimCtx {
                 .chain(proc_state.holding)
                 .collect();
             for txn_id in pending {
-                if let Some(txn) = st.txns.get_mut(&txn_id) {
-                    txn.outstanding = txn.outstanding.saturating_sub(1);
-                    if txn.outstanding == 0 && !txn.done {
-                        st.resume_sender(txn_id, Err(IpcError::ProcessDied), at);
-                    }
-                }
+                st.lose_delivery(txn_id, IpcError::ProcessDied, at);
             }
         }
         if st.current == Some(self.pid) {
@@ -854,6 +844,22 @@ impl SimCtx {
             .get(&pid)
             .map(|p| p.host)
             .unwrap_or_else(|| pid.logical_host())
+    }
+
+    /// Every transmission of a message from this process was lost — to the
+    /// wire or to a partition: its kernel sat out the whole ladder. Charges
+    /// `lost.wasted`, records the severed attempts and the timeout (tag 6)
+    /// in the event stream, and counts the message as a delivery of
+    /// `txn_id` that will never be answered. A `Send` whose request was
+    /// lost has no transaction recorded yet, and a `GetPid` broadcast
+    /// passes 0: neither resumes anyone here.
+    fn lost_transmission(&self, st: &mut SimState, lost: Exhausted, txn_id: u64) {
+        let now = self.advance(st, lost.wasted);
+        if lost.partition_drops > 0 {
+            st.note_partition(now, self.pid, lost.partition_drops);
+        }
+        st.note_event(6, now, u64::from(self.pid.raw()), txn_id);
+        st.lose_delivery(txn_id, IpcError::Timeout, now);
     }
 }
 
@@ -894,18 +900,12 @@ impl Ipc for SimCtx {
         let trial = match st.fault_transmit(local, self.host, to_host, t_send) {
             Ok(t) => t,
             Err(e) => {
-                // Every transmission of the request was lost — to the wire
-                // or to a partition: the sender sat out the whole
-                // retransmission ladder and the kernel reports a timeout.
-                // A partitioned receiver is alive yet unreachable, but the
-                // sender cannot tell (that is the point of the model).
-                // Nothing was delivered, so the transaction resolves right
-                // here — still exactly once.
-                let now = self.advance(&mut st, e.wasted);
-                if e.partition_drops > 0 {
-                    st.note_partition(now, self.pid, e.partition_drops);
-                }
-                st.note_event(6, now, u64::from(self.pid.raw()), txn_id);
+                // The request never got through and the kernel reports a
+                // timeout. A partitioned receiver is alive yet unreachable,
+                // but the sender cannot tell (that is the point of the
+                // model). Nothing was delivered, so the transaction
+                // resolves right here — still exactly once.
+                self.lost_transmission(&mut st, e, txn_id);
                 self.core.ledger.on_sender_resolved(txn_id);
                 return Err(IpcError::Timeout);
             }
@@ -1117,24 +1117,12 @@ impl Ipc for SimCtx {
         let trial = match st.fault_transmit(local, self.host, sender_host, t_reply) {
             Ok(t) => t,
             Err(e) => {
-                // The reply never got through — lost on the wire or severed
-                // by a partition (the asymmetric case: the request arrived,
-                // the answer cannot): the replier's kernel burned its
-                // ladder, and the sender's own retransmissions cannot
-                // recover a lost *reply* (the server already answered).
-                // Fail the blocked sender with a timeout — exactly one
-                // resolution, as the ledger demands.
-                let now = self.advance(&mut st, e.wasted);
-                if e.partition_drops > 0 {
-                    st.note_partition(now, self.pid, e.partition_drops);
-                }
-                st.note_event(6, now, u64::from(self.pid.raw()), txn_id);
-                if let Some(t) = st.txns.get_mut(&txn_id) {
-                    t.outstanding = t.outstanding.saturating_sub(1);
-                }
-                if !done {
-                    st.resume_sender(txn_id, Err(IpcError::Timeout), now);
-                }
+                // The reply never got through (under an asymmetric cut the
+                // request arrived, the answer cannot), and the sender's
+                // own retransmissions cannot recover a lost *reply*. A
+                // group member whose reply is lost is one that never
+                // answers: another member's reply may still win.
+                self.lost_transmission(&mut st, e, txn_id);
                 return Err(IpcError::Timeout);
             }
         };
@@ -1189,20 +1177,8 @@ impl Ipc for SimCtx {
         let trial = match st.fault_transmit(local, self.host, to_host, t_fwd) {
             Ok(t) => t,
             Err(e) => {
-                // The forwarded request never arrived (lost or severed by a
-                // partition); with no other outstanding delivery the
-                // blocked sender times out.
-                let now = self.advance(&mut st, e.wasted);
-                if e.partition_drops > 0 {
-                    st.note_partition(now, self.pid, e.partition_drops);
-                }
-                st.note_event(6, now, u64::from(self.pid.raw()), txn_id);
-                if let Some(txn) = st.txns.get_mut(&txn_id) {
-                    txn.outstanding = txn.outstanding.saturating_sub(1);
-                    if txn.outstanding == 0 && !txn.done {
-                        st.resume_sender(txn_id, Err(IpcError::Timeout), now);
-                    }
-                }
+                // The forwarded request never arrived.
+                self.lost_transmission(&mut st, e, txn_id);
                 return Err(IpcError::Timeout);
             }
         };
@@ -1302,23 +1278,26 @@ impl Ipc for SimCtx {
                                 p.severed(resp, self.host, SimTime::from_nanos(now))
                             });
                         if answer_cut {
-                            let wait = st
+                            let wasted = st
                                 .faults
                                 .as_ref()
                                 .map(|p| p.give_up_cost(resp))
                                 .unwrap_or_default();
-                            let at = self.advance(&mut st, wait);
-                            st.note_event(6, at, u64::from(self.pid.raw()), 0);
+                            let lost = Exhausted {
+                                wasted,
+                                partition_drops: 0,
+                            };
+                            self.lost_transmission(&mut st, lost, 0);
                             return None;
                         }
                     }
                 }
                 Err(e) => {
-                    let now = self.advance(&mut st, cost + e.wasted);
-                    if e.partition_drops > 0 {
-                        st.note_partition(now, self.pid, e.partition_drops);
-                    }
-                    st.note_event(6, now, u64::from(self.pid.raw()), 0);
+                    let lost = Exhausted {
+                        wasted: cost + e.wasted,
+                        ..e
+                    };
+                    self.lost_transmission(&mut st, lost, 0);
                     return None;
                 }
             }

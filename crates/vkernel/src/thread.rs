@@ -2,10 +2,13 @@
 //! blocking rendezvous through [`crate::rendezvous`] — a mailbox per
 //! process and one reusable reply cell per sender.
 //!
-//! This kernel gives real parallelism and wall-clock performance (used by
-//! the Criterion benches and stress tests). Virtual-time experiments use
-//! [`crate::SimDomain`] instead; both implement [`Ipc`], so all servers and
-//! stubs run unchanged on either.
+//! This kernel gives real parallelism and wall-clock performance: the
+//! Criterion benches, the stress tests and `vload`'s four thread workloads
+//! (`resolve_single`, `resolve_batch64`, `open_forward`, `churn_mixed`)
+//! run on it. It keeps no cost model — [`Ipc::charge`] and [`Ipc::net`]
+//! are the trait's defaults — so every 1984 millisecond comes from
+//! [`crate::SimDomain`]. Both implement [`Ipc`], so all servers and stubs
+//! run unchanged on either.
 
 use crate::api::{GroupId, Ipc, PathInner, Received, Reply};
 use crate::error::IpcError;
@@ -19,7 +22,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-use vnet::NetModel;
 use vproto::{LogicalHost, Message, Pid, Scope, ServiceId};
 
 struct Envelope {
@@ -63,10 +65,6 @@ struct DomainCore {
     /// process context so resolutions recorded during teardown still land.
     ledger: Arc<InvariantLedger>,
     start: Instant,
-    /// When set, IPC primitives sleep the calibrated 1984 costs in real
-    /// time — the thread kernel becomes a wall-clock emulator of the
-    /// paper's hardware.
-    emulate: Option<NetModel>,
 }
 
 impl DomainCore {
@@ -139,18 +137,6 @@ pub struct Domain {
 impl Domain {
     /// Creates an empty domain.
     pub fn new() -> Self {
-        Domain::build(None)
-    }
-
-    /// Creates a domain that **emulates the 1984 hardware in real time**:
-    /// every IPC primitive sleeps its calibrated cost, so wall-clock
-    /// measurements approximate the paper's milliseconds on the real
-    /// (threaded) implementation.
-    pub fn emulated_1984(params: vnet::Params1984) -> Self {
-        Domain::build(Some(NetModel::new(params)))
-    }
-
-    fn build(emulate: Option<NetModel>) -> Self {
         Domain {
             core: Arc::new(DomainCore {
                 processes: RwLock::new(HashMap::new()),
@@ -161,7 +147,6 @@ impl Domain {
                 next_txn: AtomicU64::new(0),
                 ledger: Arc::new(InvariantLedger::new()),
                 start: Instant::now(),
-                emulate,
             }),
         }
     }
@@ -196,7 +181,6 @@ impl Domain {
             .insert(pid, Arc::clone(&mailbox));
         let weak = Arc::downgrade(&self.core);
         let ledger = Arc::clone(&self.core.ledger);
-        let emulate = self.core.emulate.clone();
         let thread_name = format!("v-{name}-{pid}");
         let handle = std::thread::Builder::new()
             .name(thread_name)
@@ -209,7 +193,6 @@ impl Domain {
                     mailbox,
                     cell: ReplyCell::for_current_thread(),
                     ledger,
-                    emulate,
                 };
                 f(&ctx);
                 if let Some(core) = weak.upgrade() {
@@ -294,8 +277,6 @@ struct ProcessCtx {
     /// Strong handle so invariant resolutions recorded while the domain is
     /// tearing down (core no longer upgradable) are not lost.
     ledger: Arc<InvariantLedger>,
-    /// The domain's 1984 cost model, when it emulates one.
-    emulate: Option<NetModel>,
 }
 
 impl ProcessCtx {
@@ -338,15 +319,14 @@ impl Ipc for ProcessCtx {
         payload: Bytes,
         recv_cap: usize,
     ) -> Result<Reply, IpcError> {
+        if to == self.pid {
+            return Err(IpcError::BadOperation("send to self would deadlock"));
+        }
         let core = self.core()?;
         let mailbox = core.mailbox_of(to)?;
         let txn = core.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
         drop(core);
         self.ledger.on_send_open(txn, TxnKind::Single);
-        if let Some(net) = &self.emulate {
-            let local = to.is_on(self.host);
-            std::thread::sleep(net.hop_cost(local, payload.len()));
-        }
         // A refused envelope is dropped on the spot, which abandons the
         // cell: the wait below returns at once either way.
         let delivered = mailbox
@@ -408,11 +388,8 @@ impl Ipc for ProcessCtx {
     }
 
     fn reply(&self, rx: Received, msg: Message, data: Bytes) -> Result<(), IpcError> {
-        let (from, _, path) = Self::thread_path(rx)?;
+        let (_, _, path) = Self::thread_path(rx)?;
         let total = path.buf.len() + data.len();
-        if let Some(net) = &self.emulate {
-            std::thread::sleep(net.hop_cost(from.is_on(self.host), total));
-        }
         let outcome = if total > path.cap {
             Err(IpcError::BufferOverflow)
         } else {
@@ -441,9 +418,6 @@ impl Ipc for ProcessCtx {
         // Every early return below drops the reply handle, which resumes
         // the blocked sender with `ProcessDied`.
         let (from, payload, path) = Self::thread_path(rx)?;
-        if let Some(net) = &self.emulate {
-            std::thread::sleep(net.hop_cost(to.is_on(self.host), payload.len()));
-        }
         let mailbox = self.core()?.mailbox_of(to)?;
         self.ledger.on_forward(path.reply.txn());
         mailbox
@@ -459,18 +433,6 @@ impl Ipc for ProcessCtx {
     }
 
     fn move_from(&self, rx: &Received) -> Result<Bytes, IpcError> {
-        if let Some(net) = &self.emulate {
-            let len = rx.payload.len();
-            let local = rx.from.is_on(self.host);
-            let cost = if local {
-                net.copy_cost(len)
-            } else if len <= net.params().max_data_per_packet {
-                net.params().t_remote_name_fetch + net.copy_cost(len)
-            } else {
-                net.bulk_cost(false, len)
-            };
-            std::thread::sleep(cost);
-        }
         Ok(rx.payload.clone())
     }
 
@@ -520,12 +482,6 @@ impl Ipc for ProcessCtx {
         }
     }
 
-    fn charge(&self, work: Duration) {
-        if self.emulate.is_some() {
-            std::thread::sleep(work);
-        }
-    }
-
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
     }
@@ -535,12 +491,5 @@ impl Ipc for ProcessCtx {
             .upgrade()
             .map(|c| c.start.elapsed())
             .unwrap_or_default()
-    }
-
-    fn net(&self) -> Option<NetModel> {
-        // Present only in 1984-emulation mode, where charge() sleeps — so
-        // servers and stubs apply their calibrated processing costs in
-        // real time, exactly as on the virtual-time kernel.
-        self.emulate.clone()
     }
 }

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use std::time::Duration;
 use vkernel::{Ipc, IpcError, SimDomain};
-use vnet::Params1984;
+use vnet::{Params1984, Partition, SimTime};
 use vproto::{Message, RequestCode, Scope, ServiceId};
 
 fn echo_server(ctx: &dyn Ipc) {
@@ -496,6 +496,47 @@ fn group_send_fails_cleanly_when_every_member_crashes_mid_transaction() {
         })
         .unwrap();
     assert!(res.is_err(), "no member left to answer: {res:?}");
+}
+
+#[test]
+fn group_send_survives_a_lost_reply_while_another_member_answers() {
+    // The first member answers at once, but a one-way cut keeps its reply
+    // from ever reaching the client; the second member answers 1 ms later
+    // over a clean link. A lost reply is one member that never answers,
+    // like a dead one: the sender must wait for the other.
+    let domain = SimDomain::new(Params1984::ethernet_3mbit());
+    let hosts: Vec<_> = (0..3).map(|_| domain.add_host()).collect();
+    let group = {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        domain.spawn(hosts[0], "setup", move |ctx| {
+            let _ = tx.send(ctx.create_group());
+        });
+        domain.run();
+        rx.recv().unwrap()
+    };
+    for (i, &h) in hosts.iter().enumerate().skip(1) {
+        let delay = Duration::from_millis(i as u64 - 1);
+        domain.spawn(h, "member", move |ctx| {
+            ctx.join_group(group).unwrap();
+            while let Ok(rx) = ctx.receive() {
+                ctx.sleep(delay);
+                let mut m = Message::ok();
+                m.set_word(5, i as u16);
+                ctx.reply(rx, m, Bytes::new()).ok();
+            }
+        });
+    }
+    domain.run();
+    domain.schedule_partition(Partition::one_way(hosts[1], hosts[0], SimTime::ZERO, None));
+    let (winner, elapsed) = domain
+        .client(hosts[0], move |ctx| {
+            let t0 = ctx.now();
+            let r = ctx.send_group(group, Message::request(RequestCode::Echo), Bytes::new());
+            (r.map(|r| r.msg.word(5)), ctx.now() - t0)
+        })
+        .unwrap();
+    assert_eq!(winner, Ok(2), "the member whose reply got through must win");
+    assert!(elapsed < Duration::from_millis(10), "{elapsed:?}");
 }
 
 #[test]

@@ -33,6 +33,14 @@ if grep -nE '\.receive\(\)|\.try_receive\(|\.reply\(|ctx\.forward\(' \
     exit 1
 fi
 
+# One cost model: every 1984 millisecond is charged by the virtual-time
+# kernel, so the thread kernel names no part of `vnet`'s cost model.
+echo "==> one cost model: no NetModel/Params1984/vnet:: in crates/vkernel/src/thread.rs"
+if grep -nE 'NetModel|Params1984|vnet::' crates/vkernel/src/thread.rs; then
+    echo "error: the lines above put a cost model in the thread kernel" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -186,84 +186,3 @@ fn one_file_server_crash_only_affects_its_clients() {
     let survivors = inst.file_servers.len() - 1;
     assert_eq!(survivors, FILE_SERVERS - 1);
 }
-
-#[test]
-fn emulated_thread_kernel_reproduces_the_open_table_in_wall_clock() {
-    // The same §6 Open measurement, but on REAL THREADS with the 1984
-    // costs slept in wall-clock time. Tolerances are loose (the OS
-    // scheduler adds jitter on top of the slept floors).
-    use std::time::Instant;
-    use vkernel::Domain;
-    use vproto::OpenMode;
-
-    let domain = Domain::emulated_1984(Params1984::ethernet_3mbit());
-    let ws = domain.add_host();
-    let machine = domain.add_host();
-    let local_fs = domain.spawn(ws, "local-fs", |ctx| {
-        file_server(
-            ctx,
-            FileServerConfig {
-                service_scope: Some(Scope::Local),
-                preload: vec![("paper.txt".into(), b"x".to_vec())],
-                ..FileServerConfig::default()
-            },
-        )
-    });
-    let remote_fs = domain.spawn(machine, "remote-fs", |ctx| {
-        file_server(
-            ctx,
-            FileServerConfig {
-                preload: vec![("paper.txt".into(), b"x".to_vec())],
-                ..FileServerConfig::default()
-            },
-        )
-    });
-    domain.spawn(ws, "prefix", |ctx| {
-        prefix_server(ctx, PrefixConfig::default())
-    });
-    while domain
-        .registry()
-        .lookup(ServiceId::CONTEXT_PREFIX, Scope::Both, ws)
-        .is_none()
-    {
-        std::thread::yield_now();
-    }
-    let times = domain.client(ws, move |ctx| {
-        let client = NameClient::new(ctx, ContextPair::new(local_fs, ContextId::DEFAULT));
-        client
-            .add_prefix("local", ContextPair::new(local_fs, ContextId::DEFAULT))
-            .unwrap();
-        client
-            .add_prefix("remote", ContextPair::new(remote_fs, ContextId::DEFAULT))
-            .unwrap();
-        let measure = |server, name: &str| {
-            let nc = NameClient::new(ctx, ContextPair::new(server, ContextId::DEFAULT));
-            let t0 = Instant::now();
-            for _ in 0..3 {
-                nc.open(name, OpenMode::Read).unwrap();
-            }
-            t0.elapsed() / 3
-        };
-        [
-            measure(local_fs, "paper.txt"),
-            measure(remote_fs, "paper.txt"),
-            measure(local_fs, "[local]paper.txt"),
-            measure(remote_fs, "[remote]paper.txt"),
-        ]
-    });
-    // Floors from the paper's table (sleeps guarantee at least this much).
-    let floors_ms = [1.2, 3.6, 5.0, 7.5];
-    for (t, floor) in times.iter().zip(floors_ms) {
-        let ms = t.as_secs_f64() * 1e3;
-        assert!(ms >= floor, "measured {ms:.2} ms < floor {floor} ms");
-        // OS sleep granularity overshoots each slept cost by up to ~1 ms;
-        // an open sleeps 4-6 times, so allow generous headroom.
-        assert!(
-            ms < floor * 2.0 + 10.0,
-            "measured {ms:.2} ms wildly above {floor} ms"
-        );
-    }
-    // The paper's ordering must hold in wall clock too (prefix paths sleep
-    // strictly more than their current-context counterparts).
-    assert!(times[0] < times[2] && times[1] < times[3]);
-}
