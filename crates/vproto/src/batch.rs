@@ -12,7 +12,7 @@
 //! count is authoritative.
 
 use crate::descriptor::DecodeError;
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{wire_len, WireReader, WireWriter};
 
 /// Per-name outcome: the prefix resolved to a binding.
 pub const RESOLVE_OK: u16 = 0;
@@ -54,11 +54,26 @@ pub struct ResolveBatchReply {
 impl ResolveBatchMsg {
     /// Encodes the request payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.names.len() as u32);
-        for name in &self.names {
+        Self::encode_names(self.names.iter().map(Vec::as_slice))
+    }
+
+    /// Encodes a request payload straight from borrowed names, with the
+    /// exact length reserved once: the bytes [`ResolveBatchMsg::encode`]
+    /// gives for the same names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` names, or one name is over
+    /// 4 GiB (see [`WireWriter::bytes`]).
+    pub fn encode_names<'a>(names: impl ExactSizeIterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
+        let count = u32::try_from(names.len()).expect("batch exceeds u32::MAX names");
+        let len = 4 + names.clone().map(wire_len).sum::<usize>();
+        let mut w = WireWriter::with_capacity(len);
+        w.u32(count);
+        for name in names {
             w.bytes(name);
         }
+        debug_assert_eq!(w.len(), len);
         w.into_vec()
     }
 
@@ -68,18 +83,31 @@ impl ResolveBatchMsg {
     ///
     /// Returns [`DecodeError`] on truncation or trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<ResolveBatchMsg, DecodeError> {
+        let names = Self::decode_names(buf)?;
+        Ok(ResolveBatchMsg {
+            names: names.into_iter().map(<[u8]>::to_vec).collect(),
+        })
+    }
+
+    /// Decodes a request payload into names borrowed from `buf`: what
+    /// [`ResolveBatchMsg::decode`] answers, without a copy per name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on truncation or trailing bytes.
+    pub fn decode_names(buf: &[u8]) -> Result<Vec<&[u8]>, DecodeError> {
         let mut r = WireReader::new(buf);
         let count = r.u32()? as usize;
         let mut names = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            names.push(r.bytes()?.to_vec());
+            names.push(r.bytes()?);
         }
         if !r.is_exhausted() {
             return Err(DecodeError::TrailingBytes {
                 remaining: r.remaining(),
             });
         }
-        Ok(ResolveBatchMsg { names })
+        Ok(names)
     }
 }
 

@@ -12,6 +12,16 @@ use crate::descriptor::DecodeError;
 /// length follows as a `u32`. See [`WireWriter::bytes`].
 pub const LONG_LEN_ESCAPE: u16 = 0xFFFF;
 
+/// The number of bytes [`WireWriter::bytes`] appends for `b`: its length
+/// header, short or escaped, and `b` itself.
+pub(crate) fn wire_len(b: &[u8]) -> usize {
+    let header = match u16::try_from(b.len()) {
+        Ok(short) if short != LONG_LEN_ESCAPE => 2,
+        _ => 6,
+    };
+    header + b.len()
+}
+
 /// Append-only little-endian encoder.
 ///
 /// # Examples
@@ -36,6 +46,13 @@ impl WireWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         WireWriter::default()
+    }
+
+    /// Creates an empty writer with room for `len` bytes.
+    pub fn with_capacity(len: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(len),
+        }
     }
 
     /// Appends a `u16`.

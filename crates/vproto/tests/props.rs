@@ -20,6 +20,7 @@ fn decode_all(bytes: &[u8]) {
     let _ = SyncProbeReply::decode(bytes);
     let _ = SyncStatusRec::decode(bytes);
     let _ = ResolveBatchMsg::decode(bytes);
+    let _ = ResolveBatchMsg::decode_names(bytes);
     let _ = ResolveBatchReply::decode(bytes);
     let _ = ObjectDescriptor::decode_one(bytes);
     let _ = ObjectDescriptor::decode_from(&mut WireReader::new(bytes));
@@ -84,6 +85,11 @@ fn clamps() -> Vec<Clamp> {
             0,
         ),
         clamp(
+            |b| ResolveBatchMsg::decode_names(b).is_ok(),
+            ResolveBatchMsg::default().encode(),
+            0,
+        ),
+        clamp(
             |b| ResolveBatchReply::decode(b).is_ok(),
             ResolveBatchReply::default().encode(),
             0,
@@ -105,7 +111,7 @@ fn every_clamp_site_is_reached_by_its_count() {
     // header and the decoder reads the count at `at`; a nonzero count there
     // changes the outcome, so it is that clamp that read it.
     let sites = clamps();
-    assert_eq!(sites.len(), 10, "one case per `count.min(1024)` site");
+    assert_eq!(sites.len(), 11, "one case per `count.min(1024)` site");
     for (i, c) in sites.iter().enumerate() {
         assert_eq!(&c.zero[c.at..c.at + 4], &[0; 4], "site {i}");
         assert!((c.decode)(&c.zero), "site {i}: the zero payload decodes");
@@ -113,6 +119,15 @@ fn every_clamp_site_is_reached_by_its_count() {
             assert!(!(c.decode)(&with_count(c, hostile, &[])), "site {i}");
         }
     }
+}
+
+/// `ResolveBatch` names: mostly short, sometimes at or past the 0xFFFF
+/// length that takes the long-length escape.
+fn arb_batch_names() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let long = (0xFFFEusize..0x1_0002).prop_map(|len| vec![b'x'; len]);
+    let short = || proptest::collection::vec(any::<u8>(), 0..40);
+    let name = prop_oneof![short(), short(), short(), long];
+    proptest::collection::vec(name, 0..6)
 }
 
 fn arb_csname() -> impl Strategy<Value = CsName> {
@@ -265,12 +280,39 @@ proptest! {
         decode_all(&bytes);
     }
 
+    /// The borrowed `ResolveBatch` decoder refuses exactly what the owned
+    /// one refuses, and otherwise yields the same names.
+    #[test]
+    fn borrowed_batch_decode_matches_owned(
+        bytes in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..256),
+            arb_batch_names().prop_map(|names| ResolveBatchMsg { names }.encode()),
+        ],
+        cut in any::<usize>(),
+    ) {
+        for bytes in [&bytes[..], &bytes[..cut % (bytes.len() + 1)]] {
+            match (ResolveBatchMsg::decode(bytes), ResolveBatchMsg::decode_names(bytes)) {
+                (Ok(owned), Ok(borrowed)) => prop_assert_eq!(owned.names, borrowed),
+                (Err(_), Err(_)) => {}
+                (owned, borrowed) => prop_assert!(false, "{owned:?} vs {borrowed:?}"),
+            }
+        }
+    }
+
+    /// Encoding borrowed names gives the owned encoder's bytes, long-length
+    /// escapes included.
+    #[test]
+    fn borrowed_batch_encode_matches_owned(names in arb_batch_names()) {
+        let borrowed = ResolveBatchMsg::encode_names(names.iter().map(Vec::as_slice));
+        prop_assert_eq!(&borrowed, &ResolveBatchMsg { names }.encode());
+    }
+
     /// A well-formed header with a hostile 32-bit count at each clamp
     /// site, followed by arbitrary bytes: no panic, and no allocation sized
     /// by the count (a count of 2³² would abort the test).
     #[test]
     fn hostile_counts_reach_the_clamps_without_panicking(
-        site in 0usize..10,
+        site in 0usize..11,
         count in prop_oneof![Just(u32::MAX), 1025u32..=u32::MAX, 0u32..1025],
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {

@@ -681,15 +681,13 @@ impl<'a> NameClient<'a> {
             .prefix_server
             .get()
             .ok_or(IoError::Server(ReplyCode::NoServer))?;
-        let batch = ResolveBatchMsg {
-            names: prefixes.iter().map(|p| p.as_bytes().to_vec()).collect(),
-        };
+        let payload = ResolveBatchMsg::encode_names(prefixes.iter().map(|p| p.as_bytes()));
         let msg = Message::request(RequestCode::ResolveBatch);
         // 12 payload bytes per answer plus the count header, with slack.
         let recv_cap = 16 * prefixes.len() + 64;
         let reply = self
             .ipc
-            .send(server, msg, Bytes::from(batch.encode()), recv_cap)
+            .send(server, msg, Bytes::from(payload), recv_cap)
             .map_err(IoError::Ipc)?;
         check(reply.msg.reply_code())?;
         let decoded = ResolveBatchReply::decode(&reply.data)

@@ -375,7 +375,7 @@ impl Server for PrefixServer {
         let binding_query =
             op == Some(RequestCode::QueryName) && remaining[rest_index..].is_empty();
         if binding_query {
-            self.counters.binding_queries += 1;
+            self.count_binding_queries(1);
         }
 
         // Degraded-mode resolution: a bare-prefix `QueryName` asks only for
@@ -589,6 +589,14 @@ impl Server for PrefixServer {
 }
 
 impl PrefixServer {
+    /// Counts `n` binding queries answered from the table. Saturating, never
+    /// wrapping: the counter is 32 bits on the wire and readers subtract two
+    /// readings of it, so it must not fall back below an earlier one.
+    fn count_binding_queries(&mut self, n: usize) {
+        let n = u32::try_from(n).unwrap_or(u32::MAX);
+        self.counters.binding_queries = self.counters.binding_queries.saturating_add(n);
+    }
+
     /// Answers one `ResolveBatch` request from the published snapshot.
     ///
     /// Every name in the batch is resolved against the same immutable
@@ -601,13 +609,12 @@ impl PrefixServer {
         let snap = self.sharded.snapshot();
         let now_ns = ctx.now().as_nanos() as u64;
         let payload = call.data()?;
-        let batch = ResolveBatchMsg::decode(&payload).map_err(|_| ReplyCode::BadArgs)?;
-        self.counters.binding_queries += batch.names.len() as u32;
-        let refs: Vec<&[u8]> = batch.names.iter().map(Vec::as_slice).collect();
+        let names = ResolveBatchMsg::decode_names(&payload).map_err(|_| ReplyCode::BadArgs)?;
+        self.count_binding_queries(names.len());
         let answers: Vec<ResolveAnswer> = snap
-            .resolve_batch(&refs)
+            .resolve_batch(&names)
             .into_iter()
-            .zip(&batch.names)
+            .zip(&names)
             .map(|(hit, name)| {
                 let answer = |status, pid, context, staleness| ResolveAnswer {
                     status,
@@ -810,5 +817,33 @@ fn strip_brackets(name: &[u8]) -> &[u8] {
         &name[1..name.len() - 1]
     } else {
         name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn binding_query_count_saturates() {
+        let mut server = PrefixServer {
+            sharded: ShardedTable::new(),
+            instances: InstanceTable::new(),
+            suspects: SuspectSet::default(),
+            counters: SyncStatusRec::default(),
+            degraded: None,
+            authoritative: true,
+            forwarding: None,
+        };
+        server.count_binding_queries(64);
+        assert_eq!(server.counters.binding_queries, 64);
+        server.counters.binding_queries = u32::MAX - 1;
+        server.count_binding_queries(64);
+        assert_eq!(server.counters.binding_queries, u32::MAX);
+        server.count_binding_queries(1);
+        assert_eq!(server.counters.binding_queries, u32::MAX);
+        server.counters.binding_queries = 7;
+        server.count_binding_queries(usize::MAX);
+        assert_eq!(server.counters.binding_queries, u32::MAX);
     }
 }

@@ -22,8 +22,13 @@
 //! The unit of *copying* is one level down: a shard's slots are cut into
 //! pages of 2^[`REGION_SLOT_BITS`] slots, each behind its own `Arc`, so the
 //! first write to a published shard copies its spine of page pointers and
-//! the one ~24 KB page it writes, not the whole slot array. Every other page
+//! the one ~28 KB page it writes, not the whole slot array. Every other page
 //! stays shared with the snapshots that hold it.
+//!
+//! A record keeps a name of up to 22 bytes inside its slot ([`Name`]), so
+//! a probe compares the bytes of the slot it has already loaded, and a page
+//! copy copies them; a longer name is one shared allocation, which the page
+//! copies and the side indexes hold by reference count.
 //!
 //! Atomicity: a mutation batch (a define, a whole sync apply round, a GC
 //! sweep) becomes visible all-at-once at the next `publish`, or not at
@@ -58,6 +63,11 @@ use crate::sync::{
     shard_of_bucket, SyncTable, VersionedEntry, MERKLE_FANOUT, MERKLE_LEVELS, SHARD_COUNT,
 };
 use parking_lot::RwLock;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 use vproto::{fnv1a, SyncBinding};
 
@@ -89,15 +99,104 @@ pub(crate) const fn shard_of_hash(h: u64) -> usize {
     shard_of_bucket(bucket_of_hash(h))
 }
 
-/// One stored record: a live binding or a tombstone.
+/// The longest name a [`Name`] holds inside itself.
+const INLINE_NAME: usize = 22;
+
+/// A stored name: up to [`INLINE_NAME`] bytes inside the value, a longer
+/// one in one shared allocation. Inline, a probe compares the name in the
+/// slot it has already loaded, and a page copy copies the bytes.
+///
+/// It derefs to, borrows as, compares, orders and hashes as its bytes, so a
+/// set of names is ordered and searched exactly as the same `[u8]`s would
+/// be, whichever way each is stored.
+#[derive(Clone)]
+pub(crate) enum Name {
+    /// The length, then the bytes, zero-padded.
+    Inline(u8, [u8; INLINE_NAME]),
+    /// Shared with the table's side indexes, and between the copies of a
+    /// page that copy-on-write makes.
+    Heap(Arc<[u8]>),
+}
+
+impl From<&[u8]> for Name {
+    fn from(bytes: &[u8]) -> Name {
+        match u8::try_from(bytes.len()) {
+            Ok(len) if bytes.len() <= INLINE_NAME => {
+                let mut inline = [0; INLINE_NAME];
+                inline[..bytes.len()].copy_from_slice(bytes);
+                Name::Inline(len, inline)
+            }
+            _ => Name::Heap(Arc::from(bytes)),
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = [u8];
+
+    #[inline(always)]
+    fn deref(&self) -> &[u8] {
+        match self {
+            Name::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Name::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    // A call, not inlined: the sorts over records (listings, Merkle folds)
+    // inline their comparator into every sorting-network step, and inlined
+    // this two-kind compare grew the binary's text by 21 KB.
+    #[inline(never)]
+    fn cmp(&self, other: &Name) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// One stored record: a live binding or a tombstone, under its FNV-1a hash
+/// and its name — inline in the slot when short (see [`Name`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Record {
     pub(crate) hash: u64,
-    /// Shared with the table's side indexes, and between the copies of a
-    /// page that copy-on-write makes.
-    pub(crate) name: Arc<[u8]>,
+    pub(crate) name: Name,
     pub(crate) entry: VersionedEntry,
 }
+
+// Every slot of every page is one `Option<Record>`: a field that grows it
+// grows the table by that much per slot, ~2 slots per name.
+const _: () = assert!(size_of::<Option<Record>>() == 56);
 
 impl Record {
     /// What resolution sees of this record: `None` for a tombstone.
@@ -210,7 +309,7 @@ impl Shard {
         hash: u64,
         name: &[u8],
         entry: VersionedEntry,
-    ) -> (&Arc<[u8]>, Option<VersionedEntry>) {
+    ) -> (&Name, Option<VersionedEntry>) {
         let at = match self.probe(hash, name) {
             Ok(at) => at,
             Err(at) if (self.len + 1) * 2 <= self.capacity() => at,
@@ -231,7 +330,7 @@ impl Shard {
             }
             None => slot.insert(Record {
                 hash,
-                name: Arc::from(name),
+                name: Name::from(name),
                 entry,
             }),
         };
@@ -513,6 +612,26 @@ mod tests {
         }
     }
 
+    /// `name`, padded past the inline limit when `i` is a multiple of three,
+    /// so that a table of such names holds both kinds of record.
+    fn padded(name: String, i: usize) -> Vec<u8> {
+        if i.is_multiple_of(3) {
+            format!("{name}-{}", "p".repeat(INLINE_NAME)).into_bytes()
+        } else {
+            name.into_bytes()
+        }
+    }
+
+    /// Names of either kind at the inline limit, around it and far past it,
+    /// whose byte order is not their length order.
+    fn edge_lengths() -> Vec<Vec<u8>> {
+        [0, INLINE_NAME - 1, INLINE_NAME, INLINE_NAME + 1, 70_000]
+            .into_iter()
+            .zip(*b"zyxwv")
+            .map(|(len, byte)| vec![byte; len])
+            .collect()
+    }
+
     /// Names in shard `s` whose hash has its low `REGION_SLOT_BITS` bits all
     /// ones. In a shard of several pages each one's home is the last slot
     /// of a page, so once two share a page, a run crosses that page's end.
@@ -538,7 +657,7 @@ mod tests {
     /// backward shift carry a record of the next page across the boundary:
     /// the page-end record's name and the name of the one that would move
     /// into its slot.
-    fn crossing_pair(shard: &Shard) -> Option<[Arc<[u8]>; 2]> {
+    fn crossing_pair(shard: &Shard) -> Option<[Name; 2]> {
         if shard.chunks.len() < 2 {
             return None;
         }
@@ -715,9 +834,7 @@ mod tests {
     #[test]
     fn batch_matches_single_lookups() {
         let mut st = ShardedTable::new();
-        let mut names: Vec<Vec<u8>> = (0..10_000u32)
-            .map(|i| format!("svc{i}").into_bytes())
-            .collect();
+        let mut names: Vec<Vec<u8>> = (0..10_000).map(|i| padded(format!("svc{i}"), i)).collect();
         names.extend(page_end_names(3, 6));
         for (i, name) in (0u32..).zip(&names) {
             st.table_mut()
@@ -762,6 +879,99 @@ mod tests {
             refs.len() - refs.len().div_ceil(10),
             "tombstones answer None"
         );
+    }
+
+    /// Names either side of the inline limit, and one of 70 000 bytes, are
+    /// found by `lookup` and `resolve_batch` after a grow and under a held
+    /// snapshot, list in byte order, and tombstone (copying their pages),
+    /// collect and redefine like any other.
+    #[test]
+    fn inline_and_heap_names_survive_every_write() {
+        let edges = edge_lengths();
+        let refs: Vec<&[u8]> = edges.iter().map(Vec::as_slice).collect();
+        let answers = |snap: &Snapshot| -> Vec<Option<SyncBinding>> {
+            let batch = snap.resolve_batch(&refs);
+            for (name, got) in refs.iter().zip(&batch) {
+                assert_eq!(snap.lookup(name), *got, "{} bytes", name.len());
+            }
+            batch.into_iter().map(|e| e.map(|e| e.binding)).collect()
+        };
+        let defined: Vec<_> = (0..5).map(|i| Some(bind(i))).collect();
+        let mut st = ShardedTable::new();
+        for (i, name) in (0u32..).zip(&edges) {
+            st.table_mut().define(name.clone(), bind(i), 100);
+        }
+        st.publish();
+        let small = st.snapshot();
+        let mut all = edges.clone();
+        for i in 0..10_000 {
+            let name = padded(format!("fill{i}"), i);
+            st.table_mut().define(name.clone(), bind(9), 200);
+            all.push(name);
+        }
+        st.publish();
+        assert!(st.table().shards().iter().all(|s| s.chunks.len() >= 2));
+        let grown = st.snapshot();
+        assert_eq!(answers(&small), defined);
+        assert_eq!(answers(&grown), defined, "after every shard grew");
+        all.sort_unstable();
+        let listed: Vec<&[u8]> = st.table().live_iter().map(|(name, ..)| name).collect();
+        assert_eq!(listed, all, "listed in byte order");
+
+        for name in &refs {
+            let outcome = st.table_mut().tombstone(name, 300);
+            assert_eq!(outcome, TombstoneOutcome::DroppedLive);
+        }
+        st.publish();
+        let (shards, pages) = copied(&grown, &st.snapshot());
+        assert!(
+            shards >= 1 && pages >= shards,
+            "the tombstones copied pages"
+        );
+        assert_eq!(answers(&st.snapshot()), vec![None; 5]);
+        assert_eq!(answers(&grown), defined, "a held page is untouched");
+        assert_eq!(st.table_mut().gc_below(u64::MAX), 5);
+        st.publish();
+        assert_eq!(answers(&st.snapshot()), vec![None; 5]);
+        assert_eq!(st.table().live_len(), 10_000);
+        for (i, name) in (0u32..).zip(&edges) {
+            st.table_mut().define(name.clone(), bind(i), 400);
+        }
+        st.publish();
+        assert_eq!(answers(&st.snapshot()), defined, "redefined after GC");
+    }
+
+    fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        /// A `Name` compares, orders and hashes as its bytes, whichever way
+        /// it is stored: a set of names is searched and sorted as the
+        /// `[u8]`s are.
+        #[test]
+        fn names_compare_order_and_hash_as_their_bytes(
+            a in collection::vec(0u8..3, 0..40),
+            tail in collection::vec(0u8..3, 0..40),
+            shared in 0usize..40,
+        ) {
+            // `b` shares a prefix of `a`, so ties and prefixes are common.
+            let b: Vec<u8> = a.iter().take(shared).chain(&tail).copied().collect();
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                let (nx, ny) = (Name::from(&x[..]), Name::from(&y[..]));
+                prop_assert_eq!(&*nx, &x[..]);
+                prop_assert_eq!(nx.cmp(&ny), x.cmp(y));
+                prop_assert_eq!(nx.partial_cmp(&ny), x.partial_cmp(y));
+                prop_assert_eq!(nx == ny, x == y);
+                prop_assert_eq!(hash_of(&nx), hash_of(&x[..]));
+                prop_assert_eq!(
+                    matches!(nx, Name::Inline(..)),
+                    x.len() <= INLINE_NAME
+                );
+            }
+        }
     }
 
     #[test]
@@ -938,7 +1148,7 @@ mod tests {
                 prop_assert!(shard.get(rec.hash, &rec.name).is_some());
             }
             // Remove every third record (backward shift), then again.
-            let doomed: Vec<(u64, Arc<[u8]>)> = shard
+            let doomed: Vec<(u64, Name)> = shard
                 .records()
                 .step_by(3)
                 .map(|rec| (rec.hash, rec.name.clone()))
@@ -978,16 +1188,21 @@ mod tests {
     }
 
     /// The names of the held-snapshot property, all in shard 0 so that a few
-    /// hundred of them span several pages: 1 400 plain names, then
-    /// `EDGES` page-end names.
+    /// hundred of them span several pages: 1 400 plain names, every third
+    /// one too long to store inline, then `EDGES` page-end names.
     fn pool() -> &'static [Vec<u8>] {
         static POOL: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
         POOL.get_or_init(|| {
-            let mut pool: Vec<Vec<u8>> = (0u32..)
-                .map(|k| format!("m{k}").into_bytes())
-                .filter(|name| SyncTable::shard_of(name) == 0)
-                .take(1_400)
-                .collect();
+            let mut pool: Vec<Vec<u8>> = Vec::new();
+            for k in 0u32.. {
+                if pool.len() == 1_400 {
+                    break;
+                }
+                let name = padded(format!("m{k}"), pool.len());
+                if SyncTable::shard_of(&name) == 0 {
+                    pool.push(name);
+                }
+            }
             pool.extend(page_end_names(0, EDGES));
             pool
         })

@@ -27,9 +27,10 @@
 //! content mutation is one `put` or one `remove` here, each one
 //! `Shard::insert`/`Shard::remove` through `Arc::make_mut` — which, on a
 //! shard a snapshot still holds, copies the shard's spine of page pointers,
-//! and the shard then copies only the ~24 KB page it writes. The only side
+//! and the shard then copies only the ~28 KB page it writes. The only side
 //! indexes are `tombs` and `unverified`, written in those two functions
-//! and holding the shard's own name handles; the Merkle tree keeps hashes
+//! and holding the shard's own names (a short name inline, a long one by
+//! its shared allocation, never a fresh copy); the Merkle tree keeps hashes
 //! of *interior* nodes only — a leaf's hash is folded on demand from the
 //! contiguous run of records that is its bucket.
 //!
@@ -87,7 +88,7 @@
 //! differential-testing oracle: a Merkle round and a flat round must leave
 //! byte-identical tables (see `tests/anti_entropy_props.rs`).
 
-use crate::shard::{bucket_of_hash, shard_of_hash, Record, Shard};
+use crate::shard::{bucket_of_hash, shard_of_hash, Name, Record, Shard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use vproto::{
@@ -244,10 +245,10 @@ pub struct SyncTable {
     /// proportional to what it collects — the Merkle walk GCs on every
     /// probe, so an O(table) scan there would silently re-introduce the
     /// table-bound cost the walk exists to avoid.
-    tombs: BTreeSet<(u64, Arc<[u8]>)>,
+    tombs: BTreeSet<(u64, Name)>,
     /// Names whose entry is currently unverified, so a vouching round
     /// promotes in O(promoted) instead of rescanning the table.
-    unverified: BTreeSet<Arc<[u8]>>,
+    unverified: BTreeSet<Name>,
 }
 
 /// Folds one table entry into an FNV-1a accumulator — the per-entry
@@ -1386,35 +1387,46 @@ mod tests {
             let records = t.sorted_records();
             let scan_max = records.iter().map(|r| r.entry.epoch).max().unwrap_or(0);
             assert!(t.next_epoch >= scan_max, "{who}: clock behind an entry");
-            let dead: BTreeSet<(u64, Arc<[u8]>)> = records
+            let dead: BTreeSet<(u64, Name)> = records
                 .iter()
                 .filter(|r| r.entry.binding.is_none())
                 .map(|r| (r.entry.epoch, r.name.clone()))
                 .collect();
             assert_eq!(t.tombs, dead, "{who}: tombstone index diverged");
-            let unverified: BTreeSet<Arc<[u8]>> = records
+            let unverified: BTreeSet<Name> = records
                 .iter()
                 .filter(|r| !r.entry.verified)
                 .map(|r| r.name.clone())
                 .collect();
             assert_eq!(t.unverified, unverified, "{who}: unverified index diverged");
-            // The indexes hold the shard's own name handles, not copies.
-            for (_, name) in &t.tombs {
-                let stored = &t.get(name).expect("indexed name is stored").name;
-                assert!(
-                    Arc::ptr_eq(name, stored),
-                    "{who}: tombstone name was copied"
-                );
+            // The indexes hold the shard's own name handles, not copies: a
+            // heap name is the stored record's allocation. An inline name
+            // has no heap storage to duplicate.
+            let indexed = t.tombs.iter().map(|(_, name)| name);
+            for name in indexed.chain(&t.unverified) {
+                match (name, &t.get(name).expect("indexed name is stored").name) {
+                    (Name::Heap(name), Name::Heap(stored)) => {
+                        assert!(Arc::ptr_eq(name, stored), "{who}: indexed name was copied")
+                    }
+                    (Name::Inline(..), Name::Inline(..)) => {}
+                    _ => panic!("{who}: indexed and stored names differ in kind"),
+                }
             }
         };
+        // Past `Name`'s inline capacity: stored on the heap, shared by handle.
+        let long = |tag: &str| format!("{tag}-{}", "x".repeat(30)).into_bytes();
         let mut auth = SyncTable::new();
         let mut rep = SyncTable::new();
         rep.preload(b"boot".to_vec(), bind(9));
+        rep.preload(long("boot"), bind(9));
         check(&rep, "preload");
         auth.define(b"a".to_vec(), bind(1), 100);
         auth.define(b"b".to_vec(), bind(2), 200);
+        auth.define(long("a"), bind(3), 250);
         auth.tombstone(b"a", 300);
         auth.tombstone(b"a", 400); // re-stamp moves the index slot
+        auth.tombstone(&long("a"), 410);
+        assert!(auth.tombs.iter().any(|(_, n)| matches!(n, Name::Heap(_))));
         check(&auth, "define/tombstone");
         // Minting: the replica's digest names a prefix the authority never
         // had, so the delta path stamps a tombstone for it.
