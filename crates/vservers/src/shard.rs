@@ -19,11 +19,14 @@
 //!   copy alive untouched (copy-on-write, RCU style — readers never take a
 //!   write lock, writers never block readers).
 //!
-//! The unit of *copying* is one level down: a shard's slots are cut into
-//! pages of 2^[`REGION_SLOT_BITS`] slots, each behind its own `Arc`, so the
-//! first write to a published shard copies its spine of page pointers and
-//! the one ~28 KB page it writes, not the whole slot array. Every other page
-//! stays shared with the snapshots that hold it.
+//! The unit of *copying* is two levels down: a shard's slots are cut into
+//! pages of 2^[`PAGE_SLOT_BITS`] slots (~7 KB), each behind its own `Arc`,
+//! and the page pointers into directories of [`DIR_PAGES`], each behind its
+//! own `Arc` too. The first write to a published shard copies the shard's
+//! top (at most 32 directory pointers at 10⁶ names), the one directory and
+//! the one page it writes — not the whole slot array, and not a pointer per
+//! page. Every other directory and page stays shared with the snapshots
+//! that hold it, and dropping the old copy at publish releases as little.
 //!
 //! A record keeps a name of up to 22 bytes inside its slot ([`Name`]), so
 //! a probe compares the bytes of the slot it has already loaded, and a page
@@ -52,12 +55,14 @@
 //! what plain low-bit indexing gives). A table too small for two regions
 //! is one region, and the scan is the whole (small) shard.
 //!
-//! A page is a region's worth of slots, `chunks[i >> REGION_SLOT_BITS]`
-//! holding slot `i`; a shard smaller than one page is one short chunk. Slot
+//! A region is a whole number of pages: slot `i` lives in page
+//! `i >> PAGE_SLOT_BITS`, and that page in directory `i >> DIR_SLOT_BITS`; a
+//! shard smaller than one page is one directory of one short page. Slot
 //! numbering, probing and the range scans are those of one flat array: only
-//! where a slot lives changes. A write copies the page it writes, and only
-//! `remove`'s backward shift can carry a record across a page boundary, so
-//! a mutation copies one page, or two when the shift crosses.
+//! where a slot lives changes. A write copies the directory and the page it
+//! writes, and only `remove`'s backward shift can carry a record across a
+//! page boundary, so a mutation copies one page, or two when the shift
+//! crosses — and one directory, or two when that boundary is a directory's.
 
 use crate::sync::{
     shard_of_bucket, SyncTable, VersionedEntry, MERKLE_FANOUT, MERKLE_LEVELS, SHARD_COUNT,
@@ -71,14 +76,26 @@ use std::ops::Deref;
 use std::sync::Arc;
 use vproto::{fnv1a, SyncBinding};
 
-/// log2 of the slots in one region, and in one copy-on-write page: large
-/// enough that the skewed bucket occupancy averages out (512 slots hold ~250
-/// records of ~30 buckets), small enough that a bucket scan — and the copy
-/// a write makes — stays a few tens of kilobytes.
+/// log2 of the slots in one region: large enough that the skewed bucket
+/// occupancy averages out (512 slots hold ~250 records of ~30 buckets),
+/// small enough that a bucket scan stays a few tens of kilobytes.
 const REGION_SLOT_BITS: u32 = 9;
 
+/// log2 of the slots in one copy-on-write page: 128 slots, ~7 KB, the copy
+/// a write makes. A region is a whole number of pages.
+const PAGE_SLOT_BITS: u32 = 7;
+
 /// The slots in one full page.
-const PAGE_SLOTS: usize = 1 << REGION_SLOT_BITS;
+const PAGE_SLOTS: usize = 1 << PAGE_SLOT_BITS;
+
+/// log2 of the page pointers in one full directory.
+const DIR_PAGE_BITS: u32 = 5;
+
+/// The page pointers in one full directory.
+const DIR_PAGES: usize = 1 << DIR_PAGE_BITS;
+
+/// log2 of the slots under one full directory.
+const DIR_SLOT_BITS: u32 = PAGE_SLOT_BITS + DIR_PAGE_BITS;
 
 /// log2 of the level-(`MERKLE_LEVELS`−1) nodes in one shard — the most
 /// regions a shard can usefully have; past that, regions grow instead.
@@ -197,6 +214,16 @@ pub(crate) struct Record {
 // Every slot of every page is one `Option<Record>`: a field that grows it
 // grows the table by that much per slot, ~2 slots per name.
 const _: () = assert!(size_of::<Option<Record>>() == 56);
+// Every region ends on a page end, so a region's last home slot is the
+// last slot of a page; and a page, the copy a write makes, stays ≤ 8 KiB.
+const _: () = assert!(PAGE_SLOT_BITS <= REGION_SLOT_BITS);
+const _: () = assert!(PAGE_SLOTS * size_of::<Option<Record>>() <= 8 << 10);
+
+/// One copy-on-write page of slots.
+type Page = Arc<[Option<Record>]>;
+
+/// One copy-on-write directory of page pointers.
+type Dir = Arc<[Page]>;
 
 impl Record {
     /// What resolution sees of this record: `None` for a tombstone.
@@ -232,10 +259,13 @@ fn home(cap: usize, hash: u64) -> usize {
 /// One shard of the table: see the module docs for its three roles.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Shard {
-    /// The slot array, one copy-on-write page per `Arc`: no chunk, one
-    /// chunk shorter than a page, or full pages. Either way the slot count
-    /// is a power of two ≥ twice `len`.
-    chunks: Vec<Arc<[Option<Record>]>>,
+    /// The slot array as a two-level persistent spine: directories of page
+    /// pointers, slot `i` in page `i >> PAGE_SLOT_BITS`. No directory, one
+    /// directory of one page shorter than [`PAGE_SLOTS`], one of fewer than
+    /// [`DIR_PAGES`] full pages, or full directories.
+    dirs: Vec<Dir>,
+    /// The number of slots: a power of two ≥ twice `len`, or 0.
+    cap: usize,
     /// Occupied slots (live and tombstoned).
     len: usize,
     /// Occupied slots holding a live binding.
@@ -243,22 +273,21 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// The number of slots: every chunk is as long as the first, since only
-    /// a lone chunk may be shorter than a page.
-    fn capacity(&self) -> usize {
-        self.chunks
-            .first()
-            .map_or(0, |page| page.len() * self.chunks.len())
+    /// Page `index`, in slot order.
+    fn page(&self, index: usize) -> &[Option<Record>] {
+        &self.dirs[index >> DIR_PAGE_BITS][index & (DIR_PAGES - 1)]
     }
 
     fn slot(&self, at: usize) -> &Option<Record> {
-        &self.chunks[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)]
+        &self.page(at >> PAGE_SLOT_BITS)[at & (PAGE_SLOTS - 1)]
     }
 
-    /// Slot `at` for writing: its page is copied first if a snapshot still
-    /// shares it.
+    /// Slot `at` for writing: its directory and its page are copied first
+    /// if a snapshot still shares them.
     fn slot_mut(&mut self, at: usize) -> &mut Option<Record> {
-        &mut Arc::make_mut(&mut self.chunks[at >> REGION_SLOT_BITS])[at & (PAGE_SLOTS - 1)]
+        let dir = Arc::make_mut(&mut self.dirs[at >> DIR_SLOT_BITS]);
+        let page = Arc::make_mut(&mut dir[(at >> PAGE_SLOT_BITS) & (DIR_PAGES - 1)]);
+        &mut page[at & (PAGE_SLOTS - 1)]
     }
 
     /// Probes for `name`: `Ok(slot)` where it is stored, or `Err(slot)` at
@@ -268,7 +297,7 @@ impl Shard {
     // measured 5 % slower per batched lookup at 10⁶ names.
     #[inline(always)]
     fn probe(&self, hash: u64, name: &[u8]) -> Result<usize, usize> {
-        let cap = self.capacity();
+        let cap = self.cap;
         if cap == 0 {
             return Err(0);
         }
@@ -290,15 +319,12 @@ impl Shard {
         self.slot(at).as_ref()
     }
 
-    /// The record in the home slot of `hash` — the first slot its probe
-    /// reads. `None` means no record with that hash is stored.
+    /// The home slot of `hash` — the first slot its probe reads — located
+    /// through its page pointer but not yet read; `None` in an empty shard.
     #[inline(always)]
-    fn at_home(&self, hash: u64) -> Option<&Record> {
-        let cap = self.capacity();
-        if cap == 0 {
-            return None;
-        }
-        self.slot(home(cap, hash)).as_ref()
+    fn home_slot(&self, hash: u64) -> Option<&Option<Record>> {
+        let cap = self.cap;
+        (cap != 0).then(|| self.slot(home(cap, hash)))
     }
 
     /// Stores `entry` under `name`, returning the stored name handle and
@@ -312,7 +338,7 @@ impl Shard {
     ) -> (&Name, Option<VersionedEntry>) {
         let at = match self.probe(hash, name) {
             Ok(at) => at,
-            Err(at) if (self.len + 1) * 2 <= self.capacity() => at,
+            Err(at) if (self.len + 1) * 2 <= self.cap => at,
             Err(_) => {
                 self.grow();
                 self.probe(hash, name).unwrap_or_else(|at| at)
@@ -346,7 +372,7 @@ impl Shard {
         let removed = self.slot_mut(hole).take()?;
         self.len -= 1;
         self.live -= usize::from(removed.entry.binding.is_some());
-        let cap = self.capacity();
+        let cap = self.cap;
         let mask = cap - 1;
         let mut at = hole;
         loop {
@@ -367,42 +393,58 @@ impl Shard {
     /// A page no snapshot holds gives up its records; a shared one is
     /// copied first, so the snapshot keeps its own.
     fn grow(&mut self) {
-        let cap = (self.capacity() * 2).max(MIN_SLOTS);
+        let cap = (self.cap * 2).max(MIN_SLOTS);
         let page = cap.min(PAGE_SLOTS);
-        let mut fresh: Vec<Arc<[Option<Record>]>> = (0..cap / page)
+        let mut fresh: Vec<Page> = (0..cap / page)
             .map(|_| (0..page).map(|_| None).collect())
             .collect();
         // Fresh pages are unshared: each is written in place.
         let mut pages: Vec<&mut [Option<Record>]> =
             fresh.iter_mut().filter_map(Arc::get_mut).collect();
-        for mut old in std::mem::take(&mut self.chunks) {
-            for rec in Arc::make_mut(&mut old).iter_mut().filter_map(Option::take) {
-                let mut at = home(cap, rec.hash);
-                while pages[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)].is_some() {
-                    at = (at + 1) & (cap - 1);
+        for mut dir in std::mem::take(&mut self.dirs) {
+            for old in Arc::make_mut(&mut dir) {
+                for rec in Arc::make_mut(old).iter_mut().filter_map(Option::take) {
+                    let mut at = home(cap, rec.hash);
+                    while pages[at >> PAGE_SLOT_BITS][at & (PAGE_SLOTS - 1)].is_some() {
+                        at = (at + 1) & (cap - 1);
+                    }
+                    pages[at >> PAGE_SLOT_BITS][at & (PAGE_SLOTS - 1)] = Some(rec);
                 }
-                pages[at >> REGION_SLOT_BITS][at & (PAGE_SLOTS - 1)] = Some(rec);
             }
         }
-        self.chunks = fresh;
+        let mut fresh = fresh.into_iter();
+        while fresh.len() > 0 {
+            self.dirs.push(fresh.by_ref().take(DIR_PAGES).collect());
+        }
+        self.cap = cap;
+    }
+
+    /// Every page, in slot order.
+    fn pages(&self) -> impl Iterator<Item = &[Option<Record>]> {
+        self.dirs
+            .iter()
+            .flat_map(|dir| dir.iter().map(|page| &**page))
     }
 
     /// Every record, in slot order.
     pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
-        self.chunks.iter().flat_map(|page| page.iter().flatten())
+        self.pages().flat_map(|page| page.iter().flatten())
     }
 
     /// The records of the `count` leaf buckets starting at `first` — one
     /// bucket, or the sixteen children of one level-(`MERKLE_LEVELS`−1)
     /// node (which share a region; a wider range would not). A range scan:
     /// from the region's first slot to the first empty slot at or past its
-    /// last, wrapping at the end of the array like the probes do.
+    /// last, wrapping at the end of the array like the probes do. It walks
+    /// page by page: a region starts on a page's first slot.
     pub(crate) fn under(&self, first: u32, count: u32) -> impl Iterator<Item = &Record> {
-        let cap = self.capacity();
+        let cap = self.cap;
         let (start, slot_bits) = region(cap, first / MERKLE_FANOUT);
-        let mask = cap.wrapping_sub(1);
-        (0..cap)
-            .map(move |step| (step, self.slot((start + step) & mask)))
+        let pages = cap.div_ceil(PAGE_SLOTS);
+        let first_page = start >> PAGE_SLOT_BITS;
+        (0..pages)
+            .flat_map(move |p| self.page((first_page + p) & (pages - 1)))
+            .enumerate()
             .take_while(move |(step, slot)| slot.is_some() || (step + 1) >> slot_bits == 0)
             .filter_map(|(_, slot)| slot.as_ref())
             .filter(move |rec| bucket_of_hash(rec.hash).wrapping_sub(first) < count)
@@ -455,16 +497,21 @@ impl Snapshot {
     }
 
     /// Resolves a batch of prefixes against this one consistent view, in
-    /// three passes so that the names' cache misses overlap instead of
+    /// four passes so that the names' cache misses overlap instead of
     /// queueing one behind another: hash every name, load every name's home
-    /// slot, then compare. A name found in its home slot, or whose home slot
-    /// is empty, is answered from that one load; only the rest take the
-    /// full probe. Answers land at the input index of their name.
+    /// page pointer, load every home slot, then compare. A name found in its
+    /// home slot, or whose home slot is empty, is answered from that one
+    /// load; only the rest take the full probe. Answers land at the input
+    /// index of their name.
     pub fn resolve_batch(&self, names: &[&[u8]]) -> Vec<Option<SnapEntry>> {
         let hashes: Vec<u64> = names.iter().map(|name| fnv1a(name)).collect();
-        let homes: Vec<Option<&Record>> = hashes
+        let slots: Vec<Option<&Option<Record>>> = hashes
             .iter()
-            .map(|&h| self.shards[shard_of_hash(h)].at_home(h))
+            .map(|&h| self.shards[shard_of_hash(h)].home_slot(h))
+            .collect();
+        let homes: Vec<Option<&Record>> = slots
+            .into_iter()
+            .map(|slot| slot.and_then(Option::as_ref))
             .collect();
         names
             .iter()
@@ -632,38 +679,53 @@ mod tests {
             .collect()
     }
 
-    /// Names in shard `s` whose hash has its low `REGION_SLOT_BITS` bits all
-    /// ones. In a shard of several pages each one's home is the last slot
-    /// of a page, so once two share a page, a run crosses that page's end.
-    fn page_end_names(s: usize, count: usize) -> Vec<Vec<u8>> {
+    /// `count` names `{stem}{k}` in shard `s` whose hash passes `keep`.
+    fn names_in(s: usize, stem: &str, count: usize, keep: impl Fn(u64) -> bool) -> Vec<Vec<u8>> {
         (0u32..)
-            .map(|k| format!("edge{k}").into_bytes())
+            .map(|k| format!("{stem}{k}").into_bytes())
             .filter(|name| {
                 let h = fnv1a(name);
-                shard_of_hash(h) == s && h as usize & (PAGE_SLOTS - 1) == PAGE_SLOTS - 1
+                shard_of_hash(h) == s && keep(h)
             })
             .take(count)
             .collect()
+    }
+
+    /// Names in shard `s` whose hash has its low `REGION_SLOT_BITS` bits all
+    /// ones. Each one's home is the last slot of a region, which is the last
+    /// slot of a page, so once two share a region, a run crosses that page's
+    /// end.
+    fn page_end_names(s: usize, count: usize) -> Vec<Vec<u8>> {
+        let ones = (1 << REGION_SLOT_BITS) - 1;
+        names_in(s, "edge", count, |h| h as usize & ones == ones)
+    }
+
+    /// Names in shard `s` whose home in a shard of `cap` slots is the last
+    /// slot of a directory: more of them than the shard has directories put
+    /// a run across some directory's end.
+    fn dir_end_names(s: usize, cap: usize, count: usize) -> Vec<Vec<u8>> {
+        let ones = (1 << DIR_SLOT_BITS) - 1;
+        names_in(s, "dirend", count, |h| home(cap, h) & ones == ones)
     }
 
     /// The slot of a stored `name` in its shard, and that name's home slot.
     fn placement(shard: &Shard, name: &[u8]) -> (usize, usize) {
         let h = fnv1a(name);
         let at = shard.probe(h, name).expect("the name is stored");
-        (at, home(shard.capacity(), h))
+        (at, home(shard.cap, h))
     }
 
-    /// A record on the last slot of a page whose removal would have the
-    /// backward shift carry a record of the next page across the boundary:
-    /// the page-end record's name and the name of the one that would move
-    /// into its slot.
-    fn crossing_pair(shard: &Shard) -> Option<[Name; 2]> {
-        if shard.chunks.len() < 2 {
+    /// A record on the last slot of a `span`-slot page or directory whose
+    /// removal would have the backward shift carry a record of the next one
+    /// across the boundary: the end record's name and the name of the one
+    /// that would move into its slot.
+    fn crossing_pair(shard: &Shard, span: usize) -> Option<[Name; 2]> {
+        let cap = shard.cap;
+        if cap <= span {
             return None;
         }
-        let cap = shard.capacity();
         let mask = cap - 1;
-        (PAGE_SLOTS - 1..cap).step_by(PAGE_SLOTS).find_map(|end| {
+        (span - 1..cap).step_by(span).find_map(|end| {
             let rec = shard.slot(end).as_ref()?;
             // Runs are far shorter than a page: every slot the loop reads
             // is on the next one.
@@ -679,24 +741,39 @@ mod tests {
         })
     }
 
-    /// How many shards, and how many of their pages, of `after` are not
-    /// shared with `before`.
-    fn copied(before: &Snapshot, after: &Snapshot) -> (usize, usize) {
-        let mut count = (0, 0);
+    /// How many shards, how many of their directories and how many of their
+    /// pages, of `after` are not shared with `before`.
+    fn copied(before: &Snapshot, after: &Snapshot) -> (usize, usize, usize) {
+        let mut count = (0, 0, 0);
         for (old, new) in before.shards.iter().zip(&after.shards) {
             if Arc::ptr_eq(old, new) {
                 continue;
             }
-            assert_eq!(old.chunks.len(), new.chunks.len(), "the shard did not grow");
+            assert_eq!(old.cap, new.cap, "the shard did not grow");
             count.0 += 1;
-            count.1 += old
-                .chunks
-                .iter()
-                .zip(&new.chunks)
-                .filter(|(a, b)| !Arc::ptr_eq(a, b))
-                .count();
+            for (a, b) in old.dirs.iter().zip(&new.dirs) {
+                if !Arc::ptr_eq(a, b) {
+                    count.1 += 1;
+                    count.2 += a
+                        .iter()
+                        .zip(b.iter())
+                        .filter(|(a, b)| !Arc::ptr_eq(a, b))
+                        .count();
+                }
+            }
         }
         count
+    }
+
+    /// Defines `names` in order, `bind(i)` for the `i`th, and publishes.
+    fn table_of(names: &[Vec<u8>]) -> ShardedTable {
+        let mut st = ShardedTable::new();
+        for (i, name) in (0u32..).zip(names) {
+            st.table_mut()
+                .define(name.clone(), bind(i), 100 + u64::from(i));
+        }
+        st.publish();
+        st
     }
 
     #[test]
@@ -756,22 +833,22 @@ mod tests {
         assert_eq!(shared, SHARD_COUNT - 1, "exactly one shard was dirty");
     }
 
-    /// The unit of copying is a page: after a publish, one define or one
-    /// tombstone leaves exactly one shard and one page not shared with the
-    /// previous snapshot, and a GC sweep that removes one record at most
-    /// two pages — two exactly when its backward shift crosses a page
-    /// boundary.
+    /// The unit of copying is a page under a directory: after a publish, one
+    /// define or one tombstone leaves exactly one shard, one directory and
+    /// one page not shared with the previous snapshot, and a GC sweep that
+    /// removes one record at most two of each — two pages exactly when its
+    /// backward shift crosses a page boundary.
     #[test]
     fn a_write_copies_one_page_of_one_shard() {
-        let mut st = ShardedTable::new();
-        let mut now = 100;
-        let names = (0..10_000u32).map(|i| format!("cnt{i}").into_bytes());
-        for (i, name) in (0u32..).zip(names.chain(page_end_names(5, 6))) {
-            now += 1;
-            st.table_mut().define(name, bind(i), now);
-        }
-        st.publish();
-        assert!(st.table().shards().iter().all(|s| s.chunks.len() >= 2));
+        let mut names = names_in(5, "cnt", 5_001, |_| true);
+        let more = names.pop().expect("one more name");
+        names.extend(page_end_names(5, 6));
+        let mut st = table_of(&names);
+        assert!(
+            st.table().shards()[5].dirs.len() >= 2,
+            "several directories"
+        );
+        let mut now = 10_000;
         let mut write = |st: &mut ShardedTable, op: &dyn Fn(&mut SyncTable, u64)| {
             now += 1;
             let before = st.snapshot();
@@ -780,30 +857,74 @@ mod tests {
             copied(&before, &st.snapshot())
         };
 
-        let define = |t: &mut SyncTable, now| t.define(b"one-more".to_vec(), bind(1), now);
-        assert_eq!(write(&mut st, &define), (1, 1), "a define");
+        let define = |t: &mut SyncTable, now| t.define(more.clone(), bind(1), now);
+        assert_eq!(write(&mut st, &define), (1, 1, 1), "a define");
         let tombstone = |t: &mut SyncTable, now| {
-            assert_eq!(t.tombstone(b"cnt17", now), TombstoneOutcome::DroppedLive);
+            assert_eq!(t.tombstone(&names[17], now), TombstoneOutcome::DroppedLive);
         };
-        assert_eq!(write(&mut st, &tombstone), (1, 1), "a tombstone");
+        assert_eq!(write(&mut st, &tombstone), (1, 1, 1), "a tombstone");
         let gc = |t: &mut SyncTable, now| assert_eq!(t.gc_below(now), 1);
-        let (shards, pages) = write(&mut st, &gc);
+        let (shards, dirs, pages) = write(&mut st, &gc);
         assert_eq!(shards, 1, "a GC of one record");
         assert!(
-            (1..=2).contains(&pages),
-            "a GC of one record: {pages} pages"
+            (1..=pages).contains(&dirs) && pages <= 2,
+            "a GC of one record: {dirs} directories, {pages} pages"
         );
 
-        let [doomed, follower] = crossing_pair(&st.table().shards()[5])
+        let [doomed, follower] = crossing_pair(&st.table().shards()[5], PAGE_SLOTS)
             .expect("the page-end names put a run across a page boundary");
         let tombstone = |t: &mut SyncTable, now| {
             assert_eq!(t.tombstone(&doomed, now), TombstoneOutcome::DroppedLive);
         };
         let (end, _) = placement(&st.table().shards()[5], &doomed);
-        assert_eq!(write(&mut st, &tombstone), (1, 1), "a tombstone");
-        assert_eq!(write(&mut st, &gc), (1, 2), "a GC that shifts across");
+        let dirs = 1 + usize::from((end + 1).is_multiple_of(1 << DIR_SLOT_BITS));
+        assert_eq!(write(&mut st, &tombstone), (1, 1, 1), "a tombstone");
+        assert_eq!(write(&mut st, &gc), (1, dirs, 2), "a GC that shifts across");
         let (moved_to, _) = placement(&st.table().shards()[5], &follower);
         assert_eq!(moved_to, end, "the follower moved back onto the page end");
+    }
+
+    /// A backward shift that carries a record from the first page of one
+    /// directory onto the last page of the one before copies both
+    /// directories and both pages, and the snapshots held before the
+    /// tombstone and before the sweep still answer as the table stood then.
+    #[test]
+    fn a_shift_across_directories_leaves_held_snapshots_as_they_were() {
+        // 5 006 records in shard 5 make it 16 384 slots: four directories.
+        let mut names = names_in(5, "dir", 5_000, |_| true);
+        names.extend(dir_end_names(5, 1 << 14, 6));
+        let mut st = table_of(&names);
+        let mut model: BTreeMap<&[u8], SyncBinding> = (0u32..)
+            .zip(&names)
+            .map(|(i, name)| (&name[..], bind(i)))
+            .collect();
+        let shard = &st.table().shards()[5];
+        assert_eq!(shard.cap, 1 << 14);
+        let [doomed, follower] = crossing_pair(shard, 1 << DIR_SLOT_BITS)
+            .expect("the directory-end names put a run across a directory's end");
+        let (end, _) = placement(shard, &doomed);
+        let (from, _) = placement(shard, &follower);
+        assert_ne!(from >> DIR_SLOT_BITS, end >> DIR_SLOT_BITS);
+
+        let mut held = vec![(st.snapshot(), model.clone())];
+        st.table_mut().tombstone(&doomed, 20_000);
+        model.remove(&*doomed);
+        st.publish();
+        held.push((st.snapshot(), model.clone()));
+        assert_eq!(st.table_mut().gc_below(u64::MAX), 1);
+        st.publish();
+        assert_eq!(copied(&held[1].0, &st.snapshot()), (1, 2, 2));
+        assert_eq!(placement(&st.table().shards()[5], &follower).0, end);
+        held.push((st.snapshot(), model));
+
+        let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
+        for (snap, model) in &held {
+            for (name, got) in refs.iter().zip(snap.resolve_batch(&refs)) {
+                let want = model.get(name).copied();
+                assert_eq!(got.map(|e| e.binding), want);
+                assert_eq!(snap.lookup(name).map(|e| e.binding), want);
+            }
+        }
     }
 
     #[test]
@@ -849,7 +970,7 @@ mod tests {
         for name in &names {
             let (at, home) = placement(&snap.shards[SyncTable::shard_of(name)], name);
             displaced += usize::from(at != home);
-            across += usize::from(at >> REGION_SLOT_BITS != home >> REGION_SLOT_BITS);
+            across += usize::from(at >> PAGE_SLOT_BITS != home >> PAGE_SLOT_BITS);
         }
         assert!(displaced > 0, "some names sit past their home slot");
         assert!(across > 0, "some names sit on the page after their home's");
@@ -910,7 +1031,7 @@ mod tests {
             all.push(name);
         }
         st.publish();
-        assert!(st.table().shards().iter().all(|s| s.chunks.len() >= 2));
+        assert!(st.table().shards().iter().all(|s| s.pages().count() >= 2));
         let grown = st.snapshot();
         assert_eq!(answers(&small), defined);
         assert_eq!(answers(&grown), defined, "after every shard grew");
@@ -923,7 +1044,7 @@ mod tests {
             assert_eq!(outcome, TombstoneOutcome::DroppedLive);
         }
         st.publish();
-        let (shards, pages) = copied(&grown, &st.snapshot());
+        let (shards, _, pages) = copied(&grown, &st.snapshot());
         assert!(
             shards >= 1 && pages >= shards,
             "the tombstones copied pages"
@@ -1001,7 +1122,7 @@ mod tests {
         }
         st.publish();
         assert!(
-            st.table().shards().iter().all(|s| s.chunks.len() >= 2),
+            st.table().shards().iter().all(|s| s.pages().count() >= 2),
             "every shard spans several pages"
         );
         let held = st.snapshot();
@@ -1062,7 +1183,7 @@ mod tests {
             let hash = (0xA << 60) | (bucket_bits << 44) | (next() & ((1 << 44) - 1));
             add(&mut shard, hash);
         }
-        let cap = shard.capacity();
+        let cap = shard.cap;
         if pile > 0 && cap > 0 {
             // The node whose region is the array's last one, and low bits
             // all ones: every such record's home is the very last slot.
@@ -1106,7 +1227,7 @@ mod tests {
                 sorted(shard.under(bucket, 1).map(|r| &*r.name).collect()),
                 sorted(expect.clone()),
                 "bucket {bucket:#x} of a {}-slot shard",
-                shard.capacity()
+                shard.cap
             );
             let first = bucket - bucket % MERKLE_FANOUT;
             let siblings = brute.range(first..first + MERKLE_FANOUT);
@@ -1137,7 +1258,7 @@ mod tests {
             pile in 0usize..12,
         ) {
             let mut shard = synthetic_shard(seed, size, size as u64 / per_bucket + 1, pile);
-            let cap = shard.capacity();
+            let cap = shard.cap;
             prop_assert!(size < 33_000 || cap > 65_536);
             if pile > 1 && shard.slot(cap - 1).is_some() {
                 prop_assert!(shard.slot(0).is_some(), "the pile wrapped to slot 0");
@@ -1176,7 +1297,7 @@ mod tests {
         for k in 0..3u64 {
             shard.insert(hash(k), &k.to_le_bytes(), live(k as u32));
         }
-        assert_eq!(shard.capacity(), 8);
+        assert_eq!(shard.cap, 8);
         let occupied: Vec<usize> = (0..8).filter(|&i| shard.slot(i).is_some()).collect();
         assert_eq!(occupied, [0, 1, 7]);
         assert_eq!(shard.under(bucket_of_hash(hash(0)), 1).count(), 3);
@@ -1208,7 +1329,7 @@ mod tests {
         })
     }
 
-    /// More page-end names than shard 0 ever has pages in the property, so
+    /// More page-end names than shard 0 ever has regions in the property, so
     /// defining all of them forces a run across some page's end.
     const EDGES: usize = 12;
 
@@ -1289,18 +1410,18 @@ mod tests {
         /// published still holds.
         fn grow_while_held(&mut self) {
             self.publish();
-            let cap = self.shard0().capacity();
+            let cap = self.shard0().cap;
             for k in 0..pool().len() {
-                if self.shard0().capacity() > cap {
+                if self.shard0().cap > cap {
                     break;
                 }
                 if !self.stored(k) {
                     self.define(k, 0x9e0);
                 }
             }
-            assert!(self.shard0().capacity() > cap, "shard 0 grew");
+            assert!(self.shard0().cap > cap, "shard 0 grew");
             assert_eq!(
-                self.held.last().map(|(snap, _)| snap.shards[0].capacity()),
+                self.held.last().map(|(snap, _)| snap.shards[0].cap),
                 Some(cap)
             );
         }
@@ -1311,7 +1432,7 @@ mod tests {
         fn shift_across_pages(&mut self) {
             self.gc(); // so the sweep below removes exactly one record
             let [doomed, follower] = loop {
-                if let Some(pair) = crossing_pair(self.shard0()) {
+                if let Some(pair) = crossing_pair(self.shard0(), PAGE_SLOTS) {
                     break pair;
                 }
                 let k = (pool().len() - EDGES..pool().len())
@@ -1326,7 +1447,7 @@ mod tests {
             self.tombstone(k.expect("a pool name"));
             self.gc();
             assert_eq!(placement(self.shard0(), &follower).0, end);
-            assert_ne!(from >> REGION_SLOT_BITS, end >> REGION_SLOT_BITS);
+            assert_ne!(from >> PAGE_SLOT_BITS, end >> PAGE_SLOT_BITS);
         }
     }
 

@@ -26,8 +26,9 @@
 //! root-child Merkle subtree, and the unit of publication at once. Every
 //! content mutation is one `put` or one `remove` here, each one
 //! `Shard::insert`/`Shard::remove` through `Arc::make_mut` — which, on a
-//! shard a snapshot still holds, copies the shard's spine of page pointers,
-//! and the shard then copies only the ~28 KB page it writes. The only side
+//! shard a snapshot still holds, copies the shard's top of at most 32
+//! directory pointers, and the shard then copies only the one directory of
+//! 32 page pointers and the one ~7 KB page it writes. The only side
 //! indexes are `tombs` and `unverified`, written in those two functions
 //! and holding the shard's own names (a short name inline, a long one by
 //! its shared allocation, never a fresh copy); the Merkle tree keeps hashes
@@ -351,9 +352,9 @@ impl SyncTable {
     }
 
     /// Inserts (or overwrites) an entry. *Every* content mutation funnels
-    /// through here or through [`SyncTable::remove`]: the shard's spine and
-    /// the page written are copied if a snapshot still shares them, the
-    /// side indexes follow, and the touched leaf's ancestors are
+    /// through here or through [`SyncTable::remove`]: the shard's top, the
+    /// directory and the page written are copied if a snapshot still shares
+    /// them, the side indexes follow, and the touched leaf's ancestors are
     /// invalidated — unless only the `verified` bit changed, which the tree
     /// does not hash.
     fn put(&mut self, prefix: &[u8], entry: VersionedEntry) {
