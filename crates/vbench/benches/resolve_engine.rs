@@ -102,6 +102,10 @@ fn bench_descriptor_codec(c: &mut Criterion) {
     // pre-sized output vector, so an entry inside a directory must not pay
     // more than a lone decode_one. Best-of-N timings to shed noise; the 1.2
     // slack absorbs timer granularity, not a rescan.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock benchmark compares wall-clock costs"
+    )]
     let best_ns = |f: &mut dyn FnMut()| {
         (0..5)
             .map(|_| {

@@ -47,6 +47,10 @@ impl BenchClient {
     }
 
     /// Convenience for `Criterion::iter_custom`: time one batch.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock benchmark times the batch on the wall clock"
+    )]
     pub fn time_batch(&self, iters: u64) -> std::time::Duration {
         let t0 = std::time::Instant::now();
         self.run(iters);

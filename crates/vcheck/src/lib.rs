@@ -1,19 +1,22 @@
-//! `vcheck`: workspace-wide static analysis, protocol-invariant lints, and
-//! a determinism/race gate for the V-System kernels.
+//! `vcheck`: the protocol-invariant lints clippy cannot express, and a
+//! determinism/race gate for the V-System kernels.
+//!
+//! The structural rules that name types and methods are clippy's: the
+//! workspace `clippy.toml` bans `std::time::Instant`/`SystemTime` (time
+//! comes from the kernel, `Ipc::now`, so the virtual-time experiments stay
+//! deterministic) and `Ipc::{receive, reply, forward}` in the server
+//! crates (one server loop, `vservers::common::serve`), and the server and
+//! resolution paths deny `unwrap`/`expect`/`panic!` at their crate or
+//! module roots. `cargo clippy -- -D warnings` in `scripts/check.sh`
+//! enforces them, resolving names by type, so an alias or a `dyn Ipc`
+//! receiver cannot slip past. Each exception is an
+//! `#[expect(lint, reason = "…")]`, which rustc reports once it goes stale.
 //!
 //! Three passes, all run by `cargo run -p vcheck` (exits nonzero on any
 //! violation):
 //!
-//! 1. **Source lints** ([`lints`]) over `crates/*/src` — token rules plus
-//!    the scope-aware protocol rules of [`protocol`]:
-//!    * `wall-clock` — no wall-clock or ambient randomness
-//!      (`std::time::Instant`, `SystemTime`, `rand::*`) outside the
-//!      allowlisted wall-clock crates — everything else must take time from
-//!      the kernel (`Ipc::now`) so the virtual-time experiments stay
-//!      deterministic;
-//!    * `panic-path` — no `unwrap()`/`expect()`/`panic!()` in the server and
-//!      resolution hot paths — a server must answer with a reply code, not
-//!      die;
+//! 1. **Source lints** ([`lints`]) over `crates/*/src` — the scope-aware
+//!    protocol rules of [`protocol`], and op-code coverage:
 //!    * `opcode-coverage` — every op code declared in `vproto::codes`
 //!      appears in a wire round-trip test;
 //!    * `wire-narrowing` — no silent `as u16`/`as u8` truncation of a
@@ -26,12 +29,12 @@
 //!    * `opcode-dispatch` — every request code is dispatched by a server
 //!      and every reply code is constructed by non-test code.
 //!
-//!    Individually justified exceptions carry an inline
-//!    `// vcheck: allow(<rule>)` marker. The lint pass audits the markers
-//!    themselves: a marker on a line that no longer triggers its rule is a
-//!    `stale-allow` violation, and [`report`] ratchets the total allow count
-//!    per rule/file against the committed `vcheck.baseline.json` so new
-//!    exceptions fail CI until deliberately blessed (`vcheck --bless`).
+//!    These rules have no escape hatch: a finding is fixed, not excused.
+//!    The pass also inventories the lint-level attributes (`#[allow(…)]`,
+//!    `#[expect(…)]`) outside test code, and [`report`] ratchets their
+//!    count per lint and file against the committed `vcheck.baseline.json`,
+//!    so a new exception to a clippy gate fails CI until deliberately
+//!    blessed (`vcheck --bless`).
 //!
 //! 2. **Determinism gate** ([`determinism`]): runs kernel workloads and a
 //!    sample of the `vsim` experiments twice and compares hashes of the
@@ -61,7 +64,7 @@ pub struct Violation {
     /// Which pass produced the finding (`"lint"`, `"determinism"`,
     /// `"invariant"`).
     pub pass: &'static str,
-    /// Which rule fired (`"wall-clock"`, `"wire-narrowing"`, …;
+    /// Which rule fired (`"wire-narrowing"`, `"ratchet"`, …;
     /// `"determinism"`/`"invariant"` for the dynamic passes).
     pub rule: &'static str,
     /// Offending file, workspace-relative where possible; empty for
@@ -73,31 +76,15 @@ pub struct Violation {
     pub message: String,
 }
 
-/// One rule hit from the lint pass, before the allow-marker filter: an
-/// `allowed` finding is suppressed as a violation but still counts for the
-/// stale-allow audit and the ratchet baseline.
+/// One lint-level attribute (`allow` or `expect`, inner or outer) in
+/// non-test source: an exception to a lint, counted by the ratchet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Which rule fired.
-    pub rule: &'static str,
-    /// Offending file, workspace-relative.
+pub struct LintAttr {
+    /// The lint the attribute names, e.g. `clippy::expect_used`.
+    pub lint: String,
+    /// File carrying the attribute, workspace-relative.
     pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-    /// `true` if the line carries a matching `vcheck: allow(<rule>)`.
-    pub allowed: bool,
-}
-
-/// One `vcheck: allow(<rule>)` marker found in non-test source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowMarker {
-    /// The rule name inside the marker.
-    pub rule: String,
-    /// File carrying the marker, workspace-relative.
-    pub file: String,
-    /// 1-based line number of the marker.
+    /// 1-based line of the attribute's `#`.
     pub line: usize,
 }
 

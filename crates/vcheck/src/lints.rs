@@ -1,67 +1,21 @@
 //! Pass 1: protocol-aware source lints over `crates/*/src`.
 //!
-//! Token rules live here; the scope-aware protocol rules live in
-//! [`crate::protocol`] and are driven from [`analyze`]. Every rule shares an
-//! inline escape hatch — a line carrying `// vcheck: allow(<rule>)` is
-//! individually exempted, so every exception in the tree is visible and
-//! greppable — and the pass audits the markers themselves: a marker whose
-//! line no longer triggers its rule is reported as `stale-allow`.
+//! The scope-aware protocol rules live in [`crate::protocol`] and are
+//! driven from [`analyze`]; `opcode-coverage` lives here: every
+//! request/reply code declared in `crates/vproto/src/codes.rs` must be
+//! named in a test under `crates/vproto/tests/`, pinning the wire value of
+//! each.
 //!
-//! Token rules:
-//!
-//! * `wall-clock` — no `std::time::Instant`, `SystemTime`, or ambient
-//!   randomness outside the allowlisted wall-clock modules. Kernel-level
-//!   code must take time from `Ipc::now`/`Ipc::charge` so the virtual-time
-//!   experiments stay deterministic and reproducible.
-//! * `panic-path` — no `unwrap()`/`expect()`/`panic!()` family calls in the
-//!   server and name-resolution hot paths; a server answers a bad request
-//!   with a reply code, it does not die (paper §2.2's availability
-//!   argument).
-//! * `opcode-coverage` — every request/reply code declared in
-//!   `crates/vproto/src/codes.rs` must be named in a test under
-//!   `crates/vproto/tests/`, pinning the wire value of each.
+//! The pass also inventories the exceptions to the clippy gates: every lint
+//! an `allow(…)` or `expect(…)` attribute names, inner or outer, in
+//! non-test source. [`crate::report`] ratchets their count. Both kinds
+//! count: rustc reports an `expect` that has gone stale, but an `allow`
+//! silences a crate's `deny` and nothing ever audits it.
 
-use crate::source::{parse_allow_marker, strip_comments_and_strings, FileSource};
-use crate::{protocol, AllowMarker, Finding, Violation};
-use std::collections::HashSet;
+use crate::source::{strip_comments_and_strings, FileSource};
+use crate::{protocol, LintAttr, Violation};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Tokens banned by the `wall-clock` rule.
-const WALL_CLOCK_TOKENS: &[&str] = &[
-    "std::time::Instant",
-    "Instant::now",
-    "SystemTime",
-    "rand::rng",
-    "rand::random",
-    "thread_rng",
-];
-
-/// Files/directories (workspace-relative prefixes) where wall-clock time is
-/// the point: the real-thread kernel and the wall-clock benchmarks.
-const WALL_CLOCK_ALLOWED: &[&str] = &["crates/vkernel/src/thread.rs", "crates/vbench/"];
-
-/// Tokens banned by the `panic-path` rule.
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Server/resolution hot paths covered by the `panic-path` rule
-/// (workspace-relative prefixes). The client runtime and the central
-/// name-server ablation count too: a retrying client that panics on a
-/// fault turns the fault plane's recoverable errors into crashes.
-const PANIC_PATHS: &[&str] = &[
-    "crates/vservers/src/",
-    "crates/vnaming/src/resolve.rs",
-    "crates/vio/src/client.rs",
-    "crates/vcentral/src/",
-    "crates/vruntime/src/",
-];
 
 fn rel(path: &Path, root: &Path) -> String {
     path.strip_prefix(root)
@@ -103,80 +57,71 @@ pub fn collect_files(root: &Path) -> Option<Vec<FileSource>> {
     Some(files)
 }
 
-/// The token rules (`wall-clock`, `panic-path`) over one file.
-pub fn token_findings(fs: &FileSource) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let wall_clock_applies = !WALL_CLOCK_ALLOWED.iter().any(|p| fs.rel.starts_with(p));
-    let panic_applies = PANIC_PATHS.iter().any(|p| fs.rel.starts_with(p));
-    if !wall_clock_applies && !panic_applies {
-        return out;
+/// The offset in `text` of the bracket closing the one opened just before
+/// it (`text.len()` if it never closes).
+fn closing(text: &str, open: u8, close: u8) -> usize {
+    let mut depth = 1usize;
+    for (i, b) in text.bytes().enumerate() {
+        if b == open {
+            depth += 1;
+        } else if b == close {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
     }
-    for (n, line) in fs.stripped.lines().enumerate() {
-        if fs.in_test_region(n) {
-            continue;
-        }
-        if wall_clock_applies {
-            for token in WALL_CLOCK_TOKENS {
-                if line.contains(token) {
-                    out.push(Finding {
-                        rule: "wall-clock",
-                        file: fs.rel.clone(),
-                        line: n + 1,
-                        message: format!(
-                            "wall-clock/randomness source `{token}` outside the allowlisted \
-                             modules (use Ipc::now/charge, or mark \
-                             `// vcheck: allow(wall-clock)` with a justification)"
-                        ),
-                        allowed: fs.has_allow(n, "wall-clock"),
-                    });
-                }
+    text.len()
+}
+
+/// The lints one attribute body sets to `allow` or `expect`, `cfg_attr`
+/// included: each path in an `allow(…)`/`expect(…)` group, whitespace
+/// removed, `reason = …` left out.
+fn excepted_lints(attr: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for level in ["allow", "expect"] {
+        for (at, _) in attr.match_indices(level) {
+            if attr[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_' || c == ':') {
+                continue;
             }
-        }
-        if panic_applies {
-            for token in PANIC_TOKENS {
-                if line.contains(token) {
-                    out.push(Finding {
-                        rule: "panic-path",
-                        file: fs.rel.clone(),
-                        line: n + 1,
-                        message: format!(
-                            "`{token}` in a server/resolution hot path (answer with a reply \
-                             code instead, or mark `// vcheck: allow(panic-path)` with a \
-                             justification)",
-                            token = token.trim_start_matches('.')
-                        ),
-                        allowed: fs.has_allow(n, "panic-path"),
-                    });
-                }
-            }
+            let Some(args) = attr[at + level.len()..].trim_start().strip_prefix('(') else {
+                continue;
+            };
+            let args = &args[..closing(args, b'(', b')')];
+            out.extend(
+                args.split(',')
+                    .map(|a| a.split_whitespace().collect::<String>())
+                    .filter(|a| !a.is_empty() && !a.contains('=')),
+            );
         }
     }
     out
 }
 
-/// Scans one file's contents with the token rules; `rel_path` is its
-/// workspace-relative path. Exposed for vcheck's own tests, which feed
-/// synthetic sources. Allowed findings are filtered out, matching the
-/// behaviour of the full pass.
-pub fn scan_file(rel_path: &str, contents: &str) -> Vec<Violation> {
-    token_findings(&FileSource::new(rel_path, contents))
-        .into_iter()
-        .filter(|f| !f.allowed)
-        .map(Finding::into_violation)
-        .collect()
-}
-
-impl Finding {
-    /// Converts a (non-allowed) finding into a lint-pass violation.
-    pub fn into_violation(self) -> Violation {
-        Violation {
-            pass: "lint",
-            rule: self.rule,
-            file: self.file,
-            line: self.line,
-            message: self.message,
+/// Every lint an `allow`/`expect` attribute (`#[…]` or `#![…]`) names in
+/// the non-test regions of `fs`, at the line of the attribute's `#`.
+/// Attributes inside comments and strings do not count.
+pub fn lint_attributes(fs: &FileSource) -> Vec<LintAttr> {
+    let text = fs.stripped.as_str();
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices('#') {
+        let after = &text[at + 1..];
+        let Some(attr) = after.strip_prefix('!').unwrap_or(after).strip_prefix('[') else {
+            continue;
+        };
+        let line0 = text[..at].matches('\n').count();
+        if fs.in_test_region(line0) {
+            continue;
+        }
+        for lint in excepted_lints(&attr[..closing(attr, b'[', b']')]) {
+            out.push(LintAttr {
+                lint,
+                file: fs.rel.clone(),
+                line: line0 + 1,
+            });
         }
     }
+    out
 }
 
 /// Extracts every enum variant declared as `Name = 0x…,` from the stripped
@@ -239,40 +184,17 @@ pub fn check_opcode_coverage(root: &Path) -> Vec<Violation> {
         .collect()
 }
 
-/// Every `vcheck: allow(<rule>)` marker in the non-test regions of `fs`.
-/// Markers inside string literals don't count (the marker inventory runs on
-/// string-stripped text), and markers inside comments do.
-pub fn allow_markers(fs: &FileSource) -> Vec<AllowMarker> {
-    let mut out = Vec::new();
-    for (n, line) in fs.marker_text.lines().enumerate() {
-        if fs.in_test_region(n) {
-            continue;
-        }
-        if let Some(rule) = parse_allow_marker(line) {
-            out.push(AllowMarker {
-                rule: rule.to_string(),
-                file: fs.rel.clone(),
-                line: n + 1,
-            });
-        }
-    }
-    out
-}
-
-/// The complete result of the lint pass: raw findings (allowed or not), the
-/// allow-marker inventory, and the derived violations.
+/// The complete result of the lint pass.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Every rule hit, including allowed ones.
-    pub findings: Vec<Finding>,
-    /// Every `vcheck: allow(<rule>)` marker in non-test source.
-    pub markers: Vec<AllowMarker>,
-    /// Non-allowed findings, opcode coverage misses, and stale allows.
+    /// Every lint an `allow`/`expect` attribute names in non-test source.
+    pub attributes: Vec<LintAttr>,
+    /// The protocol rules' findings and the op-code coverage misses.
     pub violations: Vec<Violation>,
 }
 
-/// Runs the whole lint pass (token rules, protocol rules, opcode coverage,
-/// allow-marker audit) over the workspace rooted at `root`.
+/// Runs the whole lint pass (protocol rules, opcode coverage, the
+/// lint-attribute inventory) over the workspace rooted at `root`.
 pub fn analyze(root: &Path) -> Analysis {
     let Some(files) = collect_files(root) else {
         return Analysis {
@@ -287,51 +209,16 @@ pub fn analyze(root: &Path) -> Analysis {
         };
     };
 
-    let mut findings = Vec::new();
-    let mut markers = Vec::new();
+    let mut analysis = Analysis::default();
     for fs in &files {
-        findings.extend(token_findings(fs));
-        findings.extend(protocol::scan(fs));
-        markers.extend(allow_markers(fs));
+        analysis.violations.extend(protocol::scan(fs));
+        analysis.attributes.extend(lint_attributes(fs));
     }
-    findings.extend(protocol::dispatch_coverage(&files));
-
-    let mut violations: Vec<Violation> = findings
-        .iter()
-        .filter(|f| !f.allowed)
-        .cloned()
-        .map(Finding::into_violation)
-        .collect();
-    violations.extend(check_opcode_coverage(root));
-
-    // Stale-allow audit: a marker whose line fires no finding of its rule
-    // is dead weight that would silently mask a future regression.
-    let fired: HashSet<(&str, usize, &str)> = findings
-        .iter()
-        .map(|f| (f.file.as_str(), f.line, f.rule))
-        .collect();
-    for m in &markers {
-        if !fired.contains(&(m.file.as_str(), m.line, m.rule.as_str())) {
-            violations.push(Violation {
-                pass: "lint",
-                rule: "stale-allow",
-                file: m.file.clone(),
-                line: m.line,
-                message: format!(
-                    "stale `vcheck: allow({})` — the line no longer triggers the rule; \
-                     delete the marker (a dead allow would silently mask the next \
-                     regression here)",
-                    m.rule
-                ),
-            });
-        }
-    }
-
-    Analysis {
-        findings,
-        markers,
-        violations,
-    }
+    analysis
+        .violations
+        .extend(protocol::dispatch_coverage(&files));
+    analysis.violations.extend(check_opcode_coverage(root));
+    analysis
 }
 
 /// Runs the whole lint pass over the workspace rooted at `root`.
@@ -343,55 +230,146 @@ pub fn run(root: &Path) -> Vec<Violation> {
 mod tests {
     use super::*;
 
+    fn lints_of(src: &str) -> Vec<(String, usize)> {
+        lint_attributes(&FileSource::new("crates/vservers/src/file.rs", src))
+            .into_iter()
+            .map(|a| (a.lint, a.line))
+            .collect()
+    }
+
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every lint a `#![deny(…)]` names in the stripped text of `rel`.
+    fn denied_lints(rel: &str) -> Vec<String> {
+        let contents = fs::read_to_string(workspace_root().join(rel)).unwrap_or_default();
+        let text = FileSource::new(rel, &contents).stripped;
+        let mut out = Vec::new();
+        for (at, _) in text.match_indices("#![deny(") {
+            let args = &text[at + "#![deny(".len()..];
+            out.extend(
+                args[..closing(args, b'(', b')')]
+                    .split(',')
+                    .map(|a| a.split_whitespace().collect::<String>())
+                    .filter(|a| !a.is_empty()),
+            );
+        }
+        out
+    }
+
     #[test]
     fn wall_clock_flagged_outside_allowlist() {
-        let v = scan_file("crates/vnaming/src/lib.rs", "let t = Instant::now();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-        assert!(v[0].message.contains("Instant::now"));
-    }
-
-    #[test]
-    fn wall_clock_fine_in_thread_kernel_and_bench() {
-        assert!(scan_file("crates/vkernel/src/thread.rs", "Instant::now();").is_empty());
-        assert!(scan_file("crates/vbench/src/lib.rs", "Instant::now();").is_empty());
-    }
-
-    #[test]
-    fn allow_marker_exempts_a_line() {
-        let src = "let t = Instant::now(); // vcheck: allow(wall-clock) calibration\n";
-        assert!(scan_file("crates/vnaming/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn allow_marker_must_match_rule_exactly() {
-        // A marker for the wrong rule does not exempt, and the old
-        // prefix-match loophole (`allow(wall-clockXYZ)`) is closed.
-        let wrong = "let t = Instant::now(); // vcheck: allow(panic-path)\n";
-        assert_eq!(scan_file("crates/vnaming/src/lib.rs", wrong).len(), 1);
-        let prefix = "let t = Instant::now(); // vcheck: allow(wall-clock-ish)\n";
-        assert_eq!(scan_file("crates/vnaming/src/lib.rs", prefix).len(), 1);
+        // `clippy.toml` bans the wall clock everywhere; the thread kernel
+        // and the bench harness are the only exceptions in the workspace.
+        let policy = fs::read_to_string(workspace_root().join("clippy.toml")).unwrap_or_default();
+        assert!(policy.contains("path = \"std::time::Instant\""));
+        assert!(policy.contains("path = \"std::time::SystemTime\""));
+        let exempt: Vec<String> = analyze(&workspace_root())
+            .attributes
+            .into_iter()
+            .filter(|a| a.lint == "clippy::disallowed_types")
+            .map(|a| a.file)
+            .collect();
+        assert_eq!(
+            exempt,
+            vec!["crates/vbench/src/lib.rs", "crates/vkernel/src/thread.rs"]
+        );
     }
 
     #[test]
     fn panics_flagged_only_in_hot_paths() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(scan_file("crates/vservers/src/file.rs", src).len(), 1);
-        assert_eq!(scan_file("crates/vruntime/src/client.rs", src).len(), 1);
-        assert_eq!(scan_file("crates/vcentral/src/lib.rs", src).len(), 1);
-        assert!(scan_file("crates/vproto/src/lib.rs", src).is_empty());
+        // The server and client crate roots deny every panicking call;
+        // vproto, off the hot path, does not.
+        let panics = [
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::unreachable",
+            "clippy::todo",
+            "clippy::unimplemented",
+        ];
+        for root in [
+            "crates/vservers/src/lib.rs",
+            "crates/vruntime/src/lib.rs",
+            "crates/vcentral/src/lib.rs",
+        ] {
+            let denied = denied_lints(root);
+            for lint in panics {
+                assert!(denied.iter().any(|d| d == lint), "{root} lacks {lint}");
+            }
+        }
+        let denied = denied_lints("crates/vproto/src/lib.rs");
+        assert!(!denied.iter().any(|d| panics.contains(&d.as_str())));
+    }
+
+    #[test]
+    fn allow_marker_exempts_a_line() {
+        // The exemption is an `#[expect]` on the statement it covers: the
+        // inventory puts it on that line, and its reason text is no lint.
+        let src = "fn f() {\n    let a = Instant::now();\n    \
+                   #[expect(clippy::disallowed_types, reason = \"allow(calibration)\")] \
+                   let t = Instant::now();\n}\n";
+        assert_eq!(lints_of(src), vec![("clippy::disallowed_types".into(), 3)]);
+    }
+
+    #[test]
+    fn allowed_finding_still_recorded_for_the_audit() {
+        // An `expect` that suppresses a live finding is still an exception
+        // the ratchet counts, at the line of its `#`.
+        let src = "fn f() {\n    #[expect(clippy::unwrap_used, reason = \"boot only\")]\n    \
+                   let x = y.unwrap();\n}\n";
+        assert_eq!(lints_of(src), vec![("clippy::unwrap_used".into(), 2)]);
+    }
+
+    #[test]
+    fn every_allow_and_expect_form_counts() {
+        let src = "#![allow(dead_code)]\n\
+                   #[expect(\n    clippy::panic,\n    clippy::expect_used,\n    \
+                   reason = \"startup\"\n)]\nfn f() {}\n\
+                   #[cfg_attr(debug_assertions, allow(clippy::unwrap_used))]\nfn g() {}\n";
+        assert_eq!(
+            lints_of(src),
+            vec![
+                ("dead_code".into(), 1),
+                ("clippy::panic".into(), 2),
+                ("clippy::expect_used".into(), 2),
+                ("clippy::unwrap_used".into(), 8),
+            ]
+        );
+    }
+
+    #[test]
+    fn allow_marker_must_match_rule_exactly() {
+        // Keys are exact lint paths; other levels and look-alike attribute
+        // names are not exceptions.
+        let src = "#[allow( clippy :: unwrap_used_ish )]\n\
+                   #![deny(clippy::unwrap_used)]\n\
+                   #[should_panic(expected = \"boom\")]\n\
+                   #[allow_internal_unstable(x)]\nfn f() {}\n";
+        assert_eq!(lints_of(src), vec![("clippy::unwrap_used_ish".into(), 1)]);
     }
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        assert!(scan_file("crates/vservers/src/file.rs", src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    #[allow(clippy::unwrap_used)]\n    \
+                   fn t() {}\n}\n#[allow(dead_code)]\nfn after() {}\n";
+        assert_eq!(lints_of(src), vec![("dead_code".into(), 6)]);
     }
 
     #[test]
     fn comments_and_strings_do_not_trip_lints() {
-        let src = "// Instant::now() is banned\nlet s = \"panic!(no)\";\n";
-        assert!(scan_file("crates/vservers/src/file.rs", src).is_empty());
+        let src = "// #[allow(clippy::unwrap_used)]\n/* #[expect(clippy::panic)] */\n\
+                   /// #[allow(dead_code)]\nfn f() {}\n";
+        assert!(lints_of(src).is_empty());
+    }
+
+    #[test]
+    fn marker_inventory_ignores_strings_and_test_regions() {
+        let src = "const HELP: &str = \"#[allow(clippy::unwrap_used)]\";\n\
+                   #[cfg(all(test, debug_assertions))]\n\
+                   mod ledger {\n    #![allow(dead_code)]\n}\n";
+        assert!(lints_of(src).is_empty());
     }
 
     #[test]
@@ -399,33 +377,5 @@ mod tests {
         let src =
             "pub enum X {\n    Echo = 0x0001,\n    QueryName = 0x8001,\n}\nconst Y: u16 = 3;\n";
         assert_eq!(declared_codes(src), vec!["Echo", "QueryName"]);
-    }
-
-    #[test]
-    fn allowed_finding_still_recorded_for_the_audit() {
-        let fs = FileSource::new(
-            "crates/vservers/src/file.rs",
-            "fn f() { x.unwrap(); } // vcheck: allow(panic-path) why\n",
-        );
-        let f = token_findings(&fs);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].allowed);
-        let m = allow_markers(&fs);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].rule, "panic-path");
-        assert_eq!(m[0].line, 1);
-    }
-
-    #[test]
-    fn marker_inventory_ignores_strings_and_test_regions() {
-        let fs = FileSource::new(
-            "crates/vservers/src/file.rs",
-            "const HELP: &str = \"vcheck: allow(panic-path)\";\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 // vcheck: allow(panic-path) in a test region\n\
-             }\n",
-        );
-        assert!(allow_markers(&fs).is_empty());
     }
 }

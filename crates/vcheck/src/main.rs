@@ -4,8 +4,8 @@
 //! Flags:
 //!
 //! * `--json [PATH]` — also emit the machine-readable report (violations,
-//!   allow-marker inventory, allow counts) to `PATH`, or stdout if no path
-//!   follows.
+//!   lint-attribute inventory, allow counts) to `PATH`, or stdout if no
+//!   path follows.
 //! * `--bless` — regenerate the ratchet baseline (`vcheck.baseline.json`)
 //!   from the current allow counts instead of checking against it.
 

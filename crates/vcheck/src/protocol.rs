@@ -1,7 +1,7 @@
 //! Pass 1b: protocol-conformance and concurrency rules, built on the
 //! brace/scope-aware layer ([`crate::scopes`]).
 //!
-//! Four rules, all sharing the `vcheck: allow(<rule>)` escape hatch:
+//! Four rules, none with an escape hatch — a finding is fixed, not excused:
 //!
 //! * `wire-narrowing` — in every crate, flag `len()` narrowed through
 //!   `as u16`/`as u8`, and any `as u16`/`as u8` cast on a line that puts a
@@ -32,7 +32,7 @@
 
 use crate::scopes::{mentions_word, FnSpan, ScopeMap};
 use crate::source::FileSource;
-use crate::Finding;
+use crate::Violation;
 
 /// Workspace-relative prefix of the wire-encoding crate.
 const VPROTO_SRC: &str = "crates/vproto/src/";
@@ -86,13 +86,13 @@ fn is_encode_path(f: &FnSpan) -> bool {
         || f.impl_type.as_deref().is_some_and(|t| t.contains("Writer"))
 }
 
-fn finding(fs: &FileSource, rule: &'static str, line0: usize, message: String) -> Finding {
-    Finding {
+fn finding(fs: &FileSource, rule: &'static str, line0: usize, message: String) -> Violation {
+    Violation {
+        pass: "lint",
         rule,
         file: fs.rel.clone(),
         line: line0 + 1,
         message,
-        allowed: fs.has_allow(line0, rule),
     }
 }
 
@@ -107,7 +107,14 @@ fn encode_spans(map: &ScopeMap) -> Vec<(usize, usize)> {
 
 /// The `wire-narrowing` rule over one source file; `encode_spans` are its
 /// encode-path fns (vproto only).
-fn wire_narrowing(fs: &FileSource, encode_spans: &[(usize, usize)]) -> Vec<Finding> {
+///
+/// The rule stays in vcheck because clippy has none this narrow:
+/// `clippy::cast_possible_truncation` flags every narrowing cast — 56 sites
+/// in 22 non-vendor files on the lib targets (15 in `vservers/src/prefix.rs`,
+/// 8 in `vproto/src/sync.rs`, 1 in `vproto/src/pid.rs`, …), bit-field
+/// extraction and bounded arithmetic among them — and this rule flags none
+/// of those.
+fn wire_narrowing(fs: &FileSource, encode_spans: &[(usize, usize)]) -> Vec<Violation> {
     let mut out = Vec::new();
     for (n, line) in fs.stripped.lines().enumerate() {
         if fs.in_test_region(n) {
@@ -155,7 +162,7 @@ fn wire_narrowing(fs: &FileSource, encode_spans: &[(usize, usize)]) -> Vec<Findi
 }
 
 /// The `wire-symmetry` rule over one vproto source file.
-fn wire_symmetry(fs: &FileSource, map: &ScopeMap) -> Vec<Finding> {
+fn wire_symmetry(fs: &FileSource, map: &ScopeMap) -> Vec<Violation> {
     let mut out = Vec::new();
     for st in &map.structs {
         if st.fields.is_empty() || fs.in_test_region(st.line) {
@@ -239,7 +246,7 @@ fn let_binding_name(stmt: &str) -> Option<String> {
 }
 
 /// The `guard-across-send` rule over one server/runtime source file.
-fn guard_across_send(fs: &FileSource, map: &ScopeMap) -> Vec<Finding> {
+fn guard_across_send(fs: &FileSource, map: &ScopeMap) -> Vec<Violation> {
     let mut out = Vec::new();
     // `.read()`/`.write()` are everyday I/O names; they only count as
     // guard acquisitions in a file that actually names RwLock.
@@ -325,7 +332,7 @@ fn guard_across_send(fs: &FileSource, map: &ScopeMap) -> Vec<Finding> {
 }
 
 /// Scans one file with every path-scoped protocol rule.
-pub fn scan(fs: &FileSource) -> Vec<Finding> {
+pub fn scan(fs: &FileSource) -> Vec<Violation> {
     let mut out = Vec::new();
     if fs.rel.starts_with(VPROTO_SRC) {
         let map = ScopeMap::build_stripped(&fs.stripped);
@@ -361,7 +368,7 @@ fn corpus(files: &[FileSource], prefixes: &[&str]) -> String {
 
 /// The `opcode-dispatch` rule: request codes must be dispatched by a
 /// server, reply codes must be constructed by non-test code.
-pub fn dispatch_coverage(files: &[FileSource]) -> Vec<Finding> {
+pub fn dispatch_coverage(files: &[FileSource]) -> Vec<Violation> {
     let Some(codes) = files.iter().find(|f| f.rel == "crates/vproto/src/codes.rs") else {
         return Vec::new();
     };
@@ -488,17 +495,6 @@ mod tests {
         assert!(scan(&fs).is_empty());
     }
 
-    #[test]
-    fn allow_marker_exempts_narrowing() {
-        let fs = fsrc(
-            "crates/vproto/src/wire.rs",
-            "fn f(b: &[u8]) { self.u16(b.len() as u16); } // vcheck: allow(wire-narrowing) capped by caller\n",
-        );
-        let v = scan(&fs);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].allowed, "marker must mark the finding allowed");
-    }
-
     // ---- wire-symmetry ----
 
     const SYM_OK: &str = "pub struct Rec {\n    pub a: u64,\n    pub b: u32,\n}\nimpl Rec {\n    pub fn encode(&self) -> Vec<u8> { w.u64(self.a); w.u32(self.b); }\n    pub fn decode(buf: &[u8]) -> Rec { Rec { a: r.u64(), b: r.u32() } }\n}\n";
@@ -530,14 +526,6 @@ mod tests {
     fn structs_without_codecs_are_skipped() {
         let src = "pub struct Plain {\n    pub x: u8,\n}\n";
         assert!(scan(&fsrc("crates/vproto/src/lib.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn symmetry_allow_marker_on_field_line() {
-        let src = "pub struct Rec {\n    pub a: u64,\n    pub cache: u32, // vcheck: allow(wire-symmetry) derived on decode\n}\nimpl Rec {\n    pub fn encode(&self) { w.u64(self.a); w.u32(self.cache); }\n    pub fn decode(b: &[u8]) -> Rec { Rec { a: r.u64() } }\n}\n";
-        let v = scan(&fsrc("crates/vproto/src/sync.rs", src));
-        assert_eq!(v.len(), 1);
-        assert!(v[0].allowed);
     }
 
     // ---- guard-across-send ----
@@ -593,14 +581,6 @@ mod tests {
         let v = scan(&fsrc("crates/vservers/src/prefix.rs", src));
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("`table`"));
-    }
-
-    #[test]
-    fn guard_allow_marker_on_send_line() {
-        let src = "fn f(ctx: &dyn Ipc, m: &Mutex<u8>) {\n    let g = m.lock();\n    ctx.send(p, msg, Bytes::new(), 0); // vcheck: allow(guard-across-send) single-threaded init\n}\n";
-        let v = scan(&fsrc("crates/vservers/src/prefix.rs", src));
-        assert_eq!(v.len(), 1);
-        assert!(v[0].allowed);
     }
 
     #[test]
@@ -662,20 +642,5 @@ mod tests {
         );
         let v = dispatch_coverage(&[codes_fixture(), test_only]);
         assert_eq!(v.len(), 2, "test-region mentions must not count: {v:?}");
-    }
-
-    #[test]
-    fn dispatch_allow_marker_on_declaration_line() {
-        let codes = fsrc(
-            "crates/vproto/src/codes.rs",
-            "pub enum RequestCode {\n    Echo = 0x0001,\n    Exotic = 0x0002, // vcheck: allow(opcode-dispatch) reserved for EXP-20\n}\n",
-        );
-        let server = fsrc(
-            "crates/vservers/src/file.rs",
-            "fn d(c: RequestCode) { match c { RequestCode::Echo => {}, _ => {} } }\n",
-        );
-        let v = dispatch_coverage(&[codes, server]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].allowed);
     }
 }

@@ -1,17 +1,18 @@
 //! Machine-readable reporting (`vcheck --json`) and the allow-count
 //! ratchet.
 //!
-//! The ratchet pins the number of `vcheck: allow(<rule>)` exceptions per
-//! rule and file in a committed baseline, `vcheck.baseline.json` at the
-//! workspace root. Any drift — a new allow, a removed allow, a file
-//! appearing or disappearing — fails the gate until the baseline is
-//! deliberately regenerated with `vcheck --bless`. New violations already
-//! fail the gate outright; the ratchet closes the remaining hole, where a
-//! PR quietly grows the exception list instead.
+//! The ratchet pins the number of lint exceptions — lints named by
+//! `#[allow(…)]`/`#[expect(…)]` attributes outside test code — per lint and
+//! file in a committed baseline, `vcheck.baseline.json` at the workspace
+//! root. Any drift — a new exception, a removed one, a file appearing or
+//! disappearing — fails the gate until the baseline is deliberately
+//! regenerated with `vcheck --bless`. New violations already fail the gate
+//! outright; the ratchet closes the remaining hole, where a change quietly
+//! grows the exception list instead.
 //!
 //! Both the report and the baseline are plain JSON written and parsed here
 //! directly (vcheck stays dependency-free). The baseline is a flat object —
-//! `"<rule> <file>": count` — one line per entry, sorted, so diffs are
+//! `"<lint> <file>": count` — one line per entry, sorted, so diffs are
 //! reviewable.
 
 use crate::lints::Analysis;
@@ -43,13 +44,13 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Allowed-finding counts per `"<rule> <file>"` key (the ratchet unit).
-/// Rule names and workspace-relative paths never contain spaces, so the
+/// Lint-exception counts per `"<lint> <file>"` key (the ratchet unit).
+/// Lint paths and workspace-relative paths never contain spaces, so the
 /// first space splits the key unambiguously.
 pub fn allow_counts(analysis: &Analysis) -> BTreeMap<String, usize> {
     let mut counts = BTreeMap::new();
-    for f in analysis.findings.iter().filter(|f| f.allowed) {
-        *counts.entry(format!("{} {}", f.rule, f.file)).or_insert(0) += 1;
+    for a in &analysis.attributes {
+        *counts.entry(format!("{} {}", a.lint, a.file)).or_insert(0) += 1;
     }
     counts
 }
@@ -57,7 +58,7 @@ pub fn allow_counts(analysis: &Analysis) -> BTreeMap<String, usize> {
 /// Renders the full machine-readable report.
 pub fn render_json(violations: &[Violation], analysis: &Analysis) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"version\": 1,\n");
+    out.push_str("{\n  \"version\": 2,\n");
     let _ = writeln!(out, "  \"violation_count\": {},", violations.len());
 
     out.push_str("  \"violations\": [");
@@ -81,17 +82,17 @@ pub fn render_json(violations: &[Violation], analysis: &Analysis) -> String {
     });
 
     out.push_str("  \"allows\": [");
-    for (i, m) in analysis.markers.iter().enumerate() {
+    for (i, a) in analysis.attributes.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
         let _ = write!(
             out,
-            "{sep}    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-            json_escape(&m.rule),
-            json_escape(&m.file),
-            m.line
+            "{sep}    {{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
+            json_escape(&a.lint),
+            json_escape(&a.file),
+            a.line
         );
     }
-    out.push_str(if analysis.markers.is_empty() {
+    out.push_str(if analysis.attributes.is_empty() {
         "],\n"
     } else {
         "\n  ],\n"
@@ -163,8 +164,8 @@ pub fn ratchet_against(baseline: &BTreeMap<String, usize>, analysis: &Analysis) 
             out.push(ratchet_violation(
                 key,
                 format!(
-                    "allow count for `{key}` rose {base} -> {n}; new `vcheck: allow` \
-                     markers need a justification in review — rerun `vcheck --bless` \
+                    "allow count for `{key}` rose {base} -> {n}; a new `#[allow]` or \
+                     `#[expect]` needs a justification in review — rerun `vcheck --bless` \
                      to accept"
                 ),
             ));
@@ -222,26 +223,19 @@ pub fn bless(root: &Path, analysis: &Analysis) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllowMarker, Finding};
+    use crate::LintAttr;
 
-    fn finding(rule: &'static str, file: &str, allowed: bool) -> Finding {
-        Finding {
-            rule,
+    fn attr(lint: &str, file: &str) -> LintAttr {
+        LintAttr {
+            lint: lint.into(),
             file: file.into(),
             line: 1,
-            message: "m".into(),
-            allowed,
         }
     }
 
-    fn analysis(findings: Vec<Finding>) -> Analysis {
+    fn analysis(attributes: Vec<LintAttr>) -> Analysis {
         Analysis {
-            findings,
-            markers: vec![AllowMarker {
-                rule: "panic-path".into(),
-                file: "crates/x/src/lib.rs".into(),
-                line: 1,
-            }],
+            attributes,
             violations: Vec::new(),
         }
     }
@@ -249,15 +243,20 @@ mod tests {
     #[test]
     fn baseline_round_trips() {
         let a = analysis(vec![
-            finding("panic-path", "crates/x/src/lib.rs", true),
-            finding("panic-path", "crates/x/src/lib.rs", true),
-            finding("wall-clock", "crates/y/src/lib.rs", true),
-            finding("panic-path", "crates/x/src/lib.rs", false), // not allowed: not counted
+            attr("clippy::expect_used", "crates/x/src/lib.rs"),
+            attr("clippy::expect_used", "crates/x/src/lib.rs"),
+            attr("clippy::disallowed_types", "crates/y/src/lib.rs"),
         ]);
         let text = render_baseline(&a);
         let parsed = parse_baseline(&text).expect("own output must parse");
-        assert_eq!(parsed.get("panic-path crates/x/src/lib.rs"), Some(&2));
-        assert_eq!(parsed.get("wall-clock crates/y/src/lib.rs"), Some(&1));
+        assert_eq!(
+            parsed.get("clippy::expect_used crates/x/src/lib.rs"),
+            Some(&2)
+        );
+        assert_eq!(
+            parsed.get("clippy::disallowed_types crates/y/src/lib.rs"),
+            Some(&1)
+        );
         assert_eq!(parsed.len(), 2);
     }
 
@@ -270,33 +269,33 @@ mod tests {
     #[test]
     fn ratchet_flags_rise_and_fall() {
         let a = analysis(vec![
-            finding("panic-path", "crates/x/src/lib.rs", true),
-            finding("panic-path", "crates/x/src/lib.rs", true),
+            attr("clippy::expect_used", "crates/x/src/lib.rs"),
+            attr("clippy::expect_used", "crates/x/src/lib.rs"),
         ]);
         let mut base = BTreeMap::new();
-        base.insert("panic-path crates/x/src/lib.rs".to_string(), 1);
+        base.insert("clippy::expect_used crates/x/src/lib.rs".to_string(), 1);
         let v = ratchet_against(&base, &a);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("rose 1 -> 2"));
 
-        base.insert("panic-path crates/x/src/lib.rs".to_string(), 3);
+        base.insert("clippy::expect_used crates/x/src/lib.rs".to_string(), 3);
         let v = ratchet_against(&base, &a);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("fell 3 -> 2"));
 
-        base.insert("panic-path crates/x/src/lib.rs".to_string(), 2);
+        base.insert("clippy::expect_used crates/x/src/lib.rs".to_string(), 2);
         assert!(ratchet_against(&base, &a).is_empty());
     }
 
     #[test]
     fn ratchet_flags_new_and_vanished_files() {
-        let a = analysis(vec![finding("panic-path", "crates/x/src/lib.rs", true)]);
+        let a = analysis(vec![attr("clippy::expect_used", "crates/x/src/lib.rs")]);
         let v = ratchet_against(&BTreeMap::new(), &a);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("rose 0 -> 1"));
 
         let mut base = BTreeMap::new();
-        base.insert("wall-clock crates/gone/src/lib.rs".to_string(), 2);
+        base.insert("clippy::panic crates/gone/src/lib.rs".to_string(), 2);
         let a = analysis(Vec::new());
         let v = ratchet_against(&base, &a);
         assert_eq!(v.len(), 1);
@@ -313,12 +312,12 @@ mod tests {
             line: 62,
             message: "say \"no\" to\ttruncation".into(),
         }];
-        let a = analysis(vec![finding("panic-path", "crates/x/src/lib.rs", true)]);
+        let a = analysis(vec![attr("clippy::expect_used", "crates/x/src/lib.rs")]);
         let text = render_json(&v, &a);
         assert!(text.contains("\"violation_count\": 1"));
         assert!(text.contains("\"rule\": \"wire-narrowing\""));
         assert!(text.contains("\\\"no\\\" to\\ttruncation"));
-        assert!(text.contains("\"panic-path crates/x/src/lib.rs\": 1"));
-        assert!(text.contains("\"allows\": ["));
+        assert!(text.contains("\"clippy::expect_used crates/x/src/lib.rs\": 1"));
+        assert!(text.contains("\"lint\": \"clippy::expect_used\""));
     }
 }

@@ -4,28 +4,13 @@
 //! This is a line-preserving lexer, not a parser: it understands `//` and
 //! nested `/* */` comments, `"…"` strings with escapes, raw strings
 //! (`r"…"`, `r#"…"#`), byte/char literals, and lifetimes — enough to scan
-//! the remaining program text for forbidden tokens without being fooled by
-//! documentation or test fixtures.
+//! the remaining program text without being fooled by documentation or
+//! test fixtures.
 
 /// Returns `source` with comments and string/char literal *contents*
 /// blanked out (replaced by spaces), preserving every line break so line
 /// numbers survive.
 pub fn strip_comments_and_strings(source: &str) -> String {
-    strip(source, true)
-}
-
-/// Returns `source` with string/char literal *contents* blanked out but
-/// comments left intact.
-///
-/// The allow-marker inventory runs on this form: real escape-hatch markers
-/// live in `//` comments (which survive), while a string literal that
-/// merely *mentions* marker syntax (e.g. a lint's own diagnostic text)
-/// cannot spoof or shadow one.
-pub fn strip_strings_only(source: &str) -> String {
-    strip(source, false)
-}
-
-fn strip(source: &str, strip_comments: bool) -> String {
     let bytes = source.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -44,33 +29,25 @@ fn strip(source: &str, strip_comments: bool) -> String {
         match b {
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
                 while i < bytes.len() && bytes[i] != b'\n' {
-                    if strip_comments {
-                        out.push(blank(bytes[i]));
-                    } else {
-                        out.push(bytes[i]);
-                    }
+                    out.push(blank(bytes[i]));
                     i += 1;
                 }
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
                 let mut depth = 1;
-                let keep = |b: u8| if strip_comments { blank(b) } else { b };
-                out.push(keep(b'/'));
-                out.push(keep(b'*'));
+                out.extend_from_slice(b"  ");
                 i += 2;
                 while i < bytes.len() && depth > 0 {
                     if bytes[i] == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
                         depth += 1;
-                        out.push(keep(b'/'));
-                        out.push(keep(b'*'));
+                        out.extend_from_slice(b"  ");
                         i += 2;
                     } else if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
                         depth -= 1;
-                        out.push(keep(b'*'));
-                        out.push(keep(b'/'));
+                        out.extend_from_slice(b"  ");
                         i += 2;
                     } else {
-                        out.push(keep(bytes[i]));
+                        out.push(blank(bytes[i]));
                         i += 1;
                     }
                 }
@@ -189,8 +166,6 @@ pub struct FileSource {
     pub rel: String,
     /// Comment- and string-stripped text (what rules scan).
     pub stripped: String,
-    /// String-stripped text with comments kept (where allow markers live).
-    pub marker_text: String,
     /// Per-line `#[cfg(test)]`-region mask over the stripped text.
     pub mask: Vec<bool>,
 }
@@ -203,7 +178,6 @@ impl FileSource {
         FileSource {
             rel: rel.into(),
             stripped,
-            marker_text: strip_strings_only(contents),
             mask,
         }
     }
@@ -212,35 +186,6 @@ impl FileSource {
     pub fn in_test_region(&self, line: usize) -> bool {
         self.mask.get(line).copied().unwrap_or(false)
     }
-
-    /// Returns `true` if 0-based `line` carries an
-    /// `vcheck: allow(<rule>)` escape-hatch marker for exactly `rule`.
-    pub fn has_allow(&self, line: usize, rule: &str) -> bool {
-        self.marker_text
-            .lines()
-            .nth(line)
-            .and_then(parse_allow_marker)
-            .is_some_and(|r| r == rule)
-    }
-}
-
-/// Parses the rule name out of a `vcheck: allow(<rule>)` marker on `line`,
-/// if one is present and syntactically well-formed (lowercase idents and
-/// dashes, closed paren). Malformed or meta mentions (e.g. docs writing
-/// `allow(<rule>)`) return `None`.
-pub fn parse_allow_marker(line: &str) -> Option<&str> {
-    let pos = line.find("vcheck: allow(")?;
-    let rest = &line[pos + "vcheck: allow(".len()..];
-    let end = rest.find(')')?;
-    let rule = &rest[..end];
-    if rule.is_empty()
-        || !rule
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-    {
-        return None;
-    }
-    Some(rule)
 }
 
 /// Returns, for each line of `stripped` (0-based), whether it lies inside a
@@ -403,26 +348,6 @@ mod tests {
         let s = strip_comments_and_strings(r#"let a = "x\"y.unwrap()\"z"; b.expect("")"#);
         assert!(!s.contains("unwrap"));
         assert!(s.contains(".expect("));
-    }
-
-    #[test]
-    fn strip_strings_only_keeps_comments() {
-        let src = "let x = \"vcheck: allow(panic-path)\"; // vcheck: allow(wall-clock) why\n";
-        let s = strip_strings_only(src);
-        assert!(!s.contains("allow(panic-path)"), "string contents blanked");
-        assert!(
-            s.contains("// vcheck: allow(wall-clock) why"),
-            "comment kept"
-        );
-        assert_eq!(s.len(), src.len(), "line-preserving and length-preserving");
-    }
-
-    #[test]
-    fn strip_strings_only_quote_in_comment_is_inert() {
-        let s = strip_strings_only("// a \" stray quote\nlet x = \"gone\"; // vcheck: allow(x)\n");
-        assert!(s.contains("stray quote"));
-        assert!(!s.contains("gone"));
-        assert!(s.contains("vcheck: allow(x)"));
     }
 
     #[test]

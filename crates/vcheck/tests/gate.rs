@@ -1,8 +1,13 @@
-//! End-to-end checks that each vcheck pass (a) accepts the real workspace
-//! and (b) rejects a deliberately introduced violation.
+//! End-to-end checks that each vcheck pass, and each clippy gate that
+//! replaced a vcheck rule, (a) accepts the real workspace and (b) rejects a
+//! deliberately introduced violation.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::OnceLock;
+use vcheck::source::FileSource;
 use vcheck::{determinism, dynamics, lints, report};
 use vkernel::invariants::{InvariantLedger, TxnKind};
 
@@ -40,45 +45,6 @@ fn real_workspace_passes_the_lint_pass() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn lint_pass_rejects_a_planted_wall_clock_call() {
-    let root = synthetic_workspace(
-        "wall-clock",
-        &[
-            (
-                "crates/vnaming/src/lib.rs",
-                "pub fn t() -> std::time::Instant { Instant::now() }\n",
-            ),
-            ("crates/vproto/src/codes.rs", ""),
-        ],
-    );
-    let violations = lints::run(&root);
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.file == "crates/vnaming/src/lib.rs" && v.message.contains("Instant::now")),
-        "planted Instant::now must be flagged: {violations:?}"
-    );
-}
-
-#[test]
-fn lint_pass_rejects_a_planted_hot_path_unwrap() {
-    let root = synthetic_workspace(
-        "panic-path",
-        &[
-            (
-                "crates/vservers/src/file.rs",
-                "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-            ),
-            ("crates/vproto/src/codes.rs", ""),
-        ],
-    );
-    let violations = lints::run(&root);
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].file, "crates/vservers/src/file.rs");
-    assert_eq!(violations[0].line, 1);
 }
 
 #[test]
@@ -252,45 +218,6 @@ fn lint_pass_rejects_an_undispatched_request_code() {
     assert!(violations[0].message.contains("`Vanish`"));
 }
 
-#[test]
-fn lint_pass_rejects_a_stale_allow_marker() {
-    // A marker on a line that triggers nothing is itself an error.
-    let root = synthetic_workspace(
-        "stale-allow",
-        &[
-            (
-                "crates/vservers/src/file.rs",
-                "pub fn f() -> u8 { 1 } // vcheck: allow(panic-path) obsolete\n",
-            ),
-            ("crates/vproto/src/codes.rs", ""),
-        ],
-    );
-    let violations = lints::run(&root);
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].rule, "stale-allow");
-    assert_eq!(violations[0].file, "crates/vservers/src/file.rs");
-    assert_eq!(violations[0].line, 1);
-}
-
-#[test]
-fn allowed_finding_is_suppressed_but_audited() {
-    let root = synthetic_workspace(
-        "allow-live",
-        &[
-            (
-                "crates/vservers/src/file.rs",
-                "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // vcheck: allow(panic-path) boot only\n",
-            ),
-            ("crates/vproto/src/codes.rs", ""),
-        ],
-    );
-    let analysis = lints::analyze(&root);
-    assert!(analysis.violations.is_empty(), "{:?}", analysis.violations);
-    assert_eq!(analysis.findings.len(), 1);
-    assert!(analysis.findings[0].allowed);
-    assert_eq!(analysis.markers.len(), 1);
-}
-
 // ---- ratchet ----
 
 #[test]
@@ -300,7 +227,8 @@ fn ratchet_requires_a_baseline_then_pins_allow_counts() {
         &[
             (
                 "crates/vservers/src/file.rs",
-                "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // vcheck: allow(panic-path) boot only\n",
+                "#[expect(clippy::expect_used, reason = \"boot only\")]\n\
+                 pub fn f(x: Option<u8>) -> u8 { x.expect(\"set\") }\n",
             ),
             ("crates/vproto/src/codes.rs", ""),
         ],
@@ -317,11 +245,13 @@ fn ratchet_requires_a_baseline_then_pins_allow_counts() {
     report::bless(&root, &analysis).expect("write baseline");
     assert!(report::ratchet(&root, &analysis).is_empty());
 
-    // A second allow slips in: the ratchet catches the rise.
+    // A second exception slips in: the ratchet catches the rise.
     fs::write(
         root.join("crates/vservers/src/file.rs"),
-        "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // vcheck: allow(panic-path) boot only\n\
-         pub fn g(x: Option<u8>) -> u8 { x.unwrap() } // vcheck: allow(panic-path) me too\n",
+        "#[expect(clippy::expect_used, reason = \"boot only\")]\n\
+         pub fn f(x: Option<u8>) -> u8 { x.expect(\"set\") }\n\
+         #[expect(clippy::expect_used, reason = \"me too\")]\n\
+         pub fn g(x: Option<u8>) -> u8 { x.expect(\"set\") }\n",
     )
     .expect("grow fixture");
     let grown = lints::analyze(&root);
@@ -329,6 +259,25 @@ fn ratchet_requires_a_baseline_then_pins_allow_counts() {
     let v = report::ratchet(&root, &grown);
     assert_eq!(v.len(), 1, "{v:?}");
     assert!(v[0].message.contains("rose 1 -> 2"), "{}", v[0].message);
+
+    // An `allow` counts too: it silences the crate's `deny` and rustc never
+    // audits it, so only the ratchet stands between it and the tree.
+    fs::write(
+        root.join("crates/vservers/src/file.rs"),
+        "#[expect(clippy::expect_used, reason = \"boot only\")]\n\
+         pub fn f(x: Option<u8>) -> u8 { x.expect(\"set\") }\n\
+         #[allow(clippy::unwrap_used)]\n\
+         pub fn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
+    )
+    .expect("plant allow");
+    let v = report::ratchet(&root, &lints::analyze(&root));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(
+        v[0].message
+            .contains("`clippy::unwrap_used crates/vservers/src/file.rs` rose 0 -> 1"),
+        "{}",
+        v[0].message
+    );
 }
 
 #[test]
@@ -346,6 +295,207 @@ fn committed_baseline_matches_the_workspace() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+// ---- the clippy gates ----
+//
+// The wall clock, the panic-free server paths and the one server loop are
+// clippy's: `clippy.toml` at the workspace root names the banned types and
+// methods, and each crate root denies the lints. One fixture crate, set up
+// as a server crate root, plants each violation on a line tagged
+// `// clippy: <lint>`; clippy runs once over it under the workspace's
+// `clippy.toml`, and each test checks its own lines.
+
+const CLIPPY_FIXTURE: &str = r#"#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
+use std::time::{Duration as D2, Instant as Clock}; // clippy: clippy::disallowed_types
+use vkernel::Ipc as Kern;
+use vkernel::{Ipc, Received};
+
+pub fn planted_wall_clock() -> std::time::Duration {
+    std::time::Instant::now().elapsed() // clippy: clippy::disallowed_types
+}
+
+pub fn aliased_wall_clock() -> D2 {
+    Clock::now().elapsed() // clippy: clippy::disallowed_types
+}
+
+pub fn hot_path(x: Option<u8>) -> u8 {
+    x.unwrap() // clippy: clippy::unwrap_used
+}
+
+pub fn receive_through_an_alias(k: &dyn Ipc) -> bool {
+    Kern::receive(k).is_ok() // clippy: clippy::disallowed_methods
+}
+
+pub fn forward_on_any_binding(k: &dyn Ipc, rx: Received) -> bool {
+    let (to, msg) = (rx.from, rx.msg);
+    k.forward(rx, to, msg).is_ok() // clippy: clippy::disallowed_methods
+}
+
+#[expect(clippy::unwrap_used, reason = "startup only")]
+pub fn live_exception(x: Option<u8>) -> u8 {
+    x.unwrap()
+}
+
+#[expect(clippy::unwrap_used, reason = "no longer unwraps")] // clippy: unfulfilled_lint_expectations
+pub fn stale_exception(x: Option<u8>) -> u8 {
+    x.unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_unwrap_expect_and_panic() {
+        let x = std::hint::black_box(Some(1u8));
+        assert_eq!(x.unwrap(), x.expect("set"));
+        if x.is_none() {
+            panic!("unset");
+        }
+    }
+}
+"#;
+
+/// 1-based line of the one fixture line containing `needle`.
+fn fixture_line(needle: &str) -> usize {
+    let hits: Vec<usize> = CLIPPY_FIXTURE
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains(needle))
+        .map(|(n, _)| n + 1)
+        .collect();
+    assert_eq!(hits.len(), 1, "`{needle}` must name one fixture line");
+    hits[0]
+}
+
+/// `(line, lint)` of one cargo `compiler-message` JSON line on the
+/// fixture's `src/lib.rs`: the lint is the diagnostic's `code` (its notes
+/// carry none), the line the first `-->` of its rendered text (the primary
+/// span comes first).
+fn diagnostic(json: &str) -> Option<(usize, String)> {
+    if !json.contains("\"reason\":\"compiler-message\"") {
+        return None;
+    }
+    let lint = json
+        .split("\"code\":{\"code\":\"")
+        .nth(1)?
+        .split('"')
+        .next()?;
+    let rendered = json.split("\"rendered\":\"").nth(1)?;
+    let line = rendered
+        .split("--> src/lib.rs:")
+        .nth(1)?
+        .split(':')
+        .next()?;
+    Some((line.parse().ok()?, lint.to_string()))
+}
+
+/// Every `(line, lint)` clippy reports on the fixture, all targets, under
+/// the workspace's `clippy.toml` and `-D warnings` (as `scripts/check.sh`
+/// runs it). Runs clippy once per test binary.
+fn clippy_findings() -> &'static BTreeSet<(usize, String)> {
+    static FINDINGS: OnceLock<BTreeSet<(usize, String)>> = OnceLock::new();
+    FINDINGS.get_or_init(|| {
+        let root = workspace_root();
+        let manifest = format!(
+            "[package]\nname = \"clippy-fixture\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
+             publish = false\n\n[dependencies]\nvkernel = {{ path = \"{}\" }}\n\n[workspace]\n",
+            root.join("crates/vkernel").display()
+        );
+        let dir = synthetic_workspace(
+            "clippy-fixture",
+            &[("Cargo.toml", &manifest), ("src/lib.rs", CLIPPY_FIXTURE)],
+        );
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+        let out = Command::new(cargo)
+            .args(["clippy", "--offline", "--quiet", "--all-targets"])
+            .args(["--message-format=json", "--", "-D", "warnings"])
+            .current_dir(&dir)
+            .env("CLIPPY_CONF_DIR", &root)
+            .env(
+                "CARGO_TARGET_DIR",
+                root.join("target/vcheck-test-scratch/clippy-target"),
+            )
+            .output()
+            .expect("run cargo clippy");
+        let findings: BTreeSet<_> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(diagnostic)
+            .collect();
+        assert!(
+            !findings.is_empty(),
+            "clippy reported nothing on the fixture:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        findings
+    })
+}
+
+fn assert_reported(needle: &str, lint: &str) {
+    let at = (fixture_line(needle), lint.to_string());
+    let found = clippy_findings();
+    assert!(found.contains(&at), "{at:?} not in {found:?}");
+}
+
+/// Every tagged line — the aliased `Instant`, `Kern::receive(k)` and
+/// `k.forward(..)` among them, which text rules missed — reports its lint,
+/// and nothing else is reported: not the live `#[expect]`, and not the test
+/// module (`clippy.toml` lets tests unwrap, expect and panic).
+#[test]
+fn clippy_reports_exactly_the_planted_lines() {
+    let planted: BTreeSet<(usize, String)> = CLIPPY_FIXTURE
+        .lines()
+        .enumerate()
+        .filter_map(|(n, l)| Some((n + 1, l.split("// clippy: ").nth(1)?.to_string())))
+        .collect();
+    assert_eq!(clippy_findings(), &planted);
+}
+
+#[test]
+fn lint_pass_rejects_a_planted_wall_clock_call() {
+    assert_reported("std::time::Instant::now()", "clippy::disallowed_types");
+}
+
+#[test]
+fn lint_pass_rejects_a_planted_hot_path_unwrap() {
+    assert_reported("x.unwrap() // clippy", "clippy::unwrap_used");
+}
+
+#[test]
+fn lint_pass_rejects_a_stale_allow_marker() {
+    // An `#[expect]` whose lint no longer fires is itself an error.
+    assert_reported(
+        "reason = \"no longer unwraps\"",
+        "unfulfilled_lint_expectations",
+    );
+}
+
+#[test]
+fn allowed_finding_is_suppressed_but_audited() {
+    // A live `#[expect]` silences its line, and the ratchet still counts it.
+    let at = fixture_line("reason = \"startup only\"");
+    assert!(
+        !clippy_findings()
+            .iter()
+            .any(|(line, _)| (at..=at + 2).contains(line)),
+        "{:?}",
+        clippy_findings()
+    );
+    let attrs = lints::lint_attributes(&FileSource::new(
+        "crates/vservers/src/lib.rs",
+        CLIPPY_FIXTURE,
+    ));
+    assert!(attrs
+        .iter()
+        .any(|a| a.line == at && a.lint == "clippy::unwrap_used"));
 }
 
 // ---- pass 2: determinism gate ----

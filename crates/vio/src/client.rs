@@ -1,5 +1,16 @@
 //! Client-side I/O operations and the sequential [`FileHandle`] stream.
 
+// A client that panics on a fault turns the fault plane's recoverable
+// errors into crashes: it returns them instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::{check, IoError};
 use bytes::Bytes;
 use vkernel::Ipc;

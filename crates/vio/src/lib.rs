@@ -18,6 +18,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// One server loop: `vservers::common::serve` makes every receive, reply
+// and forward (the calls `clippy.toml` lists in `disallowed-methods`).
+#![deny(clippy::disallowed_methods)]
 
 mod client;
 mod error;

@@ -230,16 +230,3 @@ pub trait Ipc {
         None
     }
 }
-
-/// Convenience helpers layered on [`Ipc`].
-impl dyn Ipc + '_ {
-    /// Sends with no payload and no receive buffer.
-    pub fn send_simple(&self, to: Pid, msg: Message) -> Result<Reply, IpcError> {
-        self.send(to, msg, Bytes::new(), 0)
-    }
-
-    /// Replies with a bare message and no data.
-    pub fn reply_simple(&self, rx: Received, msg: Message) -> Result<(), IpcError> {
-        self.reply(rx, msg, Bytes::new())
-    }
-}

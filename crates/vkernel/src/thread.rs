@@ -10,6 +10,11 @@
 //! [`crate::SimDomain`]. Both implement [`Ipc`], so all servers and stubs
 //! run unchanged on either.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the real-thread kernel's clock is the wall clock: `Ipc::now` reads it here"
+)]
+
 use crate::api::{GroupId, Ipc, PathInner, Received, Reply};
 use crate::error::IpcError;
 use crate::group::GroupTable;

@@ -774,6 +774,10 @@ fn dropping_a_domain_with_killed_parked_threads() {
 /// Wall time per echo transaction to `to`, over one round of a few
 /// transactions: short enough that a kernel paying milliseconds per pass
 /// still fails the test below in seconds.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test bounds the kernel's wall-clock cost per transaction"
+)]
 fn wall_ns_per_txn(domain: &SimDomain, host: vproto::LogicalHost, to: vproto::Pid) -> f64 {
     const PER_ROUND: u32 = 50;
     domain

@@ -14,6 +14,16 @@
 //! prefix server's `[p]`, the mail server's `user@host`) simply do not use
 //! it — the protocol imposes no interpretation (paper §5.4's first clause).
 
+// Servers resolve names here: a bad name gets a reply code, not a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fmt;
 use vproto::{ContextId, ContextPair, ReplyCode};
 

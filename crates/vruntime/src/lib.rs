@@ -17,6 +17,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A client that panics on a fault turns the fault plane's recoverable
+// errors into crashes: it returns them instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod client;
 

@@ -133,6 +133,10 @@ pub trait Server {
 /// Runs `server` until the domain shuts down or the process is killed.
 /// Every request gets exactly one answer, except those parked until a
 /// later handler resumes them.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one server loop: every receive, reply and forward of a server is here"
+)]
 pub fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
     let mut parked: Vec<(u64, Received)> = Vec::new();
     let mut token = 0u64;

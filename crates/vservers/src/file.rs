@@ -224,6 +224,11 @@ impl Fs {
     }
 
     /// Creates all directories along `path` and returns the last one.
+    #[expect(
+        clippy::panic,
+        clippy::expect_used,
+        reason = "startup preload, before serving"
+    )]
     fn mkdir_path(&mut self, path: &str) -> ObjectId {
         let mut cur = self.root;
         for comp in path.split('/').filter(|c| !c.is_empty()) {
@@ -232,22 +237,23 @@ impl Fs {
                 .and_then(|e| e.get(comp.as_bytes()).cloned());
             cur = match existing {
                 Some(DirEntry::Local(id)) => id,
-                Some(DirEntry::Remote(_)) => panic!("preload path crosses a remote link"), // vcheck: allow(panic-path) startup preload, before serving
+                Some(DirEntry::Remote(_)) => panic!("preload path crosses a remote link"),
                 None => self
                     .mkdir_in(cur, comp.as_bytes(), &CsName::from("system"))
-                    .expect("preload mkdir"), // vcheck: allow(panic-path) startup preload, before serving
+                    .expect("preload mkdir"),
             };
         }
         cur
     }
 
+    #[expect(clippy::expect_used, reason = "startup preload, before serving")]
     fn preload_file(&mut self, path: &str, data: Vec<u8>) {
         let (dir, leaf) = match path.rfind('/') {
             Some(i) => (self.mkdir_path(&path[..i]), &path[i + 1..]),
             None => (self.root, path),
         };
         self.create_file_in(dir, leaf.as_bytes(), data, &CsName::from("system"))
-            .expect("preload file"); // vcheck: allow(panic-path) startup preload, before serving
+            .expect("preload file");
     }
 
     /// Reverse name mapping: absolute path of a node (paper §6 notes this
@@ -465,12 +471,14 @@ pub fn file_server(ctx: &dyn Ipc, config: FileServerConfig) {
     }
     if let Some(home) = &config.home {
         let dir = fs.mkdir_path(home);
-        let home_ctx = fs.ctx_of_dir(dir).expect("home is a directory"); // vcheck: allow(panic-path) startup config, before serving
+        #[expect(clippy::expect_used, reason = "startup config, before serving")]
+        let home_ctx = fs.ctx_of_dir(dir).expect("home is a directory");
         fs.contexts.bind_well_known(ContextId::HOME, home_ctx);
     }
     if let Some(bin) = &config.bin {
         let dir = fs.mkdir_path(bin);
-        let bin_ctx = fs.ctx_of_dir(dir).expect("bin is a directory"); // vcheck: allow(panic-path) startup config, before serving
+        #[expect(clippy::expect_used, reason = "startup config, before serving")]
+        let bin_ctx = fs.ctx_of_dir(dir).expect("bin is a directory");
         fs.contexts
             .bind_well_known(ContextId::STANDARD_PROGRAMS, bin_ctx);
     }

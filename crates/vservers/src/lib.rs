@@ -33,6 +33,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A server answers a bad request with a reply code; it does not die.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// One server loop: `vservers::common::serve` makes every receive, reply
+// and forward (the calls `clippy.toml` lists in `disallowed-methods`).
+#![deny(clippy::disallowed_methods)]
 
 pub mod common;
 mod file;
