@@ -26,7 +26,7 @@ use crate::common::{
     open_directory, read, release, reply, reply_descriptor, serve, Answer, Call, Handle, Handled,
     Server,
 };
-use crate::shard::ShardedTable;
+use crate::shard::{Name, ShardedTable};
 use crate::suspect::SuspectSet;
 use crate::sync::{ApplyOutcome, MerkleWalk, SyncTable, TombstoneOutcome};
 use bytes::Bytes;
@@ -168,9 +168,13 @@ pub struct PrefixConfig {
     /// Direct prefixes installed at boot — the user's "login script"
     /// bindings, which is what lets a *restarted* prefix server come back
     /// with its soft-state table already rebuilt (EXP-11 recovery).
+    ///
+    /// Consumed at boot: each name is dropped once the table has copied
+    /// it, so the server keeps no second copy of the list.
     pub preload_direct: Vec<(String, ContextPair)>,
     /// Logical prefixes installed at boot: (prefix, service,
-    /// well-known-context), re-resolved via `GetPid` on each use.
+    /// well-known-context), re-resolved via `GetPid` on each use. Consumed
+    /// at boot like `preload_direct`.
     pub preload_logical: Vec<(String, ServiceId, ContextId)>,
     /// Degraded-mode resolution; `None` (the default) times out like the
     /// paper's protocol.
@@ -217,7 +221,7 @@ struct PrefixServer {
     authoritative: bool,
     /// The prefix of the request forwarded last, and its entry: what the
     /// kernel's verdict on that forward is about.
-    forwarding: Option<(Vec<u8>, PrefixTarget)>,
+    forwarding: Option<(Name, PrefixTarget)>,
 }
 
 /// Runs a context prefix server until the domain shuts down.
@@ -227,26 +231,27 @@ struct PrefixServer {
 /// prefixes themselves, and the inverse (server, context) → `[prefix]`
 /// mapping.
 pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
+    let PrefixConfig {
+        scope,
+        preload_direct,
+        preload_logical,
+        degraded,
+    } = config;
     // An authoritative server's preloads are first-hand: stamped at boot
     // time and verified. A replica's preloads are hearsay (epoch 0,
     // unverified) until a sync round or a successful probe vouches for
     // them.
-    let authoritative = config.degraded.is_none_or(|d| d.authoritative);
+    let authoritative = degraded.is_none_or(|d| d.authoritative);
     let boot_ns = ctx.now().as_nanos() as u64;
     let mut table = SyncTable::new();
-    let direct = config
-        .preload_direct
-        .iter()
-        .map(|(name, pair)| (name, PrefixTarget::Direct(*pair)));
-    let logical = config
-        .preload_logical
-        .iter()
-        .map(|(name, service, context)| {
-            let (service, context) = (*service, *context);
-            (name, PrefixTarget::Logical { service, context })
-        });
+    let direct = preload_direct
+        .into_iter()
+        .map(|(name, pair)| (name, PrefixTarget::Direct(pair)));
+    let logical = preload_logical
+        .into_iter()
+        .map(|(name, service, context)| (name, PrefixTarget::Logical { service, context }));
     for (name, target) in direct.chain(logical) {
-        let (name, b) = (name.as_bytes().to_vec(), target.to_binding());
+        let b = target.to_binding();
         if authoritative {
             table.define(name, b, boot_ns);
         } else {
@@ -258,12 +263,12 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
         instances: InstanceTable::new(),
         suspects: SuspectSet::default(),
         counters: SyncStatusRec::default(),
-        degraded: config.degraded,
+        degraded,
         authoritative,
         forwarding: None,
     };
-    ctx.set_pid(ServiceId::CONTEXT_PREFIX, config.scope);
-    if let Some(group) = config.degraded.and_then(|d| d.replica_group) {
+    ctx.set_pid(ServiceId::CONTEXT_PREFIX, scope);
+    if let Some(group) = degraded.and_then(|d| d.replica_group) {
         let _ = ctx.join_group(group);
     }
     serve(ctx, &mut server);
@@ -309,7 +314,7 @@ impl Server for PrefixServer {
             Some(RequestCode::AddContextName) if is_definition => {
                 // The optional definition operation (paper §5.7): bind a
                 // prefix to an existing context.
-                let name = strip_brackets(remaining).to_vec();
+                let name = strip_brackets(remaining);
                 if name.is_empty() || name.contains(&b'[') || name.contains(&b']') {
                     return Err(ReplyCode::IllegalName);
                 }
@@ -351,8 +356,9 @@ impl Server for PrefixServer {
             // The name denotes the prefix context itself.
             return self.own_context(call, &req);
         }
-        let (prefix, rest_index) = match CsName::from(remaining).parse_prefix() {
-            Some(p) => (p.prefix.to_vec(), p.rest_index),
+        let parsed = CsName::from(remaining);
+        let (prefix, rest_index) = match parsed.parse_prefix() {
+            Some(p) => (p.prefix, p.rest_index),
             // Not a bracketed name: this server defines no other bindings.
             None => return Err(ReplyCode::IllegalName),
         };
@@ -368,7 +374,7 @@ impl Server for PrefixServer {
         let entry = self
             .sharded
             .snapshot()
-            .lookup(&prefix)
+            .lookup(prefix)
             .ok_or(ReplyCode::NotFound)?;
         let target = PrefixTarget::from_binding(&entry.binding);
 
@@ -391,7 +397,7 @@ impl Server for PrefixServer {
         // authority.
         if let Some(d) = self.degraded {
             let now_ns = ctx.now().as_nanos() as u64;
-            let suspect_armed = self.suspects.is_armed(&prefix, now_ns);
+            let suspect_armed = self.suspects.is_armed(prefix, now_ns);
             if binding_query && (suspect_armed || !d.authoritative) {
                 if let PrefixTarget::Direct(pair) = target {
                     let staleness = u16::from(!entry.verified || suspect_armed);
@@ -406,7 +412,7 @@ impl Server for PrefixServer {
 
         let to = target.locate(ctx).ok_or(ReplyCode::NoServer)?;
         let index = req.index + rest_index;
-        self.forwarding = Some((prefix, target));
+        self.forwarding = Some((Name::from(prefix), target));
         Ok(Answer::Forward { to, index })
     }
 
@@ -578,7 +584,7 @@ impl Server for PrefixServer {
                 // the client's retry is what lands on the degraded path.
                 if let Some(d) = self.degraded {
                     let until = ctx.now() + d.suspect_ttl;
-                    self.suspects.arm(prefix, until.as_nanos() as u64);
+                    self.suspects.arm(prefix.to_vec(), until.as_nanos() as u64);
                 }
             }
             // The path works again; any armed suspicion is disproved.
@@ -655,7 +661,7 @@ impl PrefixServer {
                     DirectoryBuilder::with_pattern(req.extra.clone())
                 };
                 for (name, binding, _) in table.live_iter() {
-                    let (pair, logical) = match PrefixTarget::from_binding(binding) {
+                    let (pair, logical) = match PrefixTarget::from_binding(&binding) {
                         PrefixTarget::Direct(pair) => (pair, 0u32),
                         PrefixTarget::Logical { service, context } => {
                             (ContextPair::new(Pid::NULL, context), service.raw())

@@ -20,7 +20,7 @@
 //!   write lock, writers never block readers).
 //!
 //! The unit of *copying* is two levels down: a shard's slots are cut into
-//! pages of 2^[`PAGE_SLOT_BITS`] slots (~7 KB), each behind its own `Arc`,
+//! pages of 2^[`PAGE_SLOT_BITS`] slots (6 KB), each behind its own `Arc`,
 //! and the page pointers into directories of [`DIR_PAGES`], each behind its
 //! own `Arc` too. The first write to a published shard copies the shard's
 //! top (at most 32 directory pointers at 10⁶ names), the one directory and
@@ -31,7 +31,9 @@
 //! A record keeps a name of up to 22 bytes inside its slot ([`Name`]), so
 //! a probe compares the bytes of the slot it has already loaded, and a page
 //! copy copies them; a longer name is one shared allocation, which the page
-//! copies and the side indexes hold by reference count.
+//! copies and the side indexes hold by reference count. The entry's three
+//! flags ride in the name's header byte, so a slot is 48 bytes: the hash,
+//! the name, the epoch, and the binding's target and context.
 //!
 //! Atomicity: a mutation batch (a define, a whole sync apply round, a GC
 //! sweep) becomes visible all-at-once at the next `publish`, or not at
@@ -81,8 +83,8 @@ use vproto::{fnv1a, SyncBinding};
 /// small enough that a bucket scan stays a few tens of kilobytes.
 const REGION_SLOT_BITS: u32 = 9;
 
-/// log2 of the slots in one copy-on-write page: 128 slots, ~7 KB, the copy
-/// a write makes. A region is a whole number of pages.
+/// log2 of the slots in one copy-on-write page: 128 slots of 48 bytes, 6 KB,
+/// the copy a write makes. A region is a whole number of pages.
 const PAGE_SLOT_BITS: u32 = 7;
 
 /// The slots in one full page.
@@ -119,20 +121,58 @@ pub(crate) const fn shard_of_hash(h: u64) -> usize {
 /// The longest name a [`Name`] holds inside itself.
 const INLINE_NAME: usize = 22;
 
+/// The bits of an inline name's header byte that hold its length; the
+/// three above hold its record's flags.
+const LEN_MASK: u8 = 0x1f;
+
+/// Record flag: the record is a live binding, not a tombstone.
+const LIVE: u8 = 1 << 5;
+
+/// Record flag: the binding names a service, not a pid.
+const LOGICAL: u8 = 1 << 6;
+
+/// Record flag: the entry is first-hand or vouched for.
+const VERIFIED: u8 = 1 << 7;
+
+const _: () = assert!(INLINE_NAME <= LEN_MASK as usize);
+const _: () = assert!(LEN_MASK & (LIVE | LOGICAL | VERIFIED) == 0);
+
 /// A stored name: up to [`INLINE_NAME`] bytes inside the value, a longer
 /// one in one shared allocation. Inline, a probe compares the name in the
 /// slot it has already loaded, and a page copy copies the bytes.
 ///
+/// Its header byte also carries the flags of the record that stores it
+/// (see [`Record`]): an inline length needs five of its eight bits, and a
+/// heap name's byte sits in the padding beside its `Arc`. Nothing but
+/// [`Record`] reads or writes them.
+///
 /// It derefs to, borrows as, compares, orders and hashes as its bytes, so a
 /// set of names is ordered and searched exactly as the same `[u8]`s would
-/// be, whichever way each is stored.
+/// be, whichever way each is stored and whatever flags it carries.
 #[derive(Clone)]
 pub(crate) enum Name {
-    /// The length, then the bytes, zero-padded.
+    /// The header byte (the length, then the flags), then the bytes,
+    /// zero-padded.
     Inline(u8, [u8; INLINE_NAME]),
-    /// Shared with the table's side indexes, and between the copies of a
-    /// page that copy-on-write makes.
-    Heap(Arc<[u8]>),
+    /// The flags, then the bytes. Shared with the table's side indexes, and
+    /// between the copies of a page that copy-on-write makes.
+    Heap(u8, Arc<[u8]>),
+}
+
+impl Name {
+    fn flags(&self) -> u8 {
+        match self {
+            Name::Inline(head, _) => head & !LEN_MASK,
+            Name::Heap(flags, _) => *flags,
+        }
+    }
+
+    fn set_flags(&mut self, flags: u8) {
+        match self {
+            Name::Inline(head, _) => *head = *head & LEN_MASK | flags,
+            Name::Heap(old, _) => *old = flags,
+        }
+    }
 }
 
 impl From<&[u8]> for Name {
@@ -143,7 +183,7 @@ impl From<&[u8]> for Name {
                 inline[..bytes.len()].copy_from_slice(bytes);
                 Name::Inline(len, inline)
             }
-            _ => Name::Heap(Arc::from(bytes)),
+            _ => Name::Heap(0, Arc::from(bytes)),
         }
     }
 }
@@ -154,8 +194,8 @@ impl Deref for Name {
     #[inline(always)]
     fn deref(&self) -> &[u8] {
         match self {
-            Name::Inline(len, bytes) => &bytes[..usize::from(*len)],
-            Name::Heap(bytes) => bytes,
+            Name::Inline(head, bytes) => &bytes[..usize::from(head & LEN_MASK)],
+            Name::Heap(_, bytes) => bytes,
         }
     }
 }
@@ -204,16 +244,27 @@ impl fmt::Debug for Name {
 
 /// One stored record: a live binding or a tombstone, under its FNV-1a hash
 /// and its name — inline in the slot when short (see [`Name`]).
+///
+/// The [`VersionedEntry`] is stored unpacked: its epoch and its binding's
+/// target and context as plain fields, its three flags (live, logical,
+/// verified) in the name's header byte. [`Record::entry`] puts it back
+/// together.
 #[derive(Debug, Clone)]
 pub(crate) struct Record {
     pub(crate) hash: u64,
     pub(crate) name: Name,
-    pub(crate) entry: VersionedEntry,
+    epoch: u64,
+    /// The binding's target; 0 in a tombstone.
+    target: u32,
+    /// The binding's context; 0 in a tombstone.
+    context: u32,
 }
 
 // Every slot of every page is one `Option<Record>`: a field that grows it
-// grows the table by that much per slot, ~2 slots per name.
-const _: () = assert!(size_of::<Option<Record>>() == 56);
+// grows the table by that much per slot, ~2 slots per name. 48 is the hash,
+// the name and 16 bytes of entry, with `None` in a spare value of the
+// name's discriminant.
+const _: () = assert!(size_of::<Option<Record>>() == 48);
 // Every region ends on a page end, so a region's last home slot is the
 // last slot of a page; and a page, the copy a write makes, stays ≤ 8 KiB.
 const _: () = assert!(PAGE_SLOT_BITS <= REGION_SLOT_BITS);
@@ -226,11 +277,53 @@ type Page = Arc<[Option<Record>]>;
 type Dir = Arc<[Page]>;
 
 impl Record {
+    fn new(hash: u64, name: &[u8], entry: VersionedEntry) -> Record {
+        let mut rec = Record {
+            hash,
+            name: Name::from(name),
+            epoch: 0,
+            target: 0,
+            context: 0,
+        };
+        rec.set_entry(entry);
+        rec
+    }
+
+    /// The entry this record stores.
+    #[inline(always)]
+    pub(crate) fn entry(&self) -> VersionedEntry {
+        let flags = self.name.flags();
+        VersionedEntry {
+            binding: (flags & LIVE != 0).then_some(SyncBinding {
+                logical: flags & LOGICAL != 0,
+                target: self.target,
+                context: self.context,
+            }),
+            epoch: self.epoch,
+            verified: flags & VERIFIED != 0,
+        }
+    }
+
+    fn set_entry(&mut self, entry: VersionedEntry) {
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        let binding = entry.binding;
+        self.name.set_flags(
+            flag(binding.is_some(), LIVE)
+                | flag(binding.is_some_and(|b| b.logical), LOGICAL)
+                | flag(entry.verified, VERIFIED),
+        );
+        self.epoch = entry.epoch;
+        self.target = binding.map_or(0, |b| b.target);
+        self.context = binding.map_or(0, |b| b.context);
+    }
+
     /// What resolution sees of this record: `None` for a tombstone.
+    #[inline(always)]
     fn live(&self) -> Option<SnapEntry> {
-        self.entry.binding.map(|binding| SnapEntry {
+        let entry = self.entry();
+        entry.binding.map(|binding| SnapEntry {
             binding,
-            verified: self.entry.verified,
+            verified: entry.verified,
         })
     }
 }
@@ -344,21 +437,17 @@ impl Shard {
                 self.probe(hash, name).unwrap_or_else(|at| at)
             }
         };
-        let old = self.slot(at).as_ref().map(|rec| rec.entry);
+        let old = self.slot(at).as_ref().map(Record::entry);
         self.len += usize::from(old.is_none());
         self.live += usize::from(entry.binding.is_some());
         self.live -= usize::from(old.is_some_and(|e| e.binding.is_some()));
         let slot = self.slot_mut(at);
         let rec = match slot {
             Some(rec) => {
-                rec.entry = entry;
+                rec.set_entry(entry);
                 rec
             }
-            None => slot.insert(Record {
-                hash,
-                name: Name::from(name),
-                entry,
-            }),
+            None => slot.insert(Record::new(hash, name, entry)),
         };
         (&rec.name, old)
     }
@@ -371,7 +460,7 @@ impl Shard {
         let mut hole = self.probe(hash, name).ok()?;
         let removed = self.slot_mut(hole).take()?;
         self.len -= 1;
-        self.live -= usize::from(removed.entry.binding.is_some());
+        self.live -= usize::from(removed.entry().binding.is_some());
         let cap = self.cap;
         let mask = cap - 1;
         let mut at = hole;
@@ -640,7 +729,7 @@ mod tests {
     use super::*;
     use crate::sync::TombstoneOutcome;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::{mpsc, OnceLock};
 
     fn bind(target: u32) -> SyncBinding {
@@ -779,7 +868,7 @@ mod tests {
     #[test]
     fn staged_mutations_invisible_until_publish() {
         let mut st = ShardedTable::new();
-        st.table_mut().define(b"bin".to_vec(), bind(1), 100);
+        st.table_mut().define(b"bin", bind(1), 100);
         assert!(st.snapshot().lookup(b"bin").is_none());
         st.publish();
         assert_eq!(st.snapshot().lookup(b"bin").unwrap().binding, bind(1));
@@ -788,7 +877,7 @@ mod tests {
     #[test]
     fn tombstone_retracts_on_next_publish() {
         let mut st = ShardedTable::new();
-        st.table_mut().define(b"tmp".to_vec(), bind(2), 100);
+        st.table_mut().define(b"tmp", bind(2), 100);
         st.publish();
         st.table_mut().tombstone(b"tmp", 200);
         let held = st.snapshot();
@@ -803,7 +892,7 @@ mod tests {
         let mut st = ShardedTable::new();
         st.publish();
         assert_eq!(st.snapshot().epoch(), 0, "an untouched table is clean");
-        st.table_mut().define(b"x".to_vec(), bind(1), 100);
+        st.table_mut().define(b"x", bind(1), 100);
         st.publish();
         let epoch = st.snapshot().epoch();
         st.publish();
@@ -819,7 +908,7 @@ mod tests {
         }
         st.publish();
         let before = st.snapshot();
-        st.table_mut().define(b"one-more".to_vec(), bind(99), 999);
+        st.table_mut().define(b"one-more", bind(99), 999);
         st.publish();
         let after = st.snapshot();
         let touched = SyncTable::shard_of(b"one-more");
@@ -930,7 +1019,7 @@ mod tests {
     #[test]
     fn verified_promotion_republishes() {
         let mut st = ShardedTable::new();
-        st.table_mut().preload(b"boot".to_vec(), bind(7));
+        st.table_mut().preload(b"boot", bind(7));
         st.publish();
         assert!(!st.snapshot().lookup(b"boot").unwrap().verified);
         st.table_mut().mark_all_verified();
@@ -941,7 +1030,7 @@ mod tests {
     #[test]
     fn from_table_publishes_existing_content() {
         let mut t = SyncTable::new();
-        t.define(b"seed".to_vec(), bind(3), 50);
+        t.define(b"seed", bind(3), 50);
         t.tombstone(b"seed2", 60); // unknown: no-op
         let st = ShardedTable::from_table(t);
         assert_eq!(st.snapshot().live_len(), 1);
@@ -1095,11 +1184,99 @@ mod tests {
         }
     }
 
+    /// Any entry: live or a tombstone, direct or logical, verified or not,
+    /// at epoch 0, `u64::MAX` or anything between.
+    fn arb_entry() -> impl Strategy<Value = VersionedEntry> {
+        let binding = (any::<bool>(), any::<bool>(), any::<u32>(), any::<u32>()).prop_map(
+            |(live, logical, target, context)| {
+                live.then_some(SyncBinding {
+                    logical,
+                    target,
+                    context,
+                })
+            },
+        );
+        let epoch = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
+        (binding, epoch, any::<bool>()).prop_map(|(binding, epoch, verified)| VersionedEntry {
+            binding,
+            epoch,
+            verified,
+        })
+    }
+
+    /// Every record of `names` in `shard` reads back as `entries` and keeps
+    /// its name's bytes, and `index` finds it.
+    fn check_packed(
+        shard: &Shard,
+        names: &[Vec<u8>],
+        entries: &[VersionedEntry],
+        index: &BTreeSet<Name>,
+    ) -> Result<(), TestCaseError> {
+        for (name, entry) in names.iter().zip(entries) {
+            let rec = shard.get(fnv1a(name), name).expect("the name is stored");
+            prop_assert_eq!((name.len(), rec.entry()), (name.len(), *entry));
+            prop_assert_eq!(&*rec.name, &name[..]);
+            prop_assert_eq!(hash_of(&rec.name), hash_of(&name[..]));
+            prop_assert!(index.contains(&rec.name), "{} bytes", name.len());
+            prop_assert!(index.contains(&name[..]));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flags packed into a name's header byte come back as stored,
+        /// and never show in the name: every entry, under a name of each
+        /// length at and around the inline limit, reads back identical
+        /// after an overwrite copies its page out from under a held copy of
+        /// the shard, and after the shard grows; the held copy keeps the
+        /// entries it had. A side index of the names, taken with the first
+        /// entries' flags, finds each name whatever flags its record carries
+        /// later, and lists them in byte order.
+        #[test]
+        fn packed_records_read_back_as_stored(
+            first in collection::vec(arb_entry(), 5),
+            second in collection::vec(arb_entry(), 5),
+        ) {
+            let names = edge_lengths();
+            let mut shard = Shard::default();
+            for (name, entry) in names.iter().zip(&first) {
+                shard.insert(fnv1a(name), name, *entry);
+            }
+            let index: BTreeSet<Name> = names
+                .iter()
+                .map(|name| shard.get(fnv1a(name), name).expect("stored").name.clone())
+                .collect();
+            let mut sorted = names.clone();
+            sorted.sort_unstable();
+            prop_assert!(index.iter().map(|name| &name[..]).eq(sorted.iter().map(Vec::as_slice)));
+            check_packed(&shard, &names, &first, &index)?;
+
+            let held = shard.clone();
+            for (name, entry) in names.iter().zip(&second) {
+                shard.insert(fnv1a(name), name, *entry);
+            }
+            prop_assert!(!Arc::ptr_eq(&held.dirs[0], &shard.dirs[0]), "the page was copied");
+            check_packed(&shard, &names, &second, &index)?;
+            check_packed(&held, &names, &first, &index)?;
+
+            let cap = shard.cap;
+            for i in 0..200u32 {
+                let filler = format!("fill{i}").into_bytes();
+                shard.insert(fnv1a(&filler), &filler, live(i));
+            }
+            prop_assert!(shard.cap > cap && shard.pages().count() >= 2, "the shard grew");
+            check_packed(&shard, &names, &second, &index)?;
+            check_packed(&held, &names, &first, &index)?;
+        }
+    }
+
     #[test]
     fn reader_handle_sees_published_state_only() {
         let mut st = ShardedTable::new();
         let reader = st.reader();
-        st.table_mut().define(b"a".to_vec(), bind(1), 100);
+        st.table_mut().define(b"a", bind(1), 100);
         assert!(reader.lookup(b"a").is_none());
         st.publish();
         assert!(reader.lookup(b"a").is_some());

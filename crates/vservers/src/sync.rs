@@ -28,7 +28,7 @@
 //! `Shard::insert`/`Shard::remove` through `Arc::make_mut` — which, on a
 //! shard a snapshot still holds, copies the shard's top of at most 32
 //! directory pointers, and the shard then copies only the one directory of
-//! 32 page pointers and the one ~7 KB page it writes. The only side
+//! 32 page pointers and the one 6 KB page it writes. The only side
 //! indexes are `tombs` and `unverified`, written in those two functions
 //! and holding the shard's own names (a short name inline, a long one by
 //! its shared allocation, never a fresh copy); the Merkle tree keeps hashes
@@ -286,10 +286,11 @@ fn combine_children(children: &[u64; MERKLE_FANOUT as usize]) -> u64 {
 }
 
 fn digest_entry(rec: &Record) -> SyncDigestEntry {
+    let entry = rec.entry();
     SyncDigestEntry {
         prefix: rec.name.to_vec(),
-        epoch: rec.entry.epoch,
-        tombstone: rec.entry.binding.is_none(),
+        epoch: entry.epoch,
+        tombstone: entry.binding.is_none(),
     }
 }
 
@@ -386,15 +387,16 @@ impl SyncTable {
             return;
         };
         self.unverified.remove(&rec.name);
-        self.tombs.remove(&(rec.entry.epoch, rec.name));
+        self.tombs.remove(&(rec.entry().epoch, rec.name));
         self.dirty.insert(bucket_of_hash(hash) / MERKLE_FANOUT);
     }
 
     /// Defines (or redefines) a prefix first-hand: stamped and verified.
-    pub fn define(&mut self, prefix: Vec<u8>, binding: SyncBinding, now_ns: u64) {
+    /// The table copies the name's bytes only if it has not stored it yet.
+    pub fn define(&mut self, prefix: impl AsRef<[u8]>, binding: SyncBinding, now_ns: u64) {
         let epoch = self.stamp(now_ns);
         self.put(
-            &prefix,
+            prefix.as_ref(),
             VersionedEntry {
                 binding: Some(binding),
                 epoch,
@@ -405,9 +407,9 @@ impl SyncTable {
 
     /// Preloads a prefix at epoch 0, unverified — a replica's boot-time
     /// copy, out-ranked by any authoritative stamp.
-    pub fn preload(&mut self, prefix: Vec<u8>, binding: SyncBinding) {
+    pub fn preload(&mut self, prefix: impl AsRef<[u8]>, binding: SyncBinding) {
         self.put(
-            &prefix,
+            prefix.as_ref(),
             VersionedEntry {
                 binding: Some(binding),
                 epoch: 0,
@@ -426,7 +428,7 @@ impl SyncTable {
     pub fn tombstone(&mut self, prefix: &[u8], now_ns: u64) -> TombstoneOutcome {
         let outcome = match self.get(prefix) {
             None => return TombstoneOutcome::Unknown,
-            Some(rec) if rec.entry.binding.is_some() => TombstoneOutcome::DroppedLive,
+            Some(rec) if rec.entry().binding.is_some() => TombstoneOutcome::DroppedLive,
             Some(_) => TombstoneOutcome::AlreadyDead,
         };
         let epoch = self.stamp(now_ns);
@@ -442,8 +444,8 @@ impl SyncTable {
     }
 
     /// Looks up a live binding (tombstones answer `None`).
-    pub fn lookup(&self, prefix: &[u8]) -> Option<&VersionedEntry> {
-        let entry = &self.get(prefix)?.entry;
+    pub fn lookup(&self, prefix: &[u8]) -> Option<VersionedEntry> {
+        let entry = self.get(prefix)?.entry();
         entry.binding.is_some().then_some(entry)
     }
 
@@ -454,16 +456,16 @@ impl SyncTable {
         self.shards
             .iter()
             .flat_map(|s| s.records())
-            .filter(|rec| rec.entry.binding.as_ref().is_some_and(&mut wanted))
+            .filter(|rec| rec.entry().binding.as_ref().is_some_and(&mut wanted))
             .map(|rec| &*rec.name)
             .min()
     }
 
     /// Iterates live `(prefix, binding, verified)` entries in name order.
-    pub fn live_iter(&self) -> impl Iterator<Item = (&[u8], &SyncBinding, bool)> {
+    pub fn live_iter(&self) -> impl Iterator<Item = (&[u8], SyncBinding, bool)> {
         self.sorted_records().into_iter().filter_map(|rec| {
-            let binding = rec.entry.binding.as_ref()?;
-            Some((&*rec.name, binding, rec.entry.verified))
+            let entry = rec.entry();
+            Some((&*rec.name, entry.binding?, entry.verified))
         })
     }
 
@@ -476,7 +478,7 @@ impl SyncTable {
     pub fn mark_all_verified(&mut self) -> u32 {
         let mut promoted = 0;
         while let Some(rec) = self.unverified.first().and_then(|name| self.get(name)) {
-            let (name, entry) = (rec.name.clone(), rec.entry);
+            let (name, entry) = (rec.name.clone(), rec.entry());
             self.put(
                 &name,
                 VersionedEntry {
@@ -649,15 +651,19 @@ impl SyncTable {
             .map(|d| (d.prefix.as_slice(), d.epoch))
             .collect();
         let newer = |rec: &&Record| {
-            (authoritative || rec.entry.epoch > 0)
+            let epoch = rec.entry().epoch;
+            (authoritative || epoch > 0)
                 && remote
                     .get(&*rec.name)
-                    .is_none_or(|&remote_epoch| rec.entry.epoch > remote_epoch)
+                    .is_none_or(|&remote_epoch| epoch > remote_epoch)
         };
-        let to_entry = |rec: &Record| SyncEntry {
-            prefix: rec.name.to_vec(),
-            epoch: rec.entry.epoch,
-            binding: rec.entry.binding,
+        let to_entry = |rec: &Record| {
+            let entry = rec.entry();
+            SyncEntry {
+                prefix: rec.name.to_vec(),
+                epoch: entry.epoch,
+                binding: entry.binding,
+            }
         };
         let mut out: Vec<SyncEntry> = match scope {
             None => self
@@ -733,7 +739,7 @@ impl SyncTable {
             if d.epoch == 0 || (!verified && d.epoch <= self.gc_horizon) {
                 continue;
             }
-            let local = self.get(&d.prefix).map(|rec| rec.entry);
+            let local = self.get(&d.prefix).map(Record::entry);
             if local.is_some_and(|e| e.epoch >= d.epoch) {
                 continue;
             }
@@ -834,7 +840,7 @@ impl SyncTable {
         for leaf in siblings.chunk_by(|a, b| bucket_of_hash(a.hash) == bucket_of_hash(b.hash)) {
             let mut h = Fnv1a::new();
             for rec in leaf {
-                fold_entry(&mut h, &rec.name, &rec.entry);
+                fold_entry(&mut h, &rec.name, &rec.entry());
             }
             children[(bucket_of_hash(leaf[0].hash) - first) as usize] = h.finish();
         }
@@ -1212,13 +1218,13 @@ mod tests {
     #[test]
     fn one_round_converges_preloaded_replica() {
         let mut auth = SyncTable::new();
-        auth.define(b"home".to_vec(), bind(1), 100);
-        auth.define(b"remote".to_vec(), bind(2), 200);
+        auth.define(b"home", bind(1), 100);
+        auth.define(b"remote", bind(2), 200);
         auth.tombstone(b"home", 300);
 
         let mut replica = SyncTable::new();
-        replica.preload(b"home".to_vec(), bind(1));
-        replica.preload(b"stale".to_vec(), bind(9)); // authority never had it
+        replica.preload(b"home", bind(1));
+        replica.preload(b"stale", bind(9)); // authority never had it
 
         let delta = auth.delta_for(&replica.digest(), true, 400);
         replica.apply(&delta, true);
@@ -1231,7 +1237,7 @@ mod tests {
     #[test]
     fn second_round_is_a_no_op() {
         let mut auth = SyncTable::new();
-        auth.define(b"a".to_vec(), bind(1), 10);
+        auth.define(b"a", bind(1), 10);
         let mut replica = SyncTable::new();
         let d1 = auth.delta_for(&replica.digest(), true, 20);
         replica.apply(&d1, true);
@@ -1243,7 +1249,7 @@ mod tests {
     #[test]
     fn epochs_never_regress_on_apply() {
         let mut t = SyncTable::new();
-        t.define(b"a".to_vec(), bind(1), 100);
+        t.define(b"a", bind(1), 100);
         let e = t.lookup(b"a").map(|v| v.epoch).unwrap_or(0);
         let out = t.apply(
             &[SyncEntry {
@@ -1260,12 +1266,12 @@ mod tests {
     #[test]
     fn restart_stamps_outrank_pre_crash_entries() {
         let mut before = SyncTable::new();
-        before.define(b"a".to_vec(), bind(1), 5_000_000);
+        before.define(b"a", bind(1), 5_000_000);
         let pre_crash = before.lookup(b"a").map(|v| v.epoch).unwrap_or(0);
         // A restarted authority starts a fresh table but stamps at the
         // (later) virtual time, so its entries win.
         let mut after = SyncTable::new();
-        after.define(b"a".to_vec(), bind(2), 9_000_000);
+        after.define(b"a", bind(2), 9_000_000);
         let post_crash = after.lookup(b"a").map(|v| v.epoch).unwrap_or(0);
         assert!(post_crash > pre_crash);
     }
@@ -1273,9 +1279,9 @@ mod tests {
     #[test]
     fn promotion_counts_unverified_entries() {
         let mut auth = SyncTable::new();
-        auth.define(b"a".to_vec(), bind(1), 10);
+        auth.define(b"a", bind(1), 10);
         let mut replica = SyncTable::new();
-        replica.preload(b"a".to_vec(), bind(1));
+        replica.preload(b"a", bind(1));
         assert!(replica.lookup(b"a").is_some_and(|e| !e.verified));
         let delta = auth.delta_for(&replica.digest(), true, 20);
         let out = replica.apply(&delta, true);
@@ -1289,7 +1295,7 @@ mod tests {
     #[test]
     fn deleting_an_unknown_prefix_is_a_no_op() {
         let mut t = SyncTable::new();
-        t.define(b"a".to_vec(), bind(1), 10);
+        t.define(b"a", bind(1), 10);
         let hash = t.table_hash();
         let epoch = t.max_epoch();
         for i in 0..100u32 {
@@ -1314,7 +1320,7 @@ mod tests {
     #[test]
     fn hostile_digest_epoch_cannot_poison_the_clock() {
         let mut auth = SyncTable::new();
-        auth.define(b"a".to_vec(), bind(1), 1_000);
+        auth.define(b"a", bind(1), 1_000);
         let now_ns = 2_000;
         let hostile = [SyncDigestEntry {
             prefix: b"evil".to_vec(),
@@ -1327,7 +1333,7 @@ mod tests {
         assert!(delta.iter().all(|e| e.prefix != b"evil"));
         assert!(auth.max_epoch() <= now_ns + MAX_EPOCH_SKEW_NS);
         // The clock still stamps sanely afterwards.
-        auth.define(b"b".to_vec(), bind(2), 3_000);
+        auth.define(b"b", bind(2), 3_000);
         assert!(auth.max_epoch() < 1_000_000);
         // An epoch within the skew bound is still honoured (the normal
         // unknown-prefix tombstone path).
@@ -1360,9 +1366,9 @@ mod tests {
     #[test]
     fn gc_drops_only_tombstones_at_or_below_horizon() {
         let mut t = SyncTable::new();
-        t.define(b"live".to_vec(), bind(1), 100);
-        t.define(b"old".to_vec(), bind(2), 200);
-        t.define(b"new".to_vec(), bind(3), 300);
+        t.define(b"live", bind(1), 100);
+        t.define(b"old", bind(2), 200);
+        t.define(b"new", bind(3), 300);
         t.tombstone(b"old", 400);
         t.tombstone(b"new", 500);
         let old_epoch = 400; // stamps are >= now, monotone
@@ -1386,17 +1392,17 @@ mod tests {
     fn epoch_clock_and_side_indexes_mirror_the_table() {
         let check = |t: &SyncTable, who: &str| {
             let records = t.sorted_records();
-            let scan_max = records.iter().map(|r| r.entry.epoch).max().unwrap_or(0);
+            let scan_max = records.iter().map(|r| r.entry().epoch).max().unwrap_or(0);
             assert!(t.next_epoch >= scan_max, "{who}: clock behind an entry");
             let dead: BTreeSet<(u64, Name)> = records
                 .iter()
-                .filter(|r| r.entry.binding.is_none())
-                .map(|r| (r.entry.epoch, r.name.clone()))
+                .filter(|r| r.entry().binding.is_none())
+                .map(|r| (r.entry().epoch, r.name.clone()))
                 .collect();
             assert_eq!(t.tombs, dead, "{who}: tombstone index diverged");
             let unverified: BTreeSet<Name> = records
                 .iter()
-                .filter(|r| !r.entry.verified)
+                .filter(|r| !r.entry().verified)
                 .map(|r| r.name.clone())
                 .collect();
             assert_eq!(t.unverified, unverified, "{who}: unverified index diverged");
@@ -1406,7 +1412,7 @@ mod tests {
             let indexed = t.tombs.iter().map(|(_, name)| name);
             for name in indexed.chain(&t.unverified) {
                 match (name, &t.get(name).expect("indexed name is stored").name) {
-                    (Name::Heap(name), Name::Heap(stored)) => {
+                    (Name::Heap(_, name), Name::Heap(_, stored)) => {
                         assert!(Arc::ptr_eq(name, stored), "{who}: indexed name was copied")
                     }
                     (Name::Inline(..), Name::Inline(..)) => {}
@@ -1418,16 +1424,16 @@ mod tests {
         let long = |tag: &str| format!("{tag}-{}", "x".repeat(30)).into_bytes();
         let mut auth = SyncTable::new();
         let mut rep = SyncTable::new();
-        rep.preload(b"boot".to_vec(), bind(9));
+        rep.preload(b"boot", bind(9));
         rep.preload(long("boot"), bind(9));
         check(&rep, "preload");
-        auth.define(b"a".to_vec(), bind(1), 100);
-        auth.define(b"b".to_vec(), bind(2), 200);
+        auth.define(b"a", bind(1), 100);
+        auth.define(b"b", bind(2), 200);
         auth.define(long("a"), bind(3), 250);
         auth.tombstone(b"a", 300);
         auth.tombstone(b"a", 400); // re-stamp moves the index slot
         auth.tombstone(&long("a"), 410);
-        assert!(auth.tombs.iter().any(|(_, n)| matches!(n, Name::Heap(_))));
+        assert!(auth.tombs.iter().any(|(_, n)| matches!(n, Name::Heap(..))));
         check(&auth, "define/tombstone");
         // Minting: the replica's digest names a prefix the authority never
         // had, so the delta path stamps a tombstone for it.
@@ -1453,7 +1459,7 @@ mod tests {
     #[test]
     fn gcd_tombstone_in_digest_is_not_restamped() {
         let mut auth = SyncTable::new();
-        auth.define(b"gone".to_vec(), bind(1), 100);
+        auth.define(b"gone", bind(1), 100);
         auth.tombstone(b"gone", 200);
         let tomb_epoch = auth
             .digest()
@@ -1479,7 +1485,7 @@ mod tests {
     #[test]
     fn gossip_deltas_never_carry_preloads() {
         let mut peer = SyncTable::new();
-        peer.preload(b"hearsay".to_vec(), bind(9));
+        peer.preload(b"hearsay", bind(9));
         peer.apply(
             &[SyncEntry {
                 prefix: b"real".to_vec(),
@@ -1525,7 +1531,7 @@ mod tests {
         assert_eq!(a.merkle_root(), b.merkle_root());
         assert_eq!(a.table_hash(), b.table_hash());
         // Divergence is visible at the root, at exactly one leaf path.
-        b.define(b"p7".to_vec(), bind(99), 1_000);
+        b.define(b"p7", bind(99), 1_000);
         assert_ne!(a.merkle_root(), b.merkle_root());
     }
 
@@ -1533,7 +1539,7 @@ mod tests {
     fn empty_and_emptied_tables_hash_alike() {
         let mut empty = SyncTable::new();
         let mut emptied = SyncTable::new();
-        emptied.define(b"a".to_vec(), bind(1), 10);
+        emptied.define(b"a", bind(1), 10);
         emptied.tombstone(b"a", 20);
         let tomb = emptied.max_epoch();
         assert_ne!(emptied.merkle_root(), empty.merkle_root());
@@ -1557,7 +1563,7 @@ mod tests {
         };
         let before_leaves = leaves(&t);
         let before_nodes = t.nodes.clone();
-        t.define(b"p11".to_vec(), bind(1234), 9_000);
+        t.define(b"p11", bind(1234), 9_000);
         assert_eq!(
             t.dirty.len(),
             1,
@@ -1623,8 +1629,8 @@ mod tests {
             for i in 0..30u32 {
                 auth.define(format!("e{i}").into_bytes(), bind(i), 100 + u64::from(i));
             }
-            rep.preload(b"e1".to_vec(), bind(1));
-            rep.preload(b"stray".to_vec(), bind(77));
+            rep.preload(b"e1", bind(1));
+            rep.preload(b"stray", bind(77));
             auth.tombstone(b"e5", 400);
             (auth, rep)
         };
@@ -1695,7 +1701,7 @@ mod tests {
         }
         for drop_at in 0..=MERKLE_LEVELS {
             let mut rep = SyncTable::new();
-            rep.preload(b"k1".to_vec(), bind(1));
+            rep.preload(b"k1", bind(1));
             let before = rep.table_hash();
             let (out, _) = merkle_round(
                 &mut auth,
@@ -1725,7 +1731,7 @@ mod tests {
             true,
         );
         let mut cold = SyncTable::new();
-        cold.preload(b"hearsay".to_vec(), bind(9));
+        cold.preload(b"hearsay", bind(9));
         let peer_len = peer.live_len();
         let (out, _) = merkle_round(
             &mut cold,

@@ -300,7 +300,7 @@ proptest! {
         let mut t = SyncTable::new();
         let mut last = 0u64;
         for tg in targets {
-            t.define(b"p".to_vec(), bind(tg), u64::from(now));
+            t.define(b"p", bind(tg), u64::from(now));
             let e = epochs(&t).get(b"p".as_slice()).copied().unwrap_or(0);
             prop_assert!(e > last, "stamp did not advance: {} then {}", last, e);
             last = e;
