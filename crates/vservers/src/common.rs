@@ -116,9 +116,6 @@ pub trait Server {
         Err(ReplyCode::UnknownRequest)
     }
 
-    /// Runs before every blocking receive.
-    fn idle(&mut self) {}
-
     /// Runs as each request arrives, before anything else — in particular
     /// before a `MoveFrom` advances the virtual clock.
     fn arrived(&mut self, _ctx: &dyn Ipc) {}
@@ -141,7 +138,6 @@ pub fn serve(ctx: &dyn Ipc, server: &mut impl Server) {
     let mut parked: Vec<(u64, Received)> = Vec::new();
     let mut token = 0u64;
     loop {
-        server.idle();
         let Ok(rx) = ctx.receive() else { return };
         server.arrived(ctx);
         token += 1;

@@ -26,9 +26,9 @@ use crate::common::{
     open_directory, read, release, reply, reply_descriptor, serve, Answer, Call, Handle, Handled,
     Server,
 };
-use crate::shard::{Name, ShardedTable};
+use crate::shard::Name;
 use crate::suspect::SuspectSet;
-use crate::sync::{ApplyOutcome, MerkleWalk, SyncTable, TombstoneOutcome};
+use crate::sync::{ApplyOutcome, MerkleWalk, SyncTable, TombstoneOutcome, VersionedEntry};
 use bytes::Bytes;
 use std::convert::Infallible;
 use std::time::Duration;
@@ -205,11 +205,12 @@ pub fn prefix_footprint_bytes(n_entries: usize, total_name_bytes: usize) -> usiz
 }
 
 struct PrefixServer {
-    /// The table's shards double as the published view: definitions and
-    /// sync rounds mutate copies of the shards a snapshot still shares, and
-    /// `idle` publishes the table's current shards before the next request
-    /// — resolutions never see a half-applied batch.
-    sharded: ShardedTable,
+    /// The one copy of the bindings. The server is its only reader and its
+    /// only writer, one request at a time (paper §5.3–5.4), so a resolve
+    /// reads it as the last handler left it, never half-way through a
+    /// sync round; and since nothing else holds its pages, a define or a
+    /// tombstone is a store into its slot.
+    table: SyncTable,
     /// Directory listings only: a prefix is not opened for I/O.
     instances: InstanceTable<Handle<Infallible>>,
     /// Suspect prefixes, indexed by name and by TTL expiry.
@@ -259,7 +260,7 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
         }
     }
     let mut server = PrefixServer {
-        sharded: ShardedTable::from_table(table),
+        table,
         instances: InstanceTable::new(),
         suspects: SuspectSet::default(),
         counters: SyncStatusRec::default(),
@@ -275,21 +276,15 @@ pub fn prefix_server(ctx: &dyn Ipc, config: PrefixConfig) {
 }
 
 impl Server for PrefixServer {
-    /// Publishes any table mutations from the previous request before
-    /// blocking: either the whole batch of a sync round becomes visible or
-    /// none of it does, so a reader can never observe a half-applied round.
-    /// A no-op (and no allocation) when nothing changed.
-    fn idle(&mut self) {
-        self.sharded.publish();
-    }
-
     /// Sweeps expired suspicions on every request — a suspicion whose TTL
     /// elapsed must clear even if no query for that prefix ever arrives
     /// again (any message wakes the sweep). The TTL-ordered index pops
-    /// exactly the expired entries: O(expired), not O(armed).
+    /// exactly the expired entries: O(expired), not O(armed). With none
+    /// armed there is nothing to expire, and the clock is not read.
     fn arrived(&mut self, ctx: &dyn Ipc) {
-        let now_ns = ctx.now().as_nanos() as u64;
-        self.counters.suspects_expired += self.suspects.expire(now_ns);
+        if let Some(now_ns) = self.suspicion_clock(ctx) {
+            self.counters.suspects_expired += self.suspects.expire(now_ns);
+        }
     }
 
     /// Routes a CSname request: a definition, an operation on the prefix
@@ -330,8 +325,7 @@ impl Server for PrefixServer {
                     ))
                 };
                 let now_ns = ctx.now().as_nanos() as u64;
-                let table = self.sharded.table_mut();
-                table.define(name, target.to_binding(), now_ns);
+                self.table.define(name, target.to_binding(), now_ns);
                 return reply(ReplyCode::Ok);
             }
             Some(RequestCode::DeleteContextName) if is_definition => {
@@ -342,7 +336,7 @@ impl Server for PrefixServer {
                 // table without bound under delete-of-unknown churn.
                 let name = strip_brackets(remaining);
                 let now_ns = ctx.now().as_nanos() as u64;
-                return match self.sharded.table_mut().tombstone(name, now_ns) {
+                return match self.table.tombstone(name, now_ns) {
                     TombstoneOutcome::DroppedLive => reply(ReplyCode::Ok),
                     TombstoneOutcome::AlreadyDead | TombstoneOutcome::Unknown => {
                         Err(ReplyCode::NotFound)
@@ -369,14 +363,17 @@ impl Server for PrefixServer {
             ctx.charge(net.params().t_prefix_processing);
         }
 
-        // The hot path reads the published snapshot — one hashed probe of an
-        // immutable shard. A tombstone answers like a miss.
-        let entry = self
-            .sharded
-            .snapshot()
-            .lookup(prefix)
-            .ok_or(ReplyCode::NotFound)?;
-        let target = PrefixTarget::from_binding(&entry.binding);
+        // The hot path: one hashed probe of the table. A tombstone answers
+        // like a miss.
+        let Some(VersionedEntry {
+            binding: Some(binding),
+            verified,
+            ..
+        }) = self.table.lookup(prefix)
+        else {
+            return Err(ReplyCode::NotFound);
+        };
+        let target = PrefixTarget::from_binding(&binding);
 
         let binding_query =
             op == Some(RequestCode::QueryName) && remaining[rest_index..].is_empty();
@@ -396,11 +393,12 @@ impl Server for PrefixServer {
         // replica hand out first-class bindings without a probe to the
         // authority.
         if let Some(d) = self.degraded {
-            let now_ns = ctx.now().as_nanos() as u64;
-            let suspect_armed = self.suspects.is_armed(prefix, now_ns);
+            let suspect_armed = self
+                .suspicion_clock(ctx)
+                .is_some_and(|now_ns| self.suspects.is_armed(prefix, now_ns));
             if binding_query && (suspect_armed || !d.authoritative) {
                 if let PrefixTarget::Direct(pair) = target {
-                    let staleness = u16::from(!entry.verified || suspect_armed);
+                    let staleness = u16::from(!verified || suspect_armed);
                     let mut m = Message::ok();
                     m.set_context_id(pair.context);
                     m.set_pid_at(fields::W_PID_LO, pair.server);
@@ -429,7 +427,7 @@ impl Server for PrefixServer {
                 let looking_for = ContextPair::new(server, target_ctx);
                 // Several names may be bound to the pair: the first in name
                 // order answers.
-                let found = self.sharded.table().first_live_name(|b| {
+                let found = self.table.first_live_name(|b| {
                     matches!(PrefixTarget::from_binding(b),
                         PrefixTarget::Direct(pair) if pair == looking_for)
                 });
@@ -459,7 +457,7 @@ impl Server for PrefixServer {
                     .and_then(|d| Some((d, d.sync_peer?)))
                     .ok_or(ReplyCode::NoServer)?;
                 let counters = &mut self.counters;
-                let table = self.sharded.table_mut();
+                let table = &mut self.table;
                 let applied =
                     authority_round(ctx, table, peer, d.flat_sync, counters, &mut self.suspects)
                         .map(|out| (out, false))
@@ -473,11 +471,7 @@ impl Server for PrefixServer {
                 // so answer `Retry` — `NoServer` is reserved for
                 // anti-entropy not being configured at all.
                 let (out, via_gossip) = applied.ok_or(ReplyCode::Retry)?;
-                Ok(Answer::Reply(round_reply(
-                    out,
-                    self.sharded.table(),
-                    via_gossip,
-                )))
+                Ok(Answer::Reply(round_reply(out, &self.table, via_gossip)))
             }
             Some(RequestCode::SyncGossip) => {
                 if msg.word(fields::W_SYNC_PHASE) == 1 {
@@ -493,11 +487,11 @@ impl Server for PrefixServer {
                     .degraded
                     .and_then(|d| Some((d, d.replica_group?)))
                     .ok_or(ReplyCode::NoServer)?;
-                let table = self.sharded.table_mut();
                 // `Retry`: transient, no peer answered this round's probe.
-                let out = gossip_round(ctx, table, group, d.flat_sync, &mut self.counters)
-                    .ok_or(ReplyCode::Retry)?;
-                Ok(Answer::Reply(round_reply(out, self.sharded.table(), true)))
+                let out =
+                    gossip_round(ctx, &mut self.table, group, d.flat_sync, &mut self.counters)
+                        .ok_or(ReplyCode::Retry)?;
+                Ok(Answer::Reply(round_reply(out, &self.table, true)))
             }
             Some(RequestCode::SyncDigest) => {
                 let payload = call.data()?;
@@ -506,7 +500,7 @@ impl Server for PrefixServer {
                 // the sender's watermark ack, exactly as a probe does on the
                 // Merkle path.
                 let now_ns = ctx.now().as_nanos() as u64;
-                let (delta, gc_dropped) = self.sharded.table_mut().answer_digest(
+                let (delta, gc_dropped) = self.table.answer_digest(
                     &digest,
                     self.authoritative,
                     Some(call.from.raw()),
@@ -529,7 +523,7 @@ impl Server for PrefixServer {
                 let payload = call.data()?;
                 let probe = SyncProbeMsg::decode(&payload).map_err(|_| ReplyCode::BadArgs)?;
                 let now_ns = ctx.now().as_nanos() as u64;
-                let (reply, gc_dropped) = self.sharded.table_mut().answer_probe(
+                let (reply, gc_dropped) = self.table.answer_probe(
                     &probe,
                     self.authoritative,
                     Some(call.from.raw()),
@@ -542,7 +536,7 @@ impl Server for PrefixServer {
                 Ok(Answer::Data(m, reply.encode()))
             }
             Some(RequestCode::SyncStatus) => {
-                let table = self.sharded.table_mut();
+                let table = &mut self.table;
                 let rec = SyncStatusRec {
                     epoch: table.max_epoch(),
                     live_entries: table.live_len() as u32,
@@ -572,7 +566,7 @@ impl Server for PrefixServer {
                 // re-resolve via `GetPid` and survive restarts by design.
                 if matches!(target, PrefixTarget::Direct(_)) {
                     let now_ns = ctx.now().as_nanos() as u64;
-                    self.sharded.table_mut().tombstone(&prefix, now_ns);
+                    self.table.tombstone(&prefix, now_ns);
                 }
             }
             Err(IpcError::Timeout) => {
@@ -603,21 +597,27 @@ impl PrefixServer {
         self.counters.binding_queries = self.counters.binding_queries.saturating_add(n);
     }
 
-    /// Answers one `ResolveBatch` request from the published snapshot.
+    /// The virtual or real time to test suspicions against: `None` while
+    /// none is armed, when every name is unsuspected at any time — so a
+    /// server that has armed nothing never reads the clock.
+    fn suspicion_clock(&self, ctx: &dyn Ipc) -> Option<u64> {
+        (!self.suspects.is_empty()).then(|| ctx.now().as_nanos() as u64)
+    }
+
+    /// Answers one `ResolveBatch` request from the table.
     ///
-    /// Every name in the batch is resolved against the same immutable
-    /// snapshot, so the whole batch observes one internally consistent
-    /// table state. The batched probe walks the names shard by shard
-    /// ([`crate::shard::Snapshot::resolve_batch`]), touching each shard's
-    /// map once while it is cache-hot.
+    /// The whole batch is resolved inside this one handler, so it observes
+    /// one table state: no write or sync round runs between two of its
+    /// names. The batched probe ([`SyncTable::resolve_batch`]) overlaps the
+    /// names' cache misses instead of taking them one after another.
     fn resolve_batch(&mut self, call: &Call) -> Handled {
         let ctx = call.ctx;
-        let snap = self.sharded.snapshot();
-        let now_ns = ctx.now().as_nanos() as u64;
+        let now_ns = self.suspicion_clock(ctx);
         let payload = call.data()?;
         let names = ResolveBatchMsg::decode_names(&payload).map_err(|_| ReplyCode::BadArgs)?;
         self.count_binding_queries(names.len());
-        let answers: Vec<ResolveAnswer> = snap
+        let answers: Vec<ResolveAnswer> = self
+            .table
             .resolve_batch(&names)
             .into_iter()
             .zip(&names)
@@ -631,7 +631,8 @@ impl PrefixServer {
                 let Some(entry) = hit else {
                     return answer(RESOLVE_NOT_FOUND, 0, 0, 0);
                 };
-                let staleness = u16::from(!entry.verified || self.suspects.is_armed(name, now_ns));
+                let armed = now_ns.is_some_and(|now_ns| self.suspects.is_armed(name, now_ns));
+                let staleness = u16::from(!entry.verified || armed);
                 match PrefixTarget::from_binding(&entry.binding).locate(ctx) {
                     Some(to) => answer(RESOLVE_OK, to.server.raw(), to.context.raw(), staleness),
                     None => answer(RESOLVE_NO_SERVER, 0, 0, staleness),
@@ -647,7 +648,7 @@ impl PrefixServer {
     /// Operations on the prefix server's own (single) context: directory
     /// listing, query, mapping.
     fn own_context(&mut self, call: &mut Call, req: &CsRequest) -> Handled {
-        let table = self.sharded.table();
+        let table = &self.table;
         match call.msg.request_code() {
             Some(RequestCode::CreateInstance)
                 if matches!(
@@ -833,7 +834,7 @@ mod tests {
     #[test]
     fn binding_query_count_saturates() {
         let mut server = PrefixServer {
-            sharded: ShardedTable::new(),
+            table: SyncTable::new(),
             instances: InstanceTable::new(),
             suspects: SuspectSet::default(),
             counters: SyncStatusRec::default(),

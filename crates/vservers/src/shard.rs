@@ -11,13 +11,19 @@
 //!   run of slots, so "the records of bucket *b*" is a range scan
 //!   ([`Shard::under`]) over the records themselves, not a second set of
 //!   names;
-//! * the **unit of publication**: the table holds its shards as
-//!   `Arc<Shard>`, a [`Snapshot`] is the same sixteen `Arc`s, and the writer
-//!   mutates through `Arc::make_mut`. Publishing is sixteen pointer clones;
-//!   a shard changed since the last publish is exactly one whose pointer
-//!   differs from the published one; and a reader's snapshot keeps the old
-//!   copy alive untouched (copy-on-write, RCU style — readers never take a
-//!   write lock, writers never block readers).
+//! * the **unit of publication**, for a reader on another thread: the table
+//!   holds its shards as `Arc<Shard>`, a [`Snapshot`] is the same sixteen
+//!   `Arc`s, and the writer mutates through `Arc::make_mut`. Publishing
+//!   ([`ShardedTable::publish`]) is sixteen pointer clones; a shard changed
+//!   since the last publish is exactly one whose pointer differs from the
+//!   published one; and a reader's snapshot keeps the old copy alive
+//!   untouched (copy-on-write, RCU style — readers never take a write lock,
+//!   writers never block readers). The prefix server publishes nothing: it
+//!   is its table's only reader, between its own handlers, so it resolves
+//!   from the [`SyncTable`] it writes ([`SyncTable::resolve_batch`] runs the
+//!   same batch probe as [`Snapshot::resolve_batch`]), and with no snapshot
+//!   holding its pages, `Arc::make_mut` copies nothing: a write is a store
+//!   into its slot.
 //!
 //! The unit of *copying* is two levels down: a shard's slots are cut into
 //! pages of 2^[`PAGE_SLOT_BITS`] slots (6 KB), each behind its own `Arc`,
@@ -585,36 +591,43 @@ impl Snapshot {
         self.shards.iter().map(|s| s.live_len()).sum()
     }
 
-    /// Resolves a batch of prefixes against this one consistent view, in
-    /// four passes so that the names' cache misses overlap instead of
-    /// queueing one behind another: hash every name, load every name's home
-    /// page pointer, load every home slot, then compare. A name found in its
-    /// home slot, or whose home slot is empty, is answered from that one
-    /// load; only the rest take the full probe. Answers land at the input
-    /// index of their name.
+    /// Resolves a batch of prefixes against this one consistent view: see
+    /// [`batch_probe`].
     pub fn resolve_batch(&self, names: &[&[u8]]) -> Vec<Option<SnapEntry>> {
-        let hashes: Vec<u64> = names.iter().map(|name| fnv1a(name)).collect();
-        let slots: Vec<Option<&Option<Record>>> = hashes
-            .iter()
-            .map(|&h| self.shards[shard_of_hash(h)].home_slot(h))
-            .collect();
-        let homes: Vec<Option<&Record>> = slots
-            .into_iter()
-            .map(|slot| slot.and_then(Option::as_ref))
-            .collect();
-        names
-            .iter()
-            .zip(hashes)
-            .zip(homes)
-            .map(|((name, h), home)| match home {
-                Some(rec) if rec.hash == h && *rec.name == **name => rec.live(),
-                Some(_) => self.shards[shard_of_hash(h)]
-                    .get(h, name)
-                    .and_then(Record::live),
-                None => None,
-            })
-            .collect()
+        batch_probe(&self.shards, names)
     }
+}
+
+/// Resolves a batch of prefixes against one set of shards — a
+/// [`Snapshot`]'s or a live [`SyncTable`]'s — in four passes so that the
+/// names' cache misses overlap instead of queueing one behind another: hash
+/// every name, load every name's home page pointer, load every home slot,
+/// then compare. A name found in its home slot, or whose home slot is
+/// empty, is answered from that one load; only the rest take the full
+/// probe. Answers land at the input index of their name.
+pub(crate) fn batch_probe(
+    shards: &[Arc<Shard>; SHARD_COUNT],
+    names: &[&[u8]],
+) -> Vec<Option<SnapEntry>> {
+    let hashes: Vec<u64> = names.iter().map(|name| fnv1a(name)).collect();
+    let slots: Vec<Option<&Option<Record>>> = hashes
+        .iter()
+        .map(|&h| shards[shard_of_hash(h)].home_slot(h))
+        .collect();
+    let homes: Vec<Option<&Record>> = slots
+        .into_iter()
+        .map(|slot| slot.and_then(Option::as_ref))
+        .collect();
+    names
+        .iter()
+        .zip(hashes)
+        .zip(homes)
+        .map(|((name, h), home)| match home {
+            Some(rec) if rec.hash == h && *rec.name == **name => rec.live(),
+            Some(_) => shards[shard_of_hash(h)].get(h, name).and_then(Record::live),
+            None => None,
+        })
+        .collect()
 }
 
 /// The writer half: a [`SyncTable`] plus the publication slot readers load
@@ -973,6 +986,56 @@ mod tests {
         assert_eq!(moved_to, end, "the follower moved back onto the page end");
     }
 
+    /// The address of every shard, directory and page of `table`, in order.
+    fn addresses(table: &SyncTable) -> Vec<*const ()> {
+        let mut at = Vec::new();
+        for shard in table.shards() {
+            at.push(Arc::as_ptr(shard).cast::<()>());
+            for dir in &shard.dirs {
+                at.push(Arc::as_ptr(dir).cast::<()>());
+                at.extend(dir.iter().map(|page| Arc::as_ptr(page).cast::<()>()));
+            }
+        }
+        at
+    }
+
+    /// With no snapshot and no clone sharing the table, a write is a store
+    /// into its slot: a define, a re-define, a tombstone and a GC of one
+    /// record each leave every shard, directory and page where it was —
+    /// the prefix server's own table never copies a page.
+    #[test]
+    fn an_unshared_write_stores_in_place() {
+        let mut names = names_in(5, "own", 5_001, |_| true);
+        let more = names.pop().expect("one more name");
+        let mut table = SyncTable::new();
+        for (i, name) in (0u32..).zip(&names) {
+            table.define(name.clone(), bind(i), 100 + u64::from(i));
+        }
+        assert!(table.shards()[5].dirs.len() >= 2, "several directories");
+        let mut now = 10_000;
+        let mut write = |table: &mut SyncTable, op: &dyn Fn(&mut SyncTable, u64)| {
+            now += 1;
+            let before = addresses(table);
+            op(table, now);
+            assert_eq!(addresses(table), before);
+        };
+        write(&mut table, &|t, now| t.define(more.clone(), bind(1), now));
+        write(&mut table, &|t, now| {
+            t.define(names[3].clone(), bind(2), now)
+        });
+        write(&mut table, &|t, now| {
+            assert_eq!(t.tombstone(&names[17], now), TombstoneOutcome::DroppedLive);
+        });
+        write(&mut table, &|t, now| assert_eq!(t.gc_below(now), 1));
+        assert_eq!(table.lookup(&more).and_then(|e| e.binding), Some(bind(1)));
+        assert_eq!(
+            table.lookup(&names[3]).and_then(|e| e.binding),
+            Some(bind(2))
+        );
+        assert!(table.lookup(&names[17]).is_none());
+        assert_eq!(table.live_len(), names.len());
+    }
+
     /// A backward shift that carries a record from the first page of one
     /// directory onto the last page of the one before copies both
     /// directories and both pages, and the snapshots held before the
@@ -1079,6 +1142,15 @@ mod tests {
                 );
             }
             assert!(empty.resolve_batch(&batch).iter().all(Option::is_none));
+            assert_eq!(
+                st.table().resolve_batch(&batch),
+                snap.resolve_batch(&batch),
+                "the live table probes as its snapshot"
+            );
+            assert!(SyncTable::new()
+                .resolve_batch(&batch)
+                .iter()
+                .all(Option::is_none));
         }
         refs.truncate(64);
         assert_eq!(

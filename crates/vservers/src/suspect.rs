@@ -63,6 +63,11 @@ impl SuspectSet {
         self.until.len()
     }
 
+    /// `true` while no suspicion is armed.
+    pub fn is_empty(&self) -> bool {
+        self.until.is_empty()
+    }
+
     /// Drops every armed suspicion — a successful authority round vouches
     /// for the whole table at once.
     pub fn clear(&mut self) {

@@ -25,15 +25,16 @@
 //! nothing else holds a binding: a shard is the unit of storage, one
 //! root-child Merkle subtree, and the unit of publication at once. Every
 //! content mutation is one `put` or one `remove` here, each one
-//! `Shard::insert`/`Shard::remove` through `Arc::make_mut` — which, on a
-//! shard a snapshot still holds, copies the shard's top of at most 32
-//! directory pointers, and the shard then copies only the one directory of
-//! 32 page pointers and the one 6 KB page it writes. The only side
-//! indexes are `tombs` and `unverified`, written in those two functions
-//! and holding the shard's own names (a short name inline, a long one by
-//! its shared allocation, never a fresh copy); the Merkle tree keeps hashes
-//! of *interior* nodes only — a leaf's hash is folded on demand from the
-//! contiguous run of records that is its bucket.
+//! `Shard::insert`/`Shard::remove` through `Arc::make_mut`. On a shard
+//! nothing else holds — the prefix server's own table — that is a store
+//! into the slot. On a shard a snapshot still holds it copies the shard's
+//! top of at most 32 directory pointers, and the shard then copies only the
+//! one directory of 32 page pointers and the one 6 KB page it writes. The
+//! only side indexes are `tombs` and `unverified`, written in those two
+//! functions and holding the shard's own names (a short name inline, a
+//! long one by its shared allocation, never a fresh copy); the Merkle tree
+//! keeps hashes of *interior* nodes only — a leaf's hash is folded on
+//! demand from the contiguous run of records that is its bucket.
 //!
 //! # Bounded tombstones: watermarks and the GC horizon
 //!
@@ -89,7 +90,7 @@
 //! differential-testing oracle: a Merkle round and a flat round must leave
 //! byte-identical tables (see `tests/anti_entropy_props.rs`).
 
-use crate::shard::{bucket_of_hash, shard_of_hash, Name, Record, Shard};
+use crate::shard::{batch_probe, bucket_of_hash, shard_of_hash, Name, Record, Shard, SnapEntry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use vproto::{
@@ -220,7 +221,8 @@ pub struct ApplyOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct SyncTable {
     /// The records. Shared with published snapshots (and clones of this
-    /// table) until a mutation copies the page it touches.
+    /// table) until a mutation copies the page it touches; written in place
+    /// while nothing shares them.
     shards: [Arc<Shard>; SHARD_COUNT],
     next_epoch: u64,
     /// Replica side: the highest authority epoch fully reconciled through.
@@ -447,6 +449,14 @@ impl SyncTable {
     pub fn lookup(&self, prefix: &[u8]) -> Option<VersionedEntry> {
         let entry = self.get(prefix)?.entry();
         entry.binding.is_some().then_some(entry)
+    }
+
+    /// Resolves a batch of prefixes against the table as it stands, with
+    /// the batched probe a snapshot runs
+    /// ([`Snapshot::resolve_batch`](crate::shard::Snapshot::resolve_batch));
+    /// tombstones answer `None`.
+    pub fn resolve_batch(&self, names: &[&[u8]]) -> Vec<Option<SnapEntry>> {
+        batch_probe(&self.shards, names)
     }
 
     /// The least live name, in name order, whose binding satisfies `wanted`

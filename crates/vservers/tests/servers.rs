@@ -646,9 +646,9 @@ fn resolve_batch_answers_many_prefixes_from_one_snapshot() {
         expect_bound(&outcomes[3], ContextId::DEFAULT);
         expect_bound(&outcomes[4], ContextId::DEFAULT);
 
-        // A deletion published before the next batch: the same name that
-        // just resolved now answers NotFound — and the batch's other
-        // answers are untouched.
+        // A deletion the server handled before the next batch: the same
+        // name that just resolved now answers NotFound — and the batch's
+        // other answers are untouched.
         client.delete_prefix("bin").unwrap();
         let outcomes = client.resolve_batch(&["home", "bin"]).unwrap();
         expect_bound(&outcomes[0], ContextId::HOME);

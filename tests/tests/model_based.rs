@@ -1,14 +1,15 @@
 //! Model-based testing of the full naming stack: arbitrary operation
 //! sequences are applied both to the real system (NameClient → prefix
-//! server → file server, over the thread kernel) and to a trivial
-//! in-memory reference model; observable behaviour must match exactly.
+//! server → file server, over the thread kernel; NameClient → prefix
+//! server's table, over both kernels) and to a trivial in-memory reference
+//! model; observable behaviour must match exactly.
 
-use integration_tests::wait_for_service;
+use integration_tests::{wait_for_service, AnyDomain};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vkernel::Domain;
-use vproto::{ContextId, ContextPair, OpenMode, ServiceId};
-use vruntime::NameClient;
+use vproto::{ContextId, ContextPair, OpenMode, Pid, ServiceId};
+use vruntime::{BatchOutcome, Binding, NameClient, Staleness};
 use vservers::{file_server, prefix_server, FileServerConfig, PrefixConfig};
 
 /// Operations over a small universe of names (so collisions happen often).
@@ -248,5 +249,129 @@ proptest! {
     fn file_server_matches_reference_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
         let divergence = find_divergence(ops);
         prop_assert!(divergence.is_none(), "{}", divergence.unwrap());
+    }
+}
+
+/// Operations on the prefix table over eight names, `p0`…`p7`.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Add { name: u8, target: u8 },
+    Delete { name: u8 },
+    Batch { names: Vec<u8> },
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    let n = 0u8..8;
+    prop_oneof![
+        (n.clone(), any::<u8>()).prop_map(|(name, target)| TableOp::Add { name, target }),
+        n.clone().prop_map(|name| TableOp::Delete { name }),
+        proptest::collection::vec(n, 0..8).prop_map(|names| TableOp::Batch { names }),
+    ]
+}
+
+/// The direct binding `Add { target }` defines. The prefix server forwards
+/// to no one here, so the pair need not name a live process.
+fn table_target(target: u8) -> ContextPair {
+    ContextPair::new(
+        Pid::from_raw(0x100 + u32::from(target)),
+        ContextId::new(u32::from(target)),
+    )
+}
+
+/// Observable outcome of one table op.
+#[derive(Debug, PartialEq, Eq)]
+enum TableOutcome {
+    Ok,
+    Err,
+    Answers(Vec<BatchOutcome>),
+}
+
+fn apply_table_model(model: &mut BTreeMap<u8, ContextPair>, op: &TableOp) -> TableOutcome {
+    match op {
+        TableOp::Add { name, target } => {
+            model.insert(*name, table_target(*target));
+            TableOutcome::Ok
+        }
+        TableOp::Delete { name } => match model.remove(name) {
+            Some(_) => TableOutcome::Ok,
+            None => TableOutcome::Err,
+        },
+        TableOp::Batch { names } => TableOutcome::Answers(
+            names
+                .iter()
+                .map(|name| match model.get(name) {
+                    Some(&target) => BatchOutcome::Bound(Binding {
+                        target,
+                        staleness: Staleness::Fresh,
+                    }),
+                    None => BatchOutcome::NotFound,
+                })
+                .collect(),
+        ),
+    }
+}
+
+fn apply_table_real(client: &NameClient<'_>, op: &TableOp) -> TableOutcome {
+    let ok = |done: bool| {
+        if done {
+            TableOutcome::Ok
+        } else {
+            TableOutcome::Err
+        }
+    };
+    match op {
+        TableOp::Add { name, target } => ok(client
+            .add_prefix(&format!("p{name}"), table_target(*target))
+            .is_ok()),
+        TableOp::Delete { name } => ok(client.delete_prefix(&format!("p{name}")).is_ok()),
+        TableOp::Batch { names } => {
+            let names: Vec<String> = names.iter().map(|name| format!("p{name}")).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            match client.resolve_batch(&refs) {
+                Ok(answers) => TableOutcome::Answers(answers),
+                Err(_) => TableOutcome::Err,
+            }
+        }
+    }
+}
+
+/// Runs `ops` through a prefix server on `domain`'s kernel and through the
+/// model, returning a description of the first divergence (if any).
+fn find_table_divergence(domain: &AnyDomain, ops: Vec<TableOp>) -> Option<String> {
+    let host = domain.add_host();
+    domain.spawn(host, "prefix", |ctx| {
+        prefix_server(ctx, PrefixConfig::default())
+    });
+    domain.settle(host, Some(ServiceId::CONTEXT_PREFIX));
+    let label = domain.label();
+    domain.client(host, move |ctx| {
+        let client = NameClient::new(ctx, ContextPair::new(Pid::NULL, ContextId::DEFAULT));
+        let mut model = BTreeMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            let expected = apply_table_model(&mut model, op);
+            let actual = apply_table_real(&client, op);
+            if expected != actual {
+                return Some(format!(
+                    "{label}, step {i} {op:?}: model {expected:?} vs real {actual:?}"
+                ));
+            }
+        }
+        None
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Read-your-writes through the prefix server on both kernels: every
+    /// batch resolve answers as the model stands after every add and
+    /// delete before it, and a delete succeeds exactly when the name is
+    /// bound.
+    #[test]
+    fn prefix_table_matches_reference_model(ops in proptest::collection::vec(arb_table_op(), 0..40)) {
+        for domain in AnyDomain::both() {
+            let divergence = find_table_divergence(&domain, ops.clone());
+            prop_assert!(divergence.is_none(), "{}", divergence.unwrap());
+        }
     }
 }
