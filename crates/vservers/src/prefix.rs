@@ -220,8 +220,9 @@ struct PrefixServer {
     counters: SyncStatusRec,
     degraded: Option<DegradedPrefixConfig>,
     authoritative: bool,
-    /// The prefix of the request forwarded last, and its entry: what the
-    /// kernel's verdict on that forward is about.
+    /// The prefix of the request forwarded last, held as the table's own
+    /// name for it, and its entry: what the kernel's verdict on that
+    /// forward is about.
     forwarding: Option<(Name, PrefixTarget)>,
 }
 
@@ -365,14 +366,20 @@ impl Server for PrefixServer {
 
         // The hot path: one hashed probe of the table. A tombstone answers
         // like a miss.
-        let Some(VersionedEntry {
-            binding: Some(binding),
-            verified,
-            ..
-        }) = self.table.lookup(prefix)
+        let Some((
+            name,
+            VersionedEntry {
+                binding: Some(binding),
+                verified,
+                ..
+            },
+        )) = self.table.lookup_named(prefix)
         else {
             return Err(ReplyCode::NotFound);
         };
+        // The table's own name, kept for the verdict on the forward: a copy
+        // or a reference-count bump, never an allocation.
+        let name = name.clone();
         let target = PrefixTarget::from_binding(&binding);
 
         let binding_query =
@@ -410,7 +417,7 @@ impl Server for PrefixServer {
 
         let to = target.locate(ctx).ok_or(ReplyCode::NoServer)?;
         let index = req.index + rest_index;
-        self.forwarding = Some((Name::from(prefix), target));
+        self.forwarding = Some((name, target));
         Ok(Answer::Forward { to, index })
     }
 

@@ -26,7 +26,7 @@
 //!   into its slot.
 //!
 //! The unit of *copying* is two levels down: a shard's slots are cut into
-//! pages of 2^[`PAGE_SLOT_BITS`] slots (6 KB), each behind its own `Arc`,
+//! pages of 2^[`PAGE_SLOT_BITS`] slots (5 KB), each behind its own `Arc`,
 //! and the page pointers into directories of [`DIR_PAGES`], each behind its
 //! own `Arc` too. The first write to a published shard copies the shard's
 //! top (at most 32 directory pointers at 10⁶ names), the one directory and
@@ -34,12 +34,13 @@
 //! page. Every other directory and page stays shared with the snapshots
 //! that hold it, and dropping the old copy at publish releases as little.
 //!
-//! A record keeps a name of up to 22 bytes inside its slot ([`Name`]), so
+//! A record keeps a name of up to 14 bytes inside its slot ([`Name`]), so
 //! a probe compares the bytes of the slot it has already loaded, and a page
-//! copy copies them; a longer name is one shared allocation, which the page
-//! copies and the side indexes hold by reference count. The entry's three
-//! flags ride in the name's header byte, so a slot is 48 bytes: the hash,
-//! the name, the epoch, and the binding's target and context.
+//! copy copies them; a longer name is one shared allocation behind a thin
+//! pointer, which the page copies and the side indexes hold by reference
+//! count. The entry's three flags ride in the name's header byte, so a slot
+//! is 40 bytes: the hash, the 16-byte name, the epoch, and the binding's
+//! target and context.
 //!
 //! Atomicity: a mutation batch (a define, a whole sync apply round, a GC
 //! sweep) becomes visible all-at-once at the next `publish`, or not at
@@ -89,7 +90,7 @@ use vproto::{fnv1a, SyncBinding};
 /// small enough that a bucket scan stays a few tens of kilobytes.
 const REGION_SLOT_BITS: u32 = 9;
 
-/// log2 of the slots in one copy-on-write page: 128 slots of 48 bytes, 6 KB,
+/// log2 of the slots in one copy-on-write page: 128 slots of 40 bytes, 5 KB,
 /// the copy a write makes. A region is a whole number of pages.
 const PAGE_SLOT_BITS: u32 = 7;
 
@@ -125,7 +126,7 @@ pub(crate) const fn shard_of_hash(h: u64) -> usize {
 }
 
 /// The longest name a [`Name`] holds inside itself.
-const INLINE_NAME: usize = 22;
+const INLINE_NAME: usize = 14;
 
 /// The bits of an inline name's header byte that hold its length; the
 /// three above hold its record's flags.
@@ -143,13 +144,15 @@ const VERIFIED: u8 = 1 << 7;
 const _: () = assert!(INLINE_NAME <= LEN_MASK as usize);
 const _: () = assert!(LEN_MASK & (LIVE | LOGICAL | VERIFIED) == 0);
 
-/// A stored name: up to [`INLINE_NAME`] bytes inside the value, a longer
-/// one in one shared allocation. Inline, a probe compares the name in the
-/// slot it has already loaded, and a page copy copies the bytes.
+/// A stored name, 16 bytes: up to [`INLINE_NAME`] bytes inside the value,
+/// a longer one in one shared allocation behind a thin pointer. Inline, a
+/// probe compares the name in the slot it has already loaded, and a page
+/// copy copies the bytes; on the heap, a probe whose hash matches makes one
+/// more dependent load, through the `Arc` to the boxed bytes.
 ///
 /// Its header byte also carries the flags of the record that stores it
-/// (see [`Record`]): an inline length needs five of its eight bits, and a
-/// heap name's byte sits in the padding beside its `Arc`. Nothing but
+/// (see [`Record`]): an inline length takes the low five of its eight
+/// bits, and a heap name's byte sits in the padding beside its `Arc`. Nothing but
 /// [`Record`] reads or writes them.
 ///
 /// It derefs to, borrows as, compares, orders and hashes as its bytes, so a
@@ -161,8 +164,10 @@ pub(crate) enum Name {
     /// zero-padded.
     Inline(u8, [u8; INLINE_NAME]),
     /// The flags, then the bytes. Shared with the table's side indexes, and
-    /// between the copies of a page that copy-on-write makes.
-    Heap(u8, Arc<[u8]>),
+    /// between the copies of a page that copy-on-write makes. An
+    /// `Arc<Box<[u8]>>`, not an `Arc<[u8]>`: one pointer, not two, so the
+    /// name is as small as its inline form.
+    Heap(u8, Arc<Box<[u8]>>),
 }
 
 impl Name {
@@ -189,7 +194,7 @@ impl From<&[u8]> for Name {
                 inline[..bytes.len()].copy_from_slice(bytes);
                 Name::Inline(len, inline)
             }
-            _ => Name::Heap(0, Arc::from(bytes)),
+            _ => Name::Heap(0, Arc::new(Box::from(bytes))),
         }
     }
 }
@@ -267,10 +272,11 @@ pub(crate) struct Record {
 }
 
 // Every slot of every page is one `Option<Record>`: a field that grows it
-// grows the table by that much per slot, ~2 slots per name. 48 is the hash,
-// the name and 16 bytes of entry, with `None` in a spare value of the
-// name's discriminant.
-const _: () = assert!(size_of::<Option<Record>>() == 48);
+// grows the table by that much per slot, ~2 slots per name. 40 is the hash,
+// the 16-byte name and 16 bytes of entry, with `None` in a spare value of
+// the name's discriminant.
+const _: () = assert!(size_of::<Name>() == 16);
+const _: () = assert!(size_of::<Option<Record>>() == 40);
 // Every region ends on a page end, so a region's last home slot is the
 // last slot of a page; and a page, the copy a write makes, stays ≤ 8 KiB.
 const _: () = assert!(PAGE_SLOT_BITS <= REGION_SLOT_BITS);
@@ -1221,6 +1227,63 @@ mod tests {
         }
         st.publish();
         assert_eq!(answers(&st.snapshot()), defined, "redefined after GC");
+    }
+
+    /// The stored name under `name` in `shards`.
+    fn stored<'a>(shards: &'a [Arc<Shard>; SHARD_COUNT], name: &[u8]) -> &'a Name {
+        let h = fnv1a(name);
+        let rec = shards[shard_of_hash(h)].get(h, name);
+        &rec.expect("the name is stored").name
+    }
+
+    /// The allocation behind a heap name.
+    fn heap_bytes(name: &Name) -> &Arc<Box<[u8]>> {
+        match name {
+            Name::Heap(_, bytes) => bytes,
+            Name::Inline(..) => panic!("{} bytes stored inline", name.len()),
+        }
+    }
+
+    /// A name of `INLINE_NAME` bytes is stored inline and one a byte longer
+    /// on the heap, and the heap name is one allocation wherever it is
+    /// held: by the live page, by a held snapshot's copy of that page after
+    /// a write copies it, by the shard after a grow re-places it, and by
+    /// the tombstone index after a tombstone.
+    #[test]
+    fn a_heap_name_is_one_allocation_wherever_it_is_held() {
+        let inline = vec![b'i'; INLINE_NAME];
+        let heap = vec![b'h'; INLINE_NAME + 1];
+        let mut st = table_of(&[inline.clone(), heap.clone()]);
+        let shards = st.table().shards();
+        assert!(matches!(stored(shards, &inline), Name::Inline(..)));
+        let bytes = heap_bytes(stored(shards, &heap)).clone();
+        assert_eq!(**bytes, *heap);
+        let same = |name: &Name| Arc::ptr_eq(&bytes, heap_bytes(name));
+
+        let held = st.snapshot();
+        st.table_mut().define(heap.clone(), bind(7), 200);
+        st.publish();
+        assert_eq!(copied(&held, &st.snapshot()), (1, 1, 1), "a page copy");
+        assert!(same(stored(&held.shards, &heap)), "the held page");
+        assert!(same(stored(st.table().shards(), &heap)), "the live page");
+
+        let s = SyncTable::shard_of(&heap);
+        let cap = st.table().shards()[s].cap;
+        for name in names_in(s, "grow", cap, |_| true) {
+            if st.table().shards()[s].cap > cap {
+                break;
+            }
+            st.table_mut().define(name, bind(8), 300);
+        }
+        assert!(st.table().shards()[s].cap > cap, "the shard grew");
+        assert!(same(stored(st.table().shards(), &heap)), "after the grow");
+
+        let outcome = st.table_mut().tombstone(&heap, 400);
+        assert_eq!(outcome, TombstoneOutcome::DroppedLive);
+        let (_, tomb) = st.table().tombs().first().expect("one tombstone");
+        assert!(same(tomb), "the tombstone index");
+        assert!(same(stored(st.table().shards(), &heap)), "the tombstone");
+        assert_eq!(held.lookup(&heap).map(|e| e.binding), Some(bind(1)));
     }
 
     fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {

@@ -29,7 +29,7 @@
 //! nothing else holds — the prefix server's own table — that is a store
 //! into the slot. On a shard a snapshot still holds it copies the shard's
 //! top of at most 32 directory pointers, and the shard then copies only the
-//! one directory of 32 page pointers and the one 6 KB page it writes. The
+//! one directory of 32 page pointers and the one 5 KB page it writes. The
 //! only side indexes are `tombs` and `unverified`, written in those two
 //! functions and holding the shard's own names (a short name inline, a
 //! long one by its shared allocation, never a fresh copy); the Merkle tree
@@ -304,9 +304,11 @@ impl SyncTable {
 
     /// Stamps and returns a fresh epoch: monotonic, never 0, and at least
     /// the current virtual time so post-restart stamps out-rank pre-crash
-    /// ones.
+    /// ones. Saturating: a gossip delta can carry any epoch up to
+    /// `u64::MAX` into `next_epoch`, and a stamp past it stays there
+    /// rather than panicking or wrapping below the epochs already issued.
     fn stamp(&mut self, now_ns: u64) -> u64 {
-        self.next_epoch = (self.next_epoch + 1).max(now_ns).max(1);
+        self.next_epoch = self.next_epoch.saturating_add(1).max(now_ns).max(1);
         self.next_epoch
     }
 
@@ -447,8 +449,16 @@ impl SyncTable {
 
     /// Looks up a live binding (tombstones answer `None`).
     pub fn lookup(&self, prefix: &[u8]) -> Option<VersionedEntry> {
-        let entry = self.get(prefix)?.entry();
-        entry.binding.is_some().then_some(entry)
+        self.lookup_named(prefix).map(|(_, entry)| entry)
+    }
+
+    /// [`SyncTable::lookup`], with the name the binding is stored under: a
+    /// caller that keeps the name clones this one — a copy if it is inline,
+    /// a reference-count bump if it is on the heap — and allocates none.
+    pub(crate) fn lookup_named(&self, prefix: &[u8]) -> Option<(&Name, VersionedEntry)> {
+        let rec = self.get(prefix)?;
+        let entry = rec.entry();
+        entry.binding.is_some().then_some((&rec.name, entry))
     }
 
     /// Resolves a batch of prefixes against the table as it stands, with
@@ -509,6 +519,12 @@ impl SyncTable {
     /// The number of retained tombstones.
     pub fn tombstone_len(&self) -> usize {
         self.tombs.len()
+    }
+
+    /// The tombstone index, for tests of what its names share.
+    #[cfg(test)]
+    pub(crate) fn tombs(&self) -> &BTreeSet<(u64, Name)> {
+        &self.tombs
     }
 
     /// The highest epoch stamped or adopted so far. O(1): every write
@@ -1464,6 +1480,30 @@ mod tests {
         auth.gc_below(auth.horizon());
         check(&auth, "gc");
         assert_eq!(auth.max_epoch(), auth.next_epoch);
+    }
+
+    /// A gossip delta can carry any non-zero epoch, `u64::MAX` included,
+    /// and adopting it moves the clock there. The next stamp saturates: a
+    /// define and a tombstone of other names still succeed, their epochs
+    /// do not fall below the adopted one, and the clock still dominates
+    /// every entry.
+    #[test]
+    fn a_stamp_after_a_maximal_gossip_epoch_saturates() {
+        let mut t = SyncTable::new();
+        t.define(b"z", bind(1), 10);
+        let maximal = SyncEntry {
+            prefix: b"x".to_vec(),
+            epoch: u64::MAX,
+            binding: Some(bind(2)),
+        };
+        assert_eq!(t.apply(&[maximal], false).adopted, 1);
+        assert_eq!(t.max_epoch(), u64::MAX);
+        t.define(b"y", bind(3), 5);
+        assert_eq!(t.tombstone(b"z", 6), TombstoneOutcome::DroppedLive);
+        assert_eq!(t.lookup(b"y").map(|e| e.epoch), Some(u64::MAX));
+        let epochs: Vec<u64> = t.sorted_records().iter().map(|r| r.entry().epoch).collect();
+        assert_eq!(epochs, [u64::MAX; 3], "x, y and z's tombstone");
+        assert!(epochs.iter().all(|&e| t.next_epoch >= e), "clock behind");
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! arguments exercised end to end.
 
 use integration_tests::{wait_for_service, AnyDomain};
-use vkernel::Domain;
+use vkernel::{Domain, Ipc};
 use vproto::{ContextId, ContextPair, OpenMode, Pid, ReplyCode, Scope, ServiceId};
 use vruntime::NameClient;
 use vservers::{file_server, prefix_server, FileServerConfig, PrefixConfig};
 
-fn spawn_fs(domain: &Domain, host: vproto::LogicalHost, content: &'static [u8]) -> Pid {
-    domain.spawn(host, "fs", move |ctx| {
+/// A file server whose `data.txt` holds `content`.
+fn fs(content: &'static [u8]) -> impl FnOnce(&dyn Ipc) + Send + 'static {
+    move |ctx| {
         file_server(
             ctx,
             FileServerConfig {
@@ -18,7 +19,11 @@ fn spawn_fs(domain: &Domain, host: vproto::LogicalHost, content: &'static [u8]) 
                 ..FileServerConfig::default()
             },
         )
-    })
+    }
+}
+
+fn spawn_fs(domain: &Domain, host: vproto::LogicalHost, content: &'static [u8]) -> Pid {
+    domain.spawn(host, "fs", fs(content))
 }
 
 #[test]
@@ -74,6 +79,63 @@ fn direct_prefix_dangles_after_crash_but_logical_rebinds() {
             .unwrap();
         assert_eq!(client.read_file("[direct]data.txt").unwrap(), b"version 2");
     });
+}
+
+/// The dangling direct prefix again, on both kernels, under a prefix too
+/// long for the prefix table to hold inline: the kernel's verdict on the
+/// forward to the dead server tombstones the entry through the table's own
+/// heap-held name, so the next lookup is a clean `NotFound` until the
+/// prefix is defined again.
+#[test]
+fn a_long_direct_prefix_is_tombstoned_when_its_server_dies() {
+    const PREFIX: &str = "a-direct-prefix-past-the-inline-limit";
+    for domain in AnyDomain::both() {
+        let label = domain.label();
+        let host = domain.add_host();
+        let fs_v1 = domain.spawn(host, "fs", fs(b"version 1"));
+        domain.spawn(host, "prefix", |ctx| {
+            prefix_server(ctx, PrefixConfig::default())
+        });
+        domain.settle(host, Some(ServiceId::CONTEXT_PREFIX));
+        domain.settle(host, Some(ServiceId::FILE_SERVER));
+        let path = format!("[{PREFIX}]data.txt");
+        domain.client(host, {
+            let path = path.clone();
+            move |ctx| {
+                let client = NameClient::new(ctx, ContextPair::new(fs_v1, ContextId::DEFAULT));
+                client
+                    .add_prefix(PREFIX, ContextPair::new(fs_v1, ContextId::DEFAULT))
+                    .unwrap();
+                assert_eq!(client.read_file(&path).unwrap(), b"version 1");
+            }
+        });
+
+        domain.kill(fs_v1);
+        domain.spawn(host, "fs", fs(b"version 2"));
+        domain.settle(host, Some(ServiceId::FILE_SERVER));
+        domain.client(host, move |ctx| {
+            let client = NameClient::new(ctx, ContextPair::new(Pid::NULL, ContextId::DEFAULT));
+            let err = client.read_file(&path).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    vruntime::IoError::Ipc(_) | vruntime::IoError::Server(ReplyCode::NotFound)
+                ),
+                "{label}: expected dangling-prefix failure, got {err:?}"
+            );
+            let err = client.read_file(&path).unwrap_err();
+            assert_eq!(
+                err.reply_code(),
+                Some(ReplyCode::NotFound),
+                "{label}: the stale entry was tombstoned, got {err:?}"
+            );
+            let new_fs = ctx.get_pid(ServiceId::FILE_SERVER, Scope::Both).unwrap();
+            client
+                .add_prefix(PREFIX, ContextPair::new(new_fs, ContextId::DEFAULT))
+                .unwrap();
+            assert_eq!(client.read_file(&path).unwrap(), b"version 2", "{label}");
+        });
+    }
 }
 
 #[test]
